@@ -27,7 +27,15 @@ from .inputs import (
     sample_contender_stream,
 )
 from .moran import moran_init, moran_run
-from .pit import TIME_EPS, ConfigurationError, GenealogyTree, PitState, StepPath
+from .pit import (
+    TIME_EPS,
+    ConfigurationError,
+    FitnessSkeleton,
+    GenealogyTree,
+    PitState,
+    StepPath,
+    _fmt,
+)
 from .rng import as_generator
 
 __all__ = [
@@ -182,9 +190,7 @@ def sample_renewal_cycles(law: ContenderLaw, n_cycles: int, rng, *, collect_even
                     all_events.append((elapsed + t, a))
                 yield (t, a)
 
-        st = PitState(
-            events=stream(), record_log=False, track_types=False, validate=False
-        )
+        st = FitnessSkeleton(events=stream())
         st.advance(stop_after_solitary=True)
         records.append(RenewalRecord(st.clock, st.vstar_sum))
         pend = st.pending_immigration
@@ -382,15 +388,12 @@ class FixationReport:
 def classify_fixation(source, genealogy: GenealogyTree | None = None) -> FixationReport:
     """Classify every non-root type of a completed run.
 
-    ``source`` is a :class:`~clonepit.pit.PitState` built with type
-    tracking, or an event log (then ``genealogy`` is required).  A type is
-    ``resident`` if it won some resident change, ``solitary_resident`` if it
-    won a regenerating one, and ``ancestral`` if it lies on the ancestor
-    path of some solitary winner.
+    ``source`` is a :class:`~clonepit.pit.PitState` or an event log (then
+    ``genealogy`` is required).  A type is ``resident`` if it won some
+    resident change, ``solitary_resident`` if it won a regenerating one, and
+    ``ancestral`` if it lies on the ancestor path of some solitary winner.
     """
     if isinstance(source, PitState):
-        if not source.track_types:
-            raise ConfigurationError("classification needs a state with type tracking")
         genealogy = source.genealogy
         contender = {
             tid: traj.slope0 > 0.0 for tid, traj in source.types.items() if tid != 0
@@ -581,8 +584,7 @@ def infinite_mean_probe(lam: float, gamma, horizons, replicates: int, rng):
     law = contender_params(lam, gamma)
     ratios = np.empty((replicates, len(horizons)))
     for r in range(replicates):
-        stream = sample_contender_stream(law, horizons[-1], rng)
-        st = PitState(events=stream, record_log=False, track_types=False, validate=False)
+        st = FitnessSkeleton(events=sample_contender_stream(law, horizons[-1], rng))
         for j, h in enumerate(horizons):
             st.advance(until=h)
             ratios[r, j] = st.fitness / h
@@ -626,8 +628,7 @@ def high_mutation_probe(
         law = contender_params(float(lam), gamma)
         vals = np.empty(replicates)
         for r in range(replicates):
-            stream = sample_contender_stream(law, t, rng)
-            st = PitState(events=stream, record_log=False, track_types=False, validate=False)
+            st = FitnessSkeleton(events=sample_contender_stream(law, t, rng))
             st.advance(until=t)
             vals[r] = st.fitness
         values[float(lam)] = vals
@@ -635,10 +636,6 @@ def high_mutation_probe(
         fraction[float(lam)] = float(np.mean(err <= tolerance))
         med_err[float(lam)] = float(np.median(err))
     return HighMutationResult(limit, tolerance, values, fraction, med_err)
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
 
 
 def write_cycles_csv(records, path, scenario_hash: str | None = None):

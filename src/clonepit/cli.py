@@ -36,6 +36,7 @@ failures exit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -69,6 +70,7 @@ from .inputs import (
 from .moran import moran_init, moran_run, write_trace_csv
 from .pit import (
     ConfigurationError,
+    FitnessSkeleton,
     InvariantViolation,
     PitState,
     write_event_csv,
@@ -352,6 +354,7 @@ def _validate(scn: Scenario):
 # -- artifact plumbing --------------------------------------------------------
 
 
+@functools.cache
 def _build_tag() -> str:
     try:
         from importlib.metadata import version
@@ -575,8 +578,7 @@ def _cmd_fclt(scn: Scenario, shash: str, out: str) -> dict:
     paths = []
     for r in range(scn.replicates):
         rng = replicate_rng(scn.seed, r)
-        events = sample_contender_stream(law, scn.scale, rng)
-        st = PitState(events=events, record_log=False, track_types=False, validate=False)
+        st = FitnessSkeleton(events=sample_contender_stream(law, scn.scale, rng))
         st.advance(until=scn.scale)
         paths.append(st.resident_fitness_path())
     k = int(round(1.0 / scn.grid_step))

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .inputs import IncrementDistribution, InputEvent
-from .pit import ConfigurationError, GenealogyTree
+from .pit import ConfigurationError, GenealogyTree, _fmt
 from .rng import UniformBuffer, as_generator
 
 __all__ = [
@@ -519,10 +519,6 @@ def _apply_mutation(state, idx, inc, nextu, pending, t_off, want_indicator):
     state._rebuild()
     if want_indicator:
         heapq.heappush(pending, (state.clock + t_off, idx))
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
 
 
 def write_trace_csv(result: MoranResult, path, scenario_hash: str | None = None):

@@ -24,6 +24,12 @@ Exact bookkeeping identities are maintained and checked on the fly (see
 fitness plus the sum of all ``v*`` jumps, each type's fitness equals its
 parent's plus its increment, and every living trajectory's slope equals its
 initial slope minus the fitness gained by the resident since its birth.
+The check tolerance is absolute plus a small part relative to the fitness.
+
+:class:`PitState` keeps the full record: types, genealogy, event log and
+paths.  Runs that need only the resident changes (renewal cycles, fitness
+paths) use :class:`FitnessSkeleton`, which follows only the trajectories
+that can still become resident and yields the same changes.
 
 Event times are compared with an absolute tolerance of 1e-12; hits within
 that window of each other are processed as one simultaneous group
@@ -46,14 +52,13 @@ __all__ = [
     "ConfigurationError",
     "InvariantViolation",
     "StartEntry",
-    "ImmigrationEntry",
     "Trajectory",
     "PitEvent",
-    "PitPeek",
     "GenealogyTree",
     "StepPath",
     "PiecewisePath",
     "PitState",
+    "FitnessSkeleton",
     "write_event_csv",
     "write_trajectories_jsonl",
 ]
@@ -64,6 +69,13 @@ TIME_EPS = 1e-12
 SLOPE_EPS = 1e-12
 #: tolerance for the exact bookkeeping identities
 CHECK_TOL = 1e-9
+#: relative part of that tolerance, for fitness values so large that one
+#: ulp of them exceeds ``CHECK_TOL`` (heavy-tailed increments)
+CHECK_RTOL = 1e-12
+
+
+def _check_tol(magnitude: float) -> float:
+    return CHECK_TOL + CHECK_RTOL * abs(magnitude)
 
 
 class ConfigurationError(ValueError):
@@ -93,31 +105,6 @@ class StartEntry:
             raise ConfigurationError(f"start at height 0 needs slope >= 0, got {v}")
         if h == 1.0 and v > 0.0:
             raise ConfigurationError(f"start at height 1 needs slope <= 0, got {v}")
-
-
-@dataclass(frozen=True)
-class ImmigrationEntry:
-    """Deterministic immigration: arrival time and slope.
-
-    ``increment`` is the fitness increment credited to the new type; it
-    defaults to the slope.  A zero slope with a positive increment encodes a
-    non-contender: the type is recorded in the genealogy with its fitness
-    but its trajectory never leaves height 0.
-    """
-
-    time: float
-    slope: float
-    increment: float | None = None
-
-    def __post_init__(self):
-        if not self.time >= 0.0:
-            raise ConfigurationError(f"immigration time must be >= 0, got {self.time}")
-        if not self.slope >= 0.0:
-            raise ConfigurationError(f"immigration slope must be >= 0, got {self.slope}")
-        if self.increment is not None and not self.increment > 0.0:
-            raise ConfigurationError(
-                f"immigration increment must be positive, got {self.increment}"
-            )
 
 
 @dataclass(slots=True)
@@ -154,19 +141,6 @@ class PitEvent:
     resident_id: int
     fitness: float
     solitary: bool | None = None
-
-
-@dataclass(frozen=True)
-class PitPeek:
-    """Next pending event, without applying it."""
-
-    time: float
-    kind: str  # immigration | hit_one | hit_zero | stalled
-    trajectory_id: int | None = None
-
-    @property
-    def stalled(self) -> bool:
-        return self.kind == "stalled"
 
 
 class GenealogyTree:
@@ -248,15 +222,60 @@ def _normalize_events(events):
         if isinstance(ev, InputEvent):
             slope = ev.increment if ev.contender else 0.0
             yield ev.time, slope, ev.increment, ev.index
-        elif isinstance(ev, ImmigrationEntry):
-            inc = ev.increment if ev.increment is not None else ev.slope
-            yield ev.time, ev.slope, inc, None
         else:
             t, slope = ev
             yield float(t), float(slope), float(slope), None
 
 
-class PitState:
+class _ArrivalFeed:
+    """Arrival stream and resident-change record shared by both engines.
+
+    Holds one drawn but not yet applied arrival, checks that arrival times
+    strictly increase, and numbers arrivals without an index from 1 up.
+    """
+
+    def _open_feed(self, events):
+        self._events = _normalize_events(events)
+        self._pending = None
+        self._last_time = -math.inf
+        self._auto_id = 1
+        self._pull_event()
+
+    def _pull_event(self):
+        try:
+            t, slope, inc, idx = next(self._events)
+        except StopIteration:
+            self._pending = None
+            return
+        if t <= self._last_time:
+            raise ConfigurationError(
+                f"immigration times must be strictly increasing, got {t} after {self._last_time}"
+            )
+        self._last_time = t
+        if idx is None:
+            idx = self._auto_id
+        elif idx < self._auto_id:
+            raise ConfigurationError(f"immigration index {idx} reused or out of order")
+        self._pending = (t, slope, inc, idx)
+
+    @property
+    def pending_immigration(self):
+        """Next drawn but not yet applied arrival as (time, slope, increment, id).
+
+        ``None`` once the event stream is exhausted.  Drivers that stop a run
+        mid-stream (say at a regeneration) need this to hand the event to a
+        successor state instead of losing it.
+        """
+        return self._pending
+
+    def resident_fitness_path(self) -> StepPath:
+        """Resident fitness as a right-continuous step function from time 0."""
+        times = [0.0] + [rc[0] for rc in self.resident_changes]
+        values = [self.f0] + [rc[2] for rc in self.resident_changes]
+        return StepPath(times, values)
+
+
+class PitState(_ArrivalFeed):
     """Mutable state of the trajectory system.
 
     Parameters
@@ -267,20 +286,17 @@ class PitState:
         Defaults to that single entry.  The ``(1, 0)`` entry gets id 0;
         the others get ids -1, -2, ... in listed order.
     events:
-        Iterable of immigrations (:class:`~clonepit.inputs.InputEvent`,
-        :class:`ImmigrationEntry` or ``(time, slope)``), strictly increasing
-        in time.  May be a lazy generator; it is consumed as the clock
-        advances.
+        Iterable of immigrations (:class:`~clonepit.inputs.InputEvent` or
+        ``(time, slope)``), strictly increasing in time.  May be a lazy
+        generator; it is consumed as the clock advances.
     f0:
         Fitness of the initial resident.
-    record_log, record_paths, track_types:
-        Switch off to cut memory and object churn in long ensemble runs.
+    record_log, record_paths:
         ``record_log`` keeps the full event list, ``record_paths`` the
-        per-trajectory breakpoints, ``track_types`` the per-type records and
-        the genealogy.  Resident changes are always kept (they are the
-        renewal skeleton).
-    validate:
-        Check the exact bookkeeping identities at every resident change.
+        per-trajectory breakpoints.  Per-type records, the genealogy and the
+        resident changes are always kept, and the exact bookkeeping
+        identities are checked at every resident change.  Runs that need
+        only the resident changes use :class:`FitnessSkeleton` instead.
     """
 
     def __init__(
@@ -291,16 +307,10 @@ class PitState:
         *,
         record_log: bool = True,
         record_paths: bool = False,
-        track_types: bool = True,
-        validate: bool = True,
     ):
         self.record_log = record_log
         self.record_paths = record_paths
-        self.track_types = track_types
-        self.validate = validate
         self.f0 = float(f0)
-        if record_paths and not track_types:
-            raise ConfigurationError("record_paths requires track_types")
 
         if start is None:
             start = (StartEntry(1.0, 0.0),)
@@ -336,7 +346,6 @@ class PitState:
         self.resident_changes: list[tuple] = []
         self.types: dict[int, Trajectory] = {}
         self.genealogy = GenealogyTree()
-        self._auto_id = 1
 
         next_start_id = -1
         for e in entries:
@@ -350,38 +359,33 @@ class PitState:
                 self.fitness_gain_bound += e.slope
             if e.height > 0.0 or e.slope > 0.0:
                 self._add_slot(tid, e.height, e.slope)
-            elif self.track_types:
+            else:
                 self.types[tid].status = "latent"
-        if self.track_types:
-            self.types[0].status = "resident"
+        self.types[0].status = "resident"
 
-        self._events = _normalize_events(events)
-        self._pending = None
-        self._last_time = -math.inf
-        self._pull_event()
+        self._open_feed(events)
 
     # -- construction helpers --------------------------------------------
 
     def _add_type(self, tid, parent, birth, height0, slope, increment, fitness):
-        if self.track_types:
-            if tid in self.types:
-                raise ConfigurationError(f"duplicate trajectory id {tid}")
-            traj = Trajectory(
-                id=tid,
-                parent=parent,
-                birth=birth,
-                slope0=slope,
-                increment=increment,
-                fitness=fitness,
-                fitness_at_birth=self.fitness,
-            )
-            if self.record_paths:
-                traj.segments = [(birth, height0, slope)]
-            self.types[tid] = traj
-            if parent is None:
-                self.genealogy.add_root(tid)
-            else:
-                self.genealogy.add_edge(parent, tid)
+        if tid in self.types:
+            raise ConfigurationError(f"duplicate trajectory id {tid}")
+        traj = Trajectory(
+            id=tid,
+            parent=parent,
+            birth=birth,
+            slope0=slope,
+            increment=increment,
+            fitness=fitness,
+            fitness_at_birth=self.fitness,
+        )
+        if self.record_paths:
+            traj.segments = [(birth, height0, slope)]
+        self.types[tid] = traj
+        if parent is None:
+            self.genealogy.add_root(tid)
+        else:
+            self.genealogy.add_edge(parent, tid)
 
     def _add_slot(self, tid, h, v):
         n = self._n
@@ -412,23 +416,6 @@ class PitState:
         self._slot_ids.pop()
         self._n = last
 
-    def _pull_event(self):
-        try:
-            t, slope, inc, idx = next(self._events)
-        except StopIteration:
-            self._pending = None
-            return
-        if t <= self._last_time:
-            raise ConfigurationError(
-                f"immigration times must be strictly increasing, got {t} after {self._last_time}"
-            )
-        self._last_time = t
-        if idx is None:
-            idx = self._auto_id
-        elif idx < self._auto_id:
-            raise ConfigurationError(f"immigration index {idx} reused or out of order")
-        self._pending = (t, slope, inc, idx)
-
     # -- event scanning ----------------------------------------------------
 
     def _hit_offsets(self):
@@ -441,38 +428,6 @@ class PitState:
         np.divide(1.0 - h, v, out=out, where=rising)
         np.divide(h, -v, out=out, where=falling)
         return out
-
-    def next_event(self) -> PitPeek:
-        """Earliest pending event without applying it.
-
-        Boundary hits take precedence over an immigration carrying the same
-        timestamp.  Returns a peek with kind ``"stalled"`` (time ``inf``)
-        when nothing can ever happen again.
-        """
-        offs = self._hit_offsets()
-        t_hit = math.inf
-        slot = -1
-        if offs.size:
-            slot = int(np.argmin(offs))
-            if math.isfinite(offs[slot]):
-                t_hit = self.clock + offs[slot]
-        t_imm = self._pending[0] if self._pending is not None else math.inf
-        if math.isinf(t_hit) and math.isinf(t_imm):
-            return PitPeek(math.inf, "stalled")
-        if t_hit <= t_imm + TIME_EPS:
-            kind = "hit_one" if self._v[slot] > 0 else "hit_zero"
-            return PitPeek(float(t_hit), kind, self._slot_ids[slot])
-        return PitPeek(float(t_imm), "immigration", self._pending[3])
-
-    @property
-    def pending_immigration(self):
-        """Next drawn but not yet applied arrival as (time, slope, increment, id).
-
-        ``None`` once the event stream is exhausted.  Drivers that stop a run
-        mid-stream (say at a regeneration) need this to hand the event to a
-        successor state instead of losing it.
-        """
-        return self._pending
 
     # -- event application ---------------------------------------------------
 
@@ -488,12 +443,11 @@ class PitState:
     def _apply_extinction(self, tid) -> PitEvent:
         slot = self._slot_of[tid]
         self._h[slot] = 0.0
-        if self.track_types:
-            traj = self.types[tid]
-            traj.status = "extinct"
-            traj.death = self.clock
-            if self.record_paths:
-                self._mark_segment(tid, 0.0, 0.0)
+        traj = self.types[tid]
+        traj.status = "extinct"
+        traj.death = self.clock
+        if self.record_paths:
+            self._mark_segment(tid, 0.0, 0.0)
         self._drop_slot(slot)
         ev = PitEvent(self.clock, "extinction", tid, 0.0, self.resident_id, self.fitness)
         self._log(ev)
@@ -535,16 +489,14 @@ class PitState:
             (self.clock, v_star, self.fitness, winner, solitary)
         )
 
-        if self.track_types:
-            self.types[old_resident].status = "active"
-            self.types[winner].status = "resident"
-            if self.record_paths:
-                for slot in np.nonzero(kinked)[0]:
-                    tid = self._slot_ids[slot]
-                    self._mark_segment(tid, float(h[slot]), float(v[slot]))
+        self.types[old_resident].status = "active"
+        self.types[winner].status = "resident"
+        if self.record_paths:
+            for slot in np.nonzero(kinked)[0]:
+                tid = self._slot_ids[slot]
+                self._mark_segment(tid, float(h[slot]), float(v[slot]))
 
-        if self.validate:
-            self._check_after_change(winner)
+        self._check_after_change(winner)
 
         ev = PitEvent(
             self.clock, "resident_change", winner, v_star, winner, self.fitness, solitary
@@ -559,7 +511,7 @@ class PitState:
         if slope > 0.0:
             self._add_slot(tid, 0.0, slope)
             self.fitness_gain_bound += inc
-        elif self.track_types:
+        else:
             self.types[tid].status = "latent"
         self._auto_id = tid + 1
         self._pull_event()
@@ -568,29 +520,42 @@ class PitState:
         return ev
 
     def _check_after_change(self, winner):
+        tol = _check_tol(self.fitness)
         drift = abs(self.fitness - self.f0 - self.vstar_sum)
-        if drift > CHECK_TOL:
+        if drift > tol:
             raise InvariantViolation(
                 f"fitness != f0 + sum of v* at t={self.clock} (drift {drift:.3e})"
             )
-        if self.track_types:
-            mism = abs(self.fitness - self.types[winner].fitness)
-            if mism > CHECK_TOL:
-                raise InvariantViolation(
-                    f"resident fitness {self.fitness} != type fitness "
-                    f"{self.types[winner].fitness} for {winner} at t={self.clock}"
-                )
+        mism = abs(self.fitness - self.types[winner].fitness)
+        if mism > tol:
+            raise InvariantViolation(
+                f"resident fitness {self.fitness} != type fitness "
+                f"{self.types[winner].fitness} for {winner} at t={self.clock}"
+            )
         n = self._n
         implied = self._c0[:n] - (self.fitness - self._fb[:n])
         err = float(np.max(np.abs(self._v[:n] - implied))) if n else 0.0
-        if err > CHECK_TOL:
+        if err > tol:
             raise InvariantViolation(
                 f"slope-coupling identity violated at t={self.clock} (max err {err:.3e})"
             )
-        at_top = int(np.sum((self._h[:n] == 1.0) & (self._v[:n] == 0.0)))
-        if at_top != 1:
+        self._check_top(tol, f" after change at t={self.clock}")
+
+    def _check_top(self, tol, when=""):
+        """The resident sits at (1, 0), and any other trajectory there is tied with it.
+
+        Hitters with equal slopes reach the top together: the smaller id
+        wins, and the others end at (1, 0) with the resident's fitness.
+        """
+        n = self._n
+        top = np.nonzero((self._h[:n] == 1.0) & (self._v[:n] == 0.0))[0]
+        ids = [self._slot_ids[s] for s in top]
+        if self.resident_id not in ids or any(
+            abs(self.types[tid].fitness - self.fitness) > tol for tid in ids
+        ):
             raise InvariantViolation(
-                f"{at_top} trajectories at (1, 0) after change at t={self.clock}"
+                f"trajectories {ids} at (1, 0){when}; only the resident "
+                f"{self.resident_id} and types tied with it may sit there"
             )
 
     def _advance_heights(self, dt):
@@ -655,12 +620,6 @@ class PitState:
 
     # -- derived views -------------------------------------------------------
 
-    def resident_fitness_path(self) -> StepPath:
-        """Resident fitness as a right-continuous step function from time 0."""
-        times = [0.0] + [rc[0] for rc in self.resident_changes]
-        values = [self.f0] + [rc[2] for rc in self.resident_changes]
-        return StepPath(times, values)
-
     def trajectory_path(self, tid: int) -> PiecewisePath:
         """Piecewise-linear height path of type ``tid`` (needs ``record_paths``)."""
         traj = self.types[tid]
@@ -686,25 +645,23 @@ class PitState:
             h = self._h[:n]
             if h.min() < 0.0 or h.max() > 1.0:
                 raise InvariantViolation("height outside [0, 1]")
-        at_top = int(np.sum((self._h[:n] == 1.0) & (self._v[:n] == 0.0))) if n else 0
-        if at_top != 1:
-            raise InvariantViolation(f"{at_top} trajectories at (1, 0)")
+        tol = _check_tol(self.fitness)
+        self._check_top(tol)
         drift = abs(self.fitness - self.f0 - self.vstar_sum)
-        if drift > CHECK_TOL:
+        if drift > tol:
             raise InvariantViolation(f"fitness != f0 + sum of v* (drift {drift:.3e})")
         bound = self.fitness_gain_bound
-        if self.fitness - self.f0 > bound + CHECK_TOL:
+        if self.fitness - self.f0 > bound + tol:
             raise InvariantViolation(
                 f"fitness gain {self.fitness - self.f0} exceeds increment bound {bound}"
             )
-        if self.track_types:
-            for tid, traj in self.types.items():
-                if traj.parent is not None:
-                    expect = self.types[traj.parent].fitness + traj.increment
-                    if abs(traj.fitness - expect) > CHECK_TOL:
-                        raise InvariantViolation(
-                            f"type {tid} fitness {traj.fitness} != parent + increment {expect}"
-                        )
+        for tid, traj in self.types.items():
+            if traj.parent is not None:
+                expect = self.types[traj.parent].fitness + traj.increment
+                if abs(traj.fitness - expect) > _check_tol(expect):
+                    raise InvariantViolation(
+                        f"type {tid} fitness {traj.fitness} != parent + increment {expect}"
+                    )
 
     # -- convenience -----------------------------------------------------------
 
@@ -729,6 +686,132 @@ class PitState:
                 return 0.0
             raise KeyError(tid)
         return float(self._v[slot])
+
+
+class FitnessSkeleton(_ArrivalFeed):
+    """Resident changes of the trajectory system started from one resident.
+
+    Produces the ``resident_changes`` of a :class:`PitState` run on the same
+    arrivals, with the same winners and solitary flags, but keeps only the
+    trajectories that can still move the resident fitness.  Each slope is
+    the type's fitness minus the resident fitness, and the resident fitness
+    never falls, so:
+
+    * a non-resident trajectory whose slope is <= 0 never rises again;
+    * a trajectory at least as high and at least as fit as another reaches
+      the top no later than it, and leaves it with slope <= 0 when it does;
+    * so an arrival, which starts at height 0, is kept only if its fitness
+      is strictly above that of every kept trajectory.
+
+    The kept trajectories are all rising and are held in arrival order,
+    which is also the order of increasing slope.  The event rules are those
+    of :meth:`PitState.advance`, and heights move in the same steps, except
+    that the extinctions the skeleton never sees are not steps here; times
+    and fitness therefore agree with :class:`PitState` up to rounding.
+    """
+
+    def __init__(self, events=(), f0: float = 0.0):
+        self.f0 = float(f0)
+        self.clock = 0.0
+        self.fitness = self.f0
+        self.vstar_sum = 0.0
+        #: compact (time, v_star, fitness_after, resident_id, solitary) tuples
+        self.resident_changes: list[tuple] = []
+        self._ids: list[int] = []
+        self._h: list[float] = []
+        self._v: list[float] = []
+        self._open_feed(events)
+
+    def advance(self, until: float = math.inf, *, stop_after_solitary: bool = False):
+        """Process all events up to ``until``; the clock ends at ``until``.
+
+        With ``stop_after_solitary`` the run returns right after the first
+        solitary resident change instead (and after an arrival carrying the
+        same timestamp), with the clock at that change.
+        """
+        hs, vs = self._h, self._v
+        while True:
+            offs = [(1.0 - h) / v for h, v in zip(hs, vs)]
+            off_min = min(offs, default=math.inf)
+            t_hit = self.clock + off_min
+            t_imm = self._pending[0] if self._pending is not None else math.inf
+            t_next = min(t_hit, t_imm)
+            if t_next > until or t_next == math.inf:
+                if until < math.inf:
+                    self._move(until - self.clock)
+                    self.clock = until
+                return
+            hitters = None
+            if t_hit <= t_next + TIME_EPS:
+                # grouped by offset, as in PitState.advance
+                cut = off_min + TIME_EPS
+                hitters = [k for k, off in enumerate(offs) if off <= cut]
+            take_imm = t_imm <= t_next + TIME_EPS
+
+            self._move(t_next - self.clock)
+            self.clock = t_next
+            solitary = hitters is not None and self._resident_change(hitters)
+            if take_imm:
+                self._immigrate()
+            if stop_after_solitary and solitary:
+                return
+
+    def _move(self, dt):
+        if dt > 0.0:
+            hs, vs = self._h, self._v
+            for k, v in enumerate(vs):
+                h = hs[k] + v * dt
+                hs[k] = h if h < 1.0 else 1.0
+
+    def _resident_change(self, hitters) -> bool:
+        """Crown the steepest hitter (smaller id on ties), kink and prune the rest.
+
+        ``hitters`` are positions in the kept lists.  Returns the solitary flag.
+        """
+        ids, hs, vs = self._ids, self._h, self._v
+        win = min(hitters, key=lambda k: (-vs[k], ids[k]))
+        v_star = vs[win]
+        winner = ids[win]
+        for k in hitters:
+            hs[k] = 1.0
+        self.fitness += v_star
+        self.vstar_sum += v_star
+
+        # Kink every kept trajectory above height 0; the hitters and any
+        # other that stops rising drop out.  Scanning from the fittest, a
+        # trajectory no higher than a fitter kept one drops out as well.
+        solitary = True
+        top = -1.0
+        kept = []
+        for k in range(len(ids) - 1, -1, -1):
+            h, v = hs[k], vs[k]
+            if h > 0.0:
+                v -= v_star
+                if v <= 0.0:
+                    continue
+                if v > SLOPE_EPS:
+                    solitary = False
+            if h > top:
+                top = h
+                kept.append((ids[k], h, v))
+        kept.reverse()
+        ids[:] = [e[0] for e in kept]
+        hs[:] = [e[1] for e in kept]
+        vs[:] = [e[2] for e in kept]
+
+        self.resident_changes.append((self.clock, v_star, self.fitness, winner, solitary))
+        return solitary
+
+    def _immigrate(self):
+        _, slope, _, tid = self._pending
+        vs = self._v
+        # slopes increase along the kept list, so the last one is the largest
+        if slope > 0.0 and (not vs or slope > vs[-1]):
+            self._ids.append(tid)
+            self._h.append(0.0)
+            vs.append(slope)
+        self._auto_id = tid + 1
+        self._pull_event()
 
 
 def _fmt(x: float) -> str:

@@ -15,6 +15,7 @@ import pytest
 from clonepit import (
     ContenderLaw,
     Exponential,
+    FitnessSkeleton,
     GwParams,
     InputEvent,
     Pareto,
@@ -127,8 +128,7 @@ def test_04_clt_variance(cycles_lam1_c1):
     scale = 1000.0
     paths = []
     for r in range(500):
-        evs = sample_contender_stream(law, scale, replicate_rng(777, r))
-        st = PitState(events=evs, record_log=False, track_types=False, validate=False)
+        st = FitnessSkeleton(events=sample_contender_stream(law, scale, replicate_rng(777, r)))
         st.advance(until=scale)
         paths.append(st.resident_fitness_path())
     diag = fclt_diagnostic(
@@ -310,9 +310,9 @@ def test_11_heavy_tail_superlinear_growth():
 
 def test_12_invariant_suite(tmp_path):
     law = contender_params(1.0, PointMass(1.0))
-    # validate=True re-checks the bookkeeping identities at every change
+    # PitState re-checks the bookkeeping identities at every change
     evs = sample_contender_stream(law, 3000.0, replicate_rng(1212, 0))
-    st = PitState(events=list(evs), record_paths=True, validate=True)
+    st = PitState(events=list(evs), record_paths=True)
     st.advance(until=3000.0)
     st.check_invariants()
     tops = [t for t in st.active_ids if st.height(t) == 1.0 and st.slope(t) == 0.0]

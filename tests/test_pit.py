@@ -7,14 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from clonepit import (
+    FitnessSkeleton,
     InputEvent,
     PiecewisePath,
     PitState,
     StepPath,
+    contender_params,
+    parse_distribution,
+    sample_contender_stream,
     write_event_csv,
     write_trajectories_jsonl,
 )
 from clonepit.pit import ConfigurationError, InvariantViolation
+from clonepit.rng import replicate_rng
 
 # Six candidate arrivals, four of them contenders.  Everything about this
 # run is known in closed form, so it pins the whole kinking machinery:
@@ -142,10 +147,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             st.advance()
 
-    def test_record_paths_requires_track_types(self):
-        with pytest.raises(ConfigurationError):
-            PitState(record_paths=True, track_types=False)
-
 
 class TestEventOrdering:
     def test_hit_applies_before_same_stamp_arrival(self):
@@ -190,6 +191,16 @@ class TestFarClockProgress:
         st.advance()
         st.check_invariants()
         assert st.vstar_sum == pytest.approx(st.fitness - st.f0, abs=1e-9)
+
+    def test_heavy_tail_identities_scale_with_fitness(self):
+        # the fitness passes 1e7, where one ulp (1.9e-9) exceeds the absolute
+        # check tolerance; this run used to raise InvariantViolation
+        law = contender_params(20.0, parse_distribution("pareto(1,0.5)"))
+        evs = sample_contender_stream(law, 10.0, replicate_rng(0, 0))
+        st = PitState(events=evs, record_log=False)
+        st.advance(until=10.0)
+        st.check_invariants()
+        assert st.fitness > 1e7
 
 
 class TestPaths:
@@ -292,3 +303,141 @@ def test_deterministic_given_same_events():
         st.advance()
         runs.append((st.clock, st.fitness, tuple(map(tuple, st.resident_changes))))
     assert runs[0] == runs[1]
+
+
+def _assert_same_changes(skel, ref):
+    """Same counts, winners and solitary flags; times, v* and fitness to 1e-12 relative."""
+    got, want = skel.resident_changes, ref.resident_changes
+    assert len(got) == len(want)
+    assert [rc[3:] for rc in got] == [rc[3:] for rc in want]
+    if want:
+        np.testing.assert_allclose(
+            [rc[:3] for rc in got], [rc[:3] for rc in want], rtol=1e-12, atol=0.0
+        )
+
+
+class TestFitnessSkeleton:
+    def test_six_event_replay(self):
+        sk = FitnessSkeleton(events=SIX_EVENTS)
+        sk.advance()
+        times = [rc[0] for rc in sk.resident_changes]
+        np.testing.assert_allclose(times, [2.6, 3.4, 68.0 / 15.0], atol=1e-9)
+        np.testing.assert_allclose([rc[2] for rc in sk.resident_changes], [1.0, 2.0, 2.6],
+                                   atol=1e-9)
+        assert [rc[3] for rc in sk.resident_changes] == [3, 4, 6]
+        assert [rc[4] for rc in sk.resident_changes] == [False, False, True]
+        assert sk.vstar_sum == pytest.approx(2.6)
+        assert sk.resident_fitness_path()(4.0) == pytest.approx(2.0)
+        _assert_same_changes(sk, run_six_events())
+
+    def test_equal_slope_hitters_smaller_id_wins(self):
+        # two unit slopes born 5e-13 apart hit within the stamp tolerance
+        evs = [InputEvent(1, 1.0, 1.0, True), InputEvent(2, 1.0 + 5e-13, 1.0, True)]
+        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs)
+        sk.advance(until=5.0)
+        ref.advance(until=5.0)
+        (t, v_star, fit, winner, solitary), = sk.resident_changes
+        assert winner == 1 and solitary
+        assert t == pytest.approx(2.0) and v_star == 1.0 and fit == 1.0
+        _assert_same_changes(sk, ref)
+        # the tied loser stays at (1, 0) beside the resident, with its fitness
+        assert ref.height(2) == 1.0 and ref.slope(2) == 0.0
+        ref.check_invariants()
+
+    def test_hits_within_stamp_tolerance_form_one_change(self):
+        # arrival 2 is fitter and reaches the top 5e-13 after arrival 1: one
+        # change, won by the steeper hitter, which kinks arrival 1 to -1
+        evs = [(1.0, 1.0), (1.5 + 5e-13, 2.0)]
+        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs)
+        sk.advance(until=5.0)
+        ref.advance(until=5.0)
+        (t, v_star, fit, winner, solitary), = sk.resident_changes
+        assert (v_star, fit, winner, solitary) == (2.0, 2.0, 2, True)
+        assert t == pytest.approx(2.0)
+        _assert_same_changes(sk, ref)
+
+    def test_arrival_on_hit_timestamp_keeps_full_slope(self):
+        # the change at t=2 comes first, so the arrival stamped t=2 rises at
+        # its full slope 0.5 and takes over at t=4; kinked, it would never rise
+        evs = [(1.0, 1.0), (2.0, 0.5), (10.0, 3.0)]
+        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs)
+        sk.advance(until=5.0)
+        ref.advance(until=5.0)
+        assert [(rc[0], rc[2], rc[3]) for rc in sk.resident_changes] == [
+            (2.0, 1.0, 1), (4.0, 1.5, 2)
+        ]
+        _assert_same_changes(sk, ref)
+
+        stop = FitnessSkeleton(events=evs)
+        stop.advance(stop_after_solitary=True)
+        assert stop.clock == 2.0 and len(stop.resident_changes) == 1
+        assert stop.pending_immigration == (10.0, 3.0, 3.0, 3)
+
+    def test_riser_rounded_to_the_top_hits_next(self):
+        # After the change at t=1, arrivals 2 and 3 rise at slopes ~1e-5 and
+        # 2e-5.  Arrival 3 reaches the top 1.3e-12 after arrival 2, too late
+        # to join its hit, but the step to that hit rounds its height up to
+        # exactly 1.  Still rising after the kink, it must take over next,
+        # at the same clock.  (Found by bisection on arrival 3's time.)
+        evs = [(0.0, 1.0), (0.001, 1.0000100000000132), (0.0019999799977576363, 1.00002)]
+        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs)
+        sk.advance(until=300.0)
+        ref.advance(until=300.0)
+        assert [(rc[3], rc[4]) for rc in sk.resident_changes] == [
+            (1, False), (2, False), (3, True)
+        ]
+        assert sk.resident_changes[1][0] == sk.resident_changes[2][0]
+        assert sk.fitness == pytest.approx(1.00002, rel=1e-12)
+        _assert_same_changes(sk, ref)
+
+    def test_far_clock_hit_rounded_onto_the_clock(self):
+        # At clock 4e4 one ulp exceeds the stamp tolerance: the second
+        # arrival's hit, ~5e-12 after the first's, lands on the same clock
+        t0 = 40000.0
+        evs = [(t0, 1.0), (t0 + 0.5, 2.0 - 5.5e-12)]
+        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs)
+        sk.advance(until=t0 + 3.0)
+        ref.advance(until=t0 + 3.0)
+        first, second = sk.resident_changes
+        assert first[0] == second[0] == t0 + 1.0
+        assert (first[1], first[3], first[4]) == (1.0, 1, False)
+        assert (second[3], second[4]) == (2, True)
+        _assert_same_changes(sk, ref)
+
+    def test_event_times_must_increase(self):
+        sk = FitnessSkeleton(events=[(2.0, 1.0), (1.0, 1.0)])
+        with pytest.raises(ConfigurationError):
+            sk.advance()
+
+
+_LAWS = (
+    "pointmass(1)",
+    "uniform(1,2)",
+    "exponential(1)",
+    "pareto(1,0.5)",
+    "mixture(0.5:pointmass(1),0.5:exponential(2))",
+)
+# (rate, horizon, seeds): 5 laws x (16 + 16 + 8) = 200 seeded streams
+_RATES = ((1.0, 60.0, 16), (20.0, 6.0, 16), (1000.0, 1.5, 8))
+
+
+@pytest.mark.parametrize("lam,horizon,n_seeds", _RATES)
+@pytest.mark.parametrize("gamma", _LAWS)
+def test_skeleton_matches_pit_state(gamma, lam, horizon, n_seeds):
+    law = contender_params(lam, parse_distribution(gamma))
+    for seed in range(n_seeds):
+        evs = sample_contender_stream(law, horizon, replicate_rng(4242, seed))
+        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs, record_log=False)
+        for until in (horizon / 3, horizon):
+            sk.advance(until=until)
+            ref.advance(until=until)
+            assert sk.clock == ref.clock == until
+            np.testing.assert_allclose(sk.fitness, ref.fitness, rtol=1e-12, atol=0.0)
+            _assert_same_changes(sk, ref)
+
+        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs, record_log=False)
+        sk.advance(stop_after_solitary=True)
+        ref.advance(stop_after_solitary=True)
+        _assert_same_changes(sk, ref)
+        np.testing.assert_allclose(sk.clock, ref.clock, rtol=1e-12, atol=0.0)
+        assert sk.pending_immigration == ref.pending_immigration
