@@ -710,8 +710,8 @@ class FitnessSkeleton(_ArrivalFeed):
     and fitness therefore agree with :class:`PitState` up to rounding.
     """
 
-    def __init__(self, events=(), f0: float = 0.0):
-        self.f0 = float(f0)
+    def __init__(self, events=()):
+        self.f0 = 0.0
         self.clock = 0.0
         self.fitness = self.f0
         self.vstar_sum = 0.0
