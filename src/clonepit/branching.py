@@ -6,11 +6,15 @@ probabilities make this the calibration target for the stochastic engines:
 a mutant line in the population model behaves like such a process while
 rare, so these formulas predict contender probabilities and sweep times.
 
-:func:`gw_run` is an exact Gillespie simulation.  The embedded jump chain
-is a biased random walk (up with probability ``birth / (birth + death)``),
-and the holding time in state ``Z`` is exponential with rate
+:func:`gw_run` is an exact Gillespie (1977) simulation.  The embedded jump
+chain is a biased random walk (up with probability ``birth / (birth +
+death)``), and the holding time in state ``Z`` is exponential with rate
 ``(birth + death) * Z``; both are drawn in numpy blocks so a run costs a
 handful of array operations rather than one Python iteration per event.
+The block walker, :func:`_jump_chain`, takes the up-probability, the
+holding-rate function and the absorbing top as parameters; the Moran engine
+runs its two-type stretches on it too (there the holding rate is
+``c * Z * (N - Z)``).
 """
 
 from __future__ import annotations
@@ -185,11 +189,38 @@ def gw_run(
     for lv in levels:
         if lv <= z:
             level_times[lv] = 0.0
-    extinct = False
-    escaped = False
-    t_ext = None
-    block = _BLOCK0
 
+    for path, times in _jump_chain(z, t, rng, p_up, lambda prev: rate * prev, cap, horizon):
+        max_level = max(max_level, int(path.max()))
+        _record_levels(pending, level_times, path, times)
+        z = int(path[-1])
+        t = float(times[-1])
+    extinct = z == 0
+    escaped = z >= cap
+    if not (extinct or escaped):
+        t = horizon
+    t_ext = t if extinct else None
+
+    return GwRun(params, extinct, escaped, t_ext, z, max_level, t, level_times)
+
+
+def _jump_chain(z, t, rng, p_up, hold_rate, top, t_stop):
+    """Exact +-1 jump chain from ``z`` at time ``t``, simulated in numpy blocks.
+
+    Each step goes up with probability ``p_up``; the holding time before a
+    step taken from state ``z`` is exponential with rate ``hold_rate(z)``
+    (``hold_rate`` maps an int64 array of states to an array of rates).  The
+    chain is absorbed at 0 and at ``top`` (any state ``>= top``), and a step
+    landing after ``t_stop`` never happens.
+
+    Yields ``(path, times)`` per block: the states after each step and the
+    step times, cut at the absorbing step or before the first step past
+    ``t_stop``; the last state yielded is the final one.  Blocks grow from
+    64 by a factor 4 up to 16384, each drawing ``rng.random(block)`` and then
+    ``rng.exponential(size=block)``, so a seeded stream gives the same path
+    whoever the caller is.
+    """
+    block = _BLOCK0
     while True:
         steps = np.where(rng.random(block) < p_up, 1, -1)
         path = z + np.cumsum(steps)
@@ -197,47 +228,27 @@ def gw_run(
         prev = np.empty(block, dtype=np.int64)
         prev[0] = z
         prev[1:] = path[:-1]
-        # entries past an absorption at 0 are garbage (prev hits 0 there);
-        # they are cut off below before anything reads them
-        with np.errstate(divide="ignore"):
-            times = t + np.cumsum(holds / (rate * prev))
+        # entries past an absorption are garbage (the rate at an absorbing
+        # state is 0); they are cut off below before anything reads them
+        with np.errstate(divide="ignore", invalid="ignore"):
+            times = t + np.cumsum(holds / hold_rate(prev))
 
         stop = block
-        hit_zero = np.flatnonzero(path == 0)
-        if hit_zero.size:
-            stop = min(stop, hit_zero[0] + 1)
-        hit_cap = np.flatnonzero(path >= cap)
-        if hit_cap.size:
-            stop = min(stop, hit_cap[0] + 1)
-        over = np.flatnonzero(times[:stop] > horizon)
+        hit = np.flatnonzero((path == 0) | (path >= top))
+        if hit.size:
+            stop = hit[0] + 1
+        over = np.flatnonzero(times[:stop] > t_stop)
         if over.size:
-            # the step landing past the horizon never happens
             h = over[0]
-            path = path[:h]
-            times = times[:h]
             if h:
-                max_level = max(max_level, int(path.max()))
-                _record_levels(pending, level_times, path, times)
-                z = int(path[-1])
-            t = horizon
-            break
-
-        part = path[:stop]
-        if part.size:
-            max_level = max(max_level, int(part.max()))
-            _record_levels(pending, level_times, part, times[:stop])
-            z = int(part[-1])
-            t = float(times[stop - 1])
-        if hit_zero.size and stop == hit_zero[0] + 1:
-            extinct = True
-            t_ext = t
-            break
-        if hit_cap.size and stop == hit_cap[0] + 1:
-            escaped = True
-            break
+                yield path[:h], times[:h]
+            return
+        yield path[:stop], times[:stop]
+        if hit.size:
+            return
+        z = int(path[-1])
+        t = float(times[-1])
         block = min(block * 4, _BLOCK_MAX)
-
-    return GwRun(params, extinct, escaped, t_ext, z, max_level, t, level_times)
 
 
 def _record_levels(pending, level_times, path, times):

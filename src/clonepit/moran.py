@@ -28,11 +28,23 @@ generation, read ``sqrt(log N)`` generations after birth, so at finite
 (about 0.421 for ``a = 1`` at ``N = 1e5``), which tends to the contender
 probability ``survival_prob(a) = a / (1 + a)`` only as ``N -> inf``.
 
-The inner loop is deliberately plain Python over scalar floats: per event it
-maintains the aggregates ``T_a = sum_b x_b * (1 + (m_a - m_b)^+)`` in O(k)
-for k live types, consumes uniforms from a block buffer, and avoids all
-allocation.  Aggregates are rebuilt from scratch periodically so float
-drift cannot accumulate over tens of millions of events.
+While exactly two types are alive and no mutation is due, the jump chain
+of the count ``z`` of the fitter type is a +-1 walk: up with the constant
+probability ``(1 + s) / (2 + s)`` for the fitness gap ``s``, after an
+exponential holding time of rate ``(2 + s) * z * (N - z) * log(N) / N``.
+:func:`moran_run` simulates such a stretch exactly (Gillespie 1977) with
+the numpy block walker that also drives :func:`clonepit.branching.gw_run`,
+until absorption, the horizon, the next scheduled mutation or, under a free
+mutation rate, an ``Exp(lam)`` mutation time drawn when the stretch starts;
+indicator checks and trace grid points inside it read the count off the
+block with ``searchsorted``.
+
+With three or more live types (and in :func:`moran_step`) the loop is
+plain Python over scalar floats, one event at a time: it maintains the
+aggregates ``T_a = sum_b x_b * (1 + (m_a - m_b)^+)`` in O(k) for k live
+types and consumes uniforms from a block buffer.  Aggregates are rebuilt
+from scratch periodically, and whenever a type dies or a two-type stretch
+ends, so float drift cannot accumulate over tens of millions of events.
 """
 
 from __future__ import annotations
@@ -43,6 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .branching import _jump_chain
 from .inputs import IncrementDistribution, InputEvent
 from .pit import ConfigurationError, GenealogyTree, _fmt
 from .rng import UniformBuffer, as_generator
@@ -219,14 +232,18 @@ class LogFrequencyTrace:
     counts: dict[int, np.ndarray]
 
     @staticmethod
-    def _build(n, samples, all_ids):
+    def _build(n, pieces, all_ids):
         log_n = math.log(n)
-        times = np.asarray([s[0] for s in samples])
-        fbar = np.asarray([s[3] for s in samples])
-        counts = {tid: np.zeros(len(samples)) for tid in all_ids}
-        for row, (_, ids, xs, _) in enumerate(samples):
+        times = np.concatenate([np.asarray(p[0], dtype=float) for p in pieces] or [[]])
+        fbar = np.empty(times.size)
+        counts = {tid: np.zeros(times.size) for tid in all_ids}
+        lo = 0
+        for ts, ids, xs, fb in pieces:
+            hi = lo + len(ts)
+            fbar[lo:hi] = fb
             for tid, c in zip(ids, xs):
-                counts[tid][row] = c
+                counts[tid][lo:hi] = c
+            lo = hi
         heights = {
             tid: np.log1p(arr) / log_n for tid, arr in counts.items()
         }
@@ -321,6 +338,7 @@ def _run_core(
     m = state.fitness
     aggr = state._aggr
     lam = state.lam
+    sched = state.schedule
     buf = UniformBuffer(rng)
     nextu = buf.next
     log = math.log
@@ -333,7 +351,10 @@ def _run_core(
             if i != major:
                 heapq.heappush(pending, (t_off, tid))
 
-    samples = []
+    # trace pieces (times, ids, counts per id, mean fitness); a piece spans
+    # one or more samples, its counts and mean fitness are scalars when the
+    # state is constant over it and arrays otherwise
+    pieces = []
     all_ids = set(ids)
     if keep_trace and math.isfinite(horizon):
         grid = np.arange(0.0, horizon + 0.5 * grid_step, grid_step)
@@ -342,32 +363,77 @@ def _run_core(
         grid = np.empty(0)
     gp = 0
     glen = grid.size
+    next_due = 0.0  # earliest checkpoint (indicator or grid point) not yet settled
 
-    def snapshot(t):
-        samples.append((t, tuple(ids), tuple(x), state.sum_xm / n))
+    # A walk is (a, z0, path, times) from the two-type block walker: type
+    # index a held z0 individuals before times[0] and path[j] after the step
+    # at times[j]; the other type holds the rest.  A checkpoint at time tc
+    # sees the state before a step at exactly tc.
 
-    def settle(t):
-        """Evaluate everything scheduled up to time t against the current state."""
-        nonlocal gp
+    def snapshot(ts, walk):
+        if walk is None:
+            pieces.append((ts, tuple(ids), tuple(x), state.sum_xm / n))
+            return
+        a, z0, path, times = walk
+        j = np.searchsorted(times, ts, "left")
+        za = np.where(j == 0, z0, path[j - 1]).astype(float)
+        cols = [n - za, n - za]
+        cols[a] = za
+        pieces.append((ts, tuple(ids), cols, (za * m[a] + (n - za) * m[1 - a]) / n))
+
+    def count_now(tid, tc, walk):
+        try:
+            i = ids.index(tid)
+        except ValueError:
+            return 0.0
+        if walk is None:
+            return x[i]
+        a, z0, path, times = walk
+        j = int(np.searchsorted(times, tc, "left"))
+        za = z0 if j == 0 else int(path[j - 1])
+        return float(za if i == a else n - za)
+
+    def settle(t, walk=None):
+        """Evaluate everything scheduled up to time t; an indicator goes first
+        at a tie with a grid point.  Without a walk the current state holds."""
+        nonlocal gp, next_due
         while True:
             t_ind = pending[0][0] if pending else math.inf
-            t_grid = grid[gp] if gp < glen else math.inf
-            if t_ind <= t_grid and t_ind <= t:
-                due, tid = heapq.heappop(pending)
-                try:
-                    cnt = x[ids.index(tid)]
-                except ValueError:
-                    cnt = 0.0
-                done_inds.append(
-                    ContenderIndicator(tid, state.type_birth[tid], due, int(cnt), cnt >= thresh)
-                )
-                if keep_trace:
-                    snapshot(due)
-            elif t_grid <= t:
-                snapshot(t_grid)
-                gp += 1
+            if t_ind <= t:
+                g_end = int(np.searchsorted(grid, t_ind, "left"))
             else:
+                g_end = int(np.searchsorted(grid, t, "right"))
+            if g_end > gp:
+                snapshot(grid[gp:g_end], walk)
+                gp = g_end
+            if t_ind > t:
                 break
+            due, tid = heapq.heappop(pending)
+            cnt = count_now(tid, due, walk)
+            done_inds.append(
+                ContenderIndicator(tid, state.type_birth[tid], due, int(cnt), cnt >= thresh)
+            )
+            if keep_trace:
+                snapshot([due], walk)
+        next_due = min(pending[0][0] if pending else math.inf,
+                       grid[gp] if gp < glen else math.inf)
+
+    def mutate(t, idx, inc):
+        """Settle up to t, then let a uniform individual found type idx."""
+        nonlocal aggr, events_done, last_kind, next_due
+        if t >= next_due:
+            settle(t)
+        state.clock = t
+        _apply_mutation(state, idx, inc, nextu, pending, t_off, indicators)
+        all_ids.add(idx)
+        aggr = state._aggr
+        if pending:
+            next_due = min(next_due, pending[0][0])
+        events_done += 1
+        state.events += 1
+        last_kind = "mutation"
+        if keep_trace:
+            snapshot([t], None)
 
     last_kind = ""
     events_done = 0
@@ -376,17 +442,67 @@ def _run_core(
         if max_events is not None and events_done >= max_events:
             break
         k = len(ids)
+        t_mut = math.inf
+        if sched is not None and state.sched_pos < len(sched):
+            t_mut = sched[state.sched_pos][0]
 
-        # total pair-resampling rate on the rescaled clock
+        if k == 2 and max_events is None:
+            # -- two-type stretch: the fitter type a replaces the other at
+            #    rate z (N - z) (1 + s) c and loses to it at z (N - z) c, a
+            #    +-1 walk run in blocks until absorption, the horizon or the
+            #    next mutation; the free-mutation clock is independent of
+            #    the walk, so one Exp(lam) time drawn here is exact
+            t_free = math.inf
+            if sched is None and lam > 0.0:
+                t_free = state.clock + rng.exponential() / lam
+            t_stop = min(horizon, t_mut, t_free)
+            a = 0 if m[0] >= m[1] else 1
+            s = m[a] - m[1 - a]
+            rate = (2.0 + s) * c_resc
+            z = int(x[a])
+            steps = 0
+            for path, times in _jump_chain(
+                z, state.clock, rng, (1.0 + s) / (2.0 + s),
+                lambda prev: rate * prev * (n - prev), n, t_stop,
+            ):
+                t_last = float(times[-1])
+                if t_last >= next_due:
+                    settle(t_last, (a, z, path, times))
+                z = int(path[-1])
+                steps += path.size
+            x[a] = float(z)
+            x[1 - a] = float(n - z)
+            state.sum_xm = x[0] * m[0] + x[1] * m[1]
+            events_done += steps
+            state.events += steps
+            absorbed = z == 0 or z == n
+            if absorbed:
+                state.clock = t_last
+                gone = a if z == 0 else 1 - a
+                ids.pop(gone)
+                x.pop(gone)
+                m.pop(gone)
+            state._rebuild()
+            aggr = state._aggr
+            rebuild_in = _REBUILD_EVERY
+            if absorbed:
+                continue
+            if t_stop == t_mut:
+                _, inc, idx = sched[state.sched_pos]
+                state.sched_pos += 1
+                mutate(t_mut, idx, inc)
+            elif t_stop == t_free:
+                mutate(t_free, state._next_id, float(state.gamma.sample(rng)))
+            else:
+                break
+            continue
+
+        # -- one event at a time (three or more live types, a monomorphic
+        #    population waiting for a mutation, or a bounded step count)
         total = 0.0
         for a in range(k):
             total += x[a] * (aggr[a] - x[a])
         total *= c_resc
-
-        sched = state.schedule
-        t_mut = math.inf
-        if sched is not None and state.sched_pos < len(sched):
-            t_mut = sched[state.sched_pos][0]
 
         rate_all = total + (lam if sched is None else 0.0)
         if rate_all > 0.0:
@@ -399,36 +515,19 @@ def _run_core(
             # discarded, which is exact by memorylessness
             if t_mut > horizon:
                 break
-            settle(t_mut)
-            state.clock = t_mut
-            t, inc, idx = sched[state.sched_pos]
+            _, inc, idx = sched[state.sched_pos]
             state.sched_pos += 1
-            _apply_mutation(state, idx, inc, nextu, pending, t_off, indicators)
-            all_ids.add(idx)
-            aggr = state._aggr
-            events_done += 1
-            state.events += 1
-            last_kind = "mutation"
-            if keep_trace:
-                snapshot(t_mut)
+            mutate(t_mut, idx, inc)
             continue
 
         if t_new > horizon or math.isinf(t_new):
             break
-        settle(t_new)
+        if t_new >= next_due:
+            settle(t_new)
         state.clock = t_new
 
         if sched is None and lam > 0.0 and nextu() * rate_all < lam:
-            idx = state._next_id
-            inc = float(state.gamma.sample(rng))
-            _apply_mutation(state, idx, inc, nextu, pending, t_off, indicators)
-            all_ids.add(idx)
-            aggr = state._aggr
-            events_done += 1
-            state.events += 1
-            last_kind = "mutation"
-            if keep_trace:
-                snapshot(t_new)
+            mutate(t_new, state._next_id, float(state.gamma.sample(rng)))
             continue
 
         # -- resampling: pick reproducer a with weight x_a (T_a - x_a), then
@@ -483,7 +582,7 @@ def _run_core(
         state.clock = horizon
 
     trace = (
-        LogFrequencyTrace._build(n, samples, sorted(all_ids)) if keep_trace else None
+        LogFrequencyTrace._build(n, pieces, sorted(all_ids)) if keep_trace else None
     )
     return MoranResult(state, trace, done_inds, events_done, last_kind)
 
@@ -529,13 +628,29 @@ def write_trace_csv(result: MoranResult, path, scenario_hash: str | None = None)
         lines.append(f"# scenario={scenario_hash}")
     lines.append("time,type_id,count,H,mean_fitness")
     order = sorted(tr.heights)
-    for row, t in enumerate(tr.times):
+    cols = [(tid, tr.counts[tid].tolist(), tr.heights[tid].tolist()) for tid in order]
+    # a row equal to the one before it (same counts, same mean-fitness bits)
+    # reuses its formatted columns; only the time is formatted again
+    repeat = np.zeros(tr.times.size, dtype=bool)
+    if tr.times.size:
+        fbits = tr.mean_fitness.view(np.int64)
+        repeat[1:] = fbits[1:] == fbits[:-1]
         for tid in order:
-            c = tr.counts[tid][row]
-            if c > 0.0:
-                lines.append(
-                    f"{_fmt(float(t))},{tid},{int(c)},"
-                    f"{_fmt(float(tr.heights[tid][row]))},{_fmt(float(tr.mean_fitness[row]))}"
-                )
+            c = tr.counts[tid]
+            repeat[1:] &= c[1:] == c[:-1]
+    tails: list[str] = []
+    for row, (t, fb, again) in enumerate(
+        zip(tr.times.tolist(), tr.mean_fitness.tolist(), repeat.tolist())
+    ):
+        if not again:
+            fb_text = _fmt(fb)
+            tails = [
+                f",{tid},{int(counts[row])},{_fmt(heights[row])},{fb_text}"
+                for tid, counts, heights in cols
+                if counts[row] > 0.0
+            ]
+        head = _fmt(t)
+        for tail in tails:
+            lines.append(head + tail)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -35,7 +35,9 @@ class UniformBuffer:
     Tight event loops pay a noticeable per-call cost for scalar Generator
     draws; drawing blocks of 8192 amortises it while consuming the stream in
     a fixed documented order (block by block, left to right), so runs remain
-    reproducible for a given generator state.
+    reproducible for a given generator state.  The first block is drawn on
+    the first :meth:`next`, so a buffer that is never read takes nothing
+    from the stream, and values are handed out as Python floats.
     """
 
     __slots__ = ("_rng", "_block", "_buf", "_pos")
@@ -43,13 +45,13 @@ class UniformBuffer:
     def __init__(self, rng: np.random.Generator, block: int = 8192):
         self._rng = rng
         self._block = int(block)
-        self._buf = rng.random(self._block)
-        self._pos = 0
+        self._buf: list[float] = []
+        self._pos = self._block
 
     def next(self) -> float:
         pos = self._pos
         if pos == self._block:
-            self._buf = self._rng.random(self._block)
+            self._buf = self._rng.random(self._block).tolist()
             pos = 0
         self._pos = pos + 1
         return self._buf[pos]

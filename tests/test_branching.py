@@ -179,3 +179,53 @@ class TestRuns:
         assert len(ratios) > 100
         med = float(np.median(ratios))
         assert abs(med - 1.0 / params.drift) < 0.12
+
+
+# gw_run records of seeded runs: (birth, death, initial), seed, options,
+# then (extinct, escaped, extinction_time, final_value, max_level, clock,
+# level_times).  Frozen before the block walk moved into the shared walker
+# that the Moran engine also runs on; the draw order did not change, so
+# every field must stay equal.
+FROZEN_GW_RUNS = [
+    ((2.0, 1.0, 1), 11, {},
+     (False, True, None, 10000000, 10000000, 14.568633445037168, {})),
+    ((2.0, 1.0, 1), 12, {"cap": 5000, "levels": (3, 10, 100, 5000)},
+     (False, True, None, 5000, 5000, 9.841515850138546,
+      {3: 0.722367632107837, 10: 1.6531285259191737, 100: 5.7315145793793985,
+       5000: 9.841515850138546})),
+    ((1.0, 1.0, 3), 13, {"horizon": 2.5, "levels": (5, 8)},
+     (True, False, 0.7324175659016139, 0, 3, 0.7324175659016139, {})),
+    ((1.0, 2.0, 10), 14, {"levels": (12,)},
+     (True, False, 0.7723457733524939, 0, 10, 0.7723457733524939, {})),
+    ((3.0, 0.5, 2), 15, {"horizon": 0.7, "cap": 10**6},
+     (False, False, None, 16, 16, 0.7, {})),
+    ((1.5, 1.0, 1), 16, {"horizon": 40.0, "cap": 200000, "levels": (50, 1000, 100000)},
+     (True, False, 3.3264628137388392, 0, 5, 3.3264628137388392, {})),
+    ((2.0, 0.0, 1), 17, {"horizon": 1.3},
+     (False, False, None, 9, 9, 1.3, {})),
+    ((0.0, 1.0, 4), 18, {},
+     (True, False, 2.0798430428323367, 0, 4, 2.0798430428323367, {})),
+    ((2.0, 1.0, 1), 22, {"horizon": 6.0, "cap": 100_000, "levels": (2, 20, 200)},
+     (False, False, None, 1803, 1803, 6.0,
+      {2: 0.27562536856552405, 20: 1.7604152047647654, 200: 3.834174984995621})),
+    ((2.0, 1.0, 1), 23, {"horizon": 6.0, "cap": 100_000, "levels": (2, 20, 200)},
+     (True, False, 0.15590060201054648, 0, 1, 0.15590060201054648, {})),
+    ((2.0, 1.0, 1), 24, {"horizon": 6.0, "cap": 100_000, "levels": (2, 20, 200)},
+     (False, False, None, 243, 249, 6.0,
+      {2: 0.6758860468446639, 20: 3.103169729966582, 200: 5.565568729277055})),
+    # absorbed on the last step of the first block (step 64): at the cap,
+    # and at 0
+    ((1.0, 1.0, 4), 51, {"cap": 12},
+     (False, True, None, 12, 12, 5.168469812388319, {})),
+    ((1.0, 1.0, 4), 533, {"cap": 100, "levels": (6,)},
+     (True, False, 6.974062659276127, 0, 9, 6.974062659276127, {6: 0.579515331915201})),
+]
+
+
+@pytest.mark.parametrize("rates, seed, options, expected", FROZEN_GW_RUNS)
+def test_gw_run_matches_frozen_records(rates, seed, options, expected):
+    birth, death, initial = rates
+    run = gw_run(GwParams(birth, death, initial), seed, **options)
+    got = (run.extinct, run.escaped, run.extinction_time, run.final_value,
+           run.max_level, run.clock, run.level_times)
+    assert got == expected
