@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -231,3 +232,64 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, REPLAY_CFG)
         assert main(["speed", "--config", cfg, "--out", str(tmp_path)]) == 2
         capsys.readouterr()
+
+
+# One small seeded scenario per command that writes CSV or JSONL, with the
+# sha256 of every such artifact.  summary.json is left out: it carries the
+# wall time and the build tag.
+FROZEN_ARTIFACTS = {
+    "pit-replay": (REPLAY_CFG, {
+        "events.csv": "41172337b0de5ec8dfafababa7f28b3bf26ae33f4b168a09e4cca1993a379d7d",
+        "trajectories.jsonl": "dc6ba52f72e84e28487a57a9b865c7203a57ad5537aa5c4e6c44e1a9c871381f",
+    }),
+    "pit-run": (
+        "command = pit-run\nlambda = 20\ngamma = uniform(1,2)\nhorizon = 2\n"
+        "replicates = 2\nseed = 3\n", {
+            "events_r000.csv": "48965341653f9f21e3108671242fc87a8b9ee41fe57a40e9a23fe40243044a2c",
+            "events_r001.csv": "803dc8109d3a69b36c541736391f3489f9c356b29d06ce07173ae15ec973061b",
+            "trajectories_r000.jsonl":
+                "c3dadcfc275f4a209e871efc0f5dd7a3c694f16868daf4ecf4396e871aa6a843",
+            "trajectories_r001.jsonl":
+                "3d79eff0d133118e5ba04de83b1bbe8e99f07ef60a4e7dfd00c1f96c2b278e3d",
+        }),
+    "speed": (
+        "command = speed\nlambda = 1\ngamma = pointmass(1)\nhorizon = 50\n"
+        "replicates = 2\nseed = 11\n", {
+            "cycles_r000.csv": "58876df5f5162e270559d816395ccd4c4fd408464799e485fab49267ec2560dc",
+            "cycles_r001.csv": "70dd3032eb49bc8fffa7c2251ff407cf656243799aa0a548efdebbc545ed7807",
+        }),
+    "moran-run": (
+        "command = moran-run\nn = 200\ncounts = 150, 50\nfitness = 0, 1\n"
+        "event = 0.3, 1.0\nhorizon = 1\nreplicates = 2\nseed = 5\n", {
+            "trace_r000.csv": "ba2715f579bdd320244b835bf58e6cb1a9a955f6caf8f5ec2791395d88b283d4",
+            "trace_r001.csv": "48e15874320e029dca5c89010e9929b3d2ba83d375479e23501a09e8556333a7",
+        }),
+    "couple": (
+        "command = couple\nn = 200\nhorizon = 1.5\nreplicates = 2\nseed = 6\n"
+        "event = 0.4, 1.0\nevent = 0.9, 1.5\n", {
+            "couple.csv": "8114e7407171eb52d9bfce0fd3da63e07523bea58efef55d5a28eb7013bd5635",
+        }),
+    "gw": (
+        "command = gw\nbirth = 2\ndeath = 1\nreplicates = 20\ncap = 200\nseed = 2\n", {
+            "runs.csv": "3708b188509f0c26d313b9e2f76bff795ded11a867d8fdc27486d007c56f41c3",
+        }),
+    "fclt": (
+        "command = fclt\nlambda = 1\ngamma = pointmass(1)\nscale = 100\n"
+        "replicates = 3\nseed = 7\ngrid_step = 0.25\n", {
+            "fclt.csv": "6088e283747f8c9a4a7c90aebf3493cf8abb537e404f2052363f6d424d657af2",
+        }),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FROZEN_ARTIFACTS))
+def test_artifact_bytes_are_frozen(tmp_path, command):
+    text, digests = FROZEN_ARTIFACTS[command]
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out.iterdir()
+        if p.suffix in (".csv", ".jsonl")
+    }
+    assert got == digests
