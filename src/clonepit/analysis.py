@@ -481,7 +481,7 @@ def coupled_run(n, schedule, horizon, rng, *, grid_step: float = 0.01) -> Coupli
         InputEvent(ev.index, ev.time, ev.increment, flags.get(ev.index, False))
         for ev in events
     ]
-    st = PitState(events=replay, record_log=False, record_paths=True)
+    st = PitState(events=replay)
     st.advance(until=horizon)
     grid = res.trace.times
     pit_heights = {0: st.trajectory_path(0)(grid)}

@@ -413,7 +413,7 @@ def _cmd_pit_run(scn: Scenario, shash: str, out: str) -> dict:
     for r in range(scn.replicates):
         rng = replicate_rng(scn.seed, r)
         events = sample_contender_stream(law, scn.horizon, rng)
-        st = PitState(events=events, f0=scn.f0, record_paths=True)
+        st = PitState(events=events, f0=scn.f0)
         st.advance(until=scn.horizon)
         st.check_invariants()
         write_event_csv(st.log, os.path.join(out, f"events_r{r:03d}.csv"), shash)
@@ -439,7 +439,7 @@ def _cmd_pit_run(scn: Scenario, shash: str, out: str) -> dict:
 def _cmd_pit_replay(scn: Scenario, shash: str, out: str) -> dict:
     start = [(1.0, 0.0)] + list(scn.starts)
     horizon = scn.horizon if scn.horizon > 0 else math.inf
-    st = PitState(start=start, events=_replay_events(scn), f0=scn.f0, record_paths=True)
+    st = PitState(start=start, events=_replay_events(scn), f0=scn.f0)
     st.advance(until=horizon)
     st.check_invariants()
     write_event_csv(st.log, os.path.join(out, "events.csv"), shash)

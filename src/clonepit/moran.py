@@ -39,8 +39,7 @@ mutation rate, an ``Exp(lam)`` mutation time drawn when the stretch starts;
 indicator checks and trace grid points inside it read the count off the
 block with ``searchsorted``.
 
-With three or more live types (and in :func:`moran_step`) the loop is
-plain Python over scalar floats, one event at a time: it maintains the
+With three or more live types the loop is plain Python over scalar floats, one event at a time: it maintains the
 aggregates ``T_a = sum_b x_b * (1 + (m_a - m_b)^+)`` in O(k) for k live
 types and consumes uniforms from a block buffer.  Aggregates are rebuilt
 from scratch periodically, and whenever a type dies or a two-type stretch
@@ -51,7 +50,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +65,6 @@ __all__ = [
     "LogFrequencyTrace",
     "MoranResult",
     "moran_init",
-    "moran_step",
     "moran_run",
     "mean_fitness",
     "write_trace_csv",
@@ -258,22 +256,9 @@ class MoranResult:
     trace: LogFrequencyTrace
     indicators: list[ContenderIndicator]
     n_events: int
-    _last_kind: str = field(default="", repr=False)
 
     def indicator_vector(self) -> list[tuple[int, bool]]:
         return [(ind.index, ind.flag) for ind in sorted(self.indicators, key=lambda i: i.index)]
-
-
-def moran_step(state: MoranState, rng) -> str:
-    """Apply exactly one event; returns its kind (``"resampling"`` or ``"mutation"``).
-
-    Raises :class:`ConfigurationError` when nothing can happen any more
-    (monomorphic population without a pending mutation source).
-    """
-    res = _run_core(state, as_generator(rng), math.inf, max_events=1)
-    if res.n_events == 0:
-        raise ConfigurationError("no event possible: monomorphic and no pending mutation")
-    return res._last_kind
 
 
 def moran_run(
@@ -301,32 +286,7 @@ def moran_run(
     """
     if horizon <= 0:
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
-    return _run_core(
-        state,
-        as_generator(rng),
-        horizon,
-        grid_step=grid_step,
-        indicators=indicators,
-        initial_indicators=initial_indicators,
-        indicator_offset=indicator_offset,
-        indicator_threshold=indicator_threshold,
-        keep_trace=trace,
-    )
-
-
-def _run_core(
-    state: MoranState,
-    rng,
-    horizon: float,
-    *,
-    max_events: int | None = None,
-    grid_step: float = 0.01,
-    indicators: bool = True,
-    initial_indicators: bool = False,
-    indicator_offset: float | None = None,
-    indicator_threshold: float | None = None,
-    keep_trace: bool = False,
-) -> MoranResult:
+    rng = as_generator(rng)
     n = state.n
     log_n = state.log_n
     c_resc = log_n / n
@@ -356,7 +316,7 @@ def _run_core(
     # state is constant over it and arrays otherwise
     pieces = []
     all_ids = set(ids)
-    if keep_trace and math.isfinite(horizon):
+    if trace and math.isfinite(horizon):
         grid = np.arange(0.0, horizon + 0.5 * grid_step, grid_step)
         grid[-1] = min(grid[-1], horizon)
     else:
@@ -413,14 +373,14 @@ def _run_core(
             done_inds.append(
                 ContenderIndicator(tid, state.type_birth[tid], due, int(cnt), cnt >= thresh)
             )
-            if keep_trace:
+            if trace:
                 snapshot([due], walk)
         next_due = min(pending[0][0] if pending else math.inf,
                        grid[gp] if gp < glen else math.inf)
 
     def mutate(t, idx, inc):
         """Settle up to t, then let a uniform individual found type idx."""
-        nonlocal aggr, events_done, last_kind, next_due
+        nonlocal aggr, events_done, next_due
         if t >= next_due:
             settle(t)
         state.clock = t
@@ -431,22 +391,18 @@ def _run_core(
             next_due = min(next_due, pending[0][0])
         events_done += 1
         state.events += 1
-        last_kind = "mutation"
-        if keep_trace:
+        if trace:
             snapshot([t], None)
 
-    last_kind = ""
     events_done = 0
     rebuild_in = _REBUILD_EVERY
     while True:
-        if max_events is not None and events_done >= max_events:
-            break
         k = len(ids)
         t_mut = math.inf
         if sched is not None and state.sched_pos < len(sched):
             t_mut = sched[state.sched_pos][0]
 
-        if k == 2 and max_events is None:
+        if k == 2:
             # -- two-type stretch: the fitter type a replaces the other at
             #    rate z (N - z) (1 + s) c and loses to it at z (N - z) c, a
             #    +-1 walk run in blocks until absorption, the horizon or the
@@ -497,8 +453,8 @@ def _run_core(
                 break
             continue
 
-        # -- one event at a time (three or more live types, a monomorphic
-        #    population waiting for a mutation, or a bounded step count)
+        # -- one event at a time (three or more live types, or a monomorphic
+        #    population waiting for a mutation)
         total = 0.0
         for a in range(k):
             total += x[a] * (aggr[a] - x[a])
@@ -569,7 +525,6 @@ def _run_core(
             aggr = state._aggr
         events_done += 1
         state.events += 1
-        last_kind = "resampling"
         rebuild_in -= 1
         if rebuild_in == 0:
             rebuild_in = _REBUILD_EVERY
@@ -581,10 +536,12 @@ def _run_core(
         settle(horizon)
         state.clock = horizon
 
-    trace = (
-        LogFrequencyTrace._build(n, pieces, sorted(all_ids)) if keep_trace else None
+    return MoranResult(
+        state,
+        LogFrequencyTrace._build(n, pieces, sorted(all_ids)) if trace else None,
+        done_inds,
+        events_done,
     )
-    return MoranResult(state, trace, done_inds, events_done, last_kind)
 
 
 def _apply_mutation(state, idx, inc, nextu, pending, t_off, want_indicator):

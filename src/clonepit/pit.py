@@ -26,10 +26,10 @@ parent's plus its increment, and every living trajectory's slope equals its
 initial slope minus the fitness gained by the resident since its birth.
 The check tolerance is absolute plus a small part relative to the fitness.
 
-:class:`PitState` keeps the full record: types, genealogy, event log and
-paths.  Runs that need only the resident changes (renewal cycles, fitness
-paths) use :class:`FitnessSkeleton`, which follows only the trajectories
-that can still become resident and yields the same changes.
+:class:`PitState` always keeps the full record: types, genealogy, event log
+and paths.  Runs that need only the resident changes (renewal cycles,
+fitness paths) use :class:`FitnessSkeleton`, which follows only the
+trajectories that can still become resident and yields the same changes.
 
 Event times are compared with an absolute tolerance of 1e-12; hits within
 that window of each other are processed as one simultaneous group
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,7 +120,8 @@ class Trajectory:
     fitness_at_birth: float
     status: str = "active"  # active | resident | latent | extinct
     death: float | None = None
-    segments: list | None = None
+    #: (time, height, slope) breakpoints of the height path
+    segments: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -291,25 +292,14 @@ class PitState(_ArrivalFeed):
         generator; it is consumed as the clock advances.
     f0:
         Fitness of the initial resident.
-    record_log, record_paths:
-        ``record_log`` keeps the full event list, ``record_paths`` the
-        per-trajectory breakpoints.  Per-type records, the genealogy and the
-        resident changes are always kept, and the exact bookkeeping
-        identities are checked at every resident change.  Runs that need
-        only the resident changes use :class:`FitnessSkeleton` instead.
+
+    The state keeps per-type records with their path breakpoints, the
+    genealogy, the event log and the resident changes, and checks the exact
+    bookkeeping identities at every resident change.  Runs that need only
+    the resident changes use :class:`FitnessSkeleton` instead.
     """
 
-    def __init__(
-        self,
-        start=None,
-        events=(),
-        f0: float = 0.0,
-        *,
-        record_log: bool = True,
-        record_paths: bool = False,
-    ):
-        self.record_log = record_log
-        self.record_paths = record_paths
+    def __init__(self, start=None, events=(), f0: float = 0.0):
         self.f0 = float(f0)
 
         if start is None:
@@ -378,9 +368,8 @@ class PitState(_ArrivalFeed):
             increment=increment,
             fitness=fitness,
             fitness_at_birth=self.fitness,
+            segments=[(birth, height0, slope)],
         )
-        if self.record_paths:
-            traj.segments = [(birth, height0, slope)]
         self.types[tid] = traj
         if parent is None:
             self.genealogy.add_root(tid)
@@ -431,27 +420,17 @@ class PitState(_ArrivalFeed):
 
     # -- event application ---------------------------------------------------
 
-    def _log(self, ev: PitEvent):
-        if self.record_log:
-            self.log.append(ev)
-
-    def _mark_segment(self, tid, h, v):
-        traj = self.types[tid]
-        if traj.segments is not None:
-            traj.segments.append((self.clock, h, v))
-
-    def _apply_extinction(self, tid) -> PitEvent:
+    def _apply_extinction(self, tid):
         slot = self._slot_of[tid]
         self._h[slot] = 0.0
         traj = self.types[tid]
         traj.status = "extinct"
         traj.death = self.clock
-        if self.record_paths:
-            self._mark_segment(tid, 0.0, 0.0)
+        traj.segments.append((self.clock, 0.0, 0.0))
         self._drop_slot(slot)
-        ev = PitEvent(self.clock, "extinction", tid, 0.0, self.resident_id, self.fitness)
-        self._log(ev)
-        return ev
+        self.log.append(
+            PitEvent(self.clock, "extinction", tid, 0.0, self.resident_id, self.fitness)
+        )
 
     def apply_resident_change(self, hitter_ids) -> PitEvent:
         """Kink every positive-height trajectory and crown the new resident.
@@ -491,20 +470,20 @@ class PitState(_ArrivalFeed):
 
         self.types[old_resident].status = "active"
         self.types[winner].status = "resident"
-        if self.record_paths:
-            for slot in np.nonzero(kinked)[0]:
-                tid = self._slot_ids[slot]
-                self._mark_segment(tid, float(h[slot]), float(v[slot]))
+        for slot in np.nonzero(kinked)[0]:
+            self.types[self._slot_ids[slot]].segments.append(
+                (self.clock, float(h[slot]), float(v[slot]))
+            )
 
         self._check_after_change(winner)
 
         ev = PitEvent(
             self.clock, "resident_change", winner, v_star, winner, self.fitness, solitary
         )
-        self._log(ev)
+        self.log.append(ev)
         return ev
 
-    def _apply_immigration(self) -> PitEvent:
+    def _apply_immigration(self):
         t, slope, inc, tid = self._pending
         parent = self.resident_id
         self._add_type(tid, parent, t, 0.0, slope, inc, self.fitness + inc)
@@ -515,9 +494,7 @@ class PitState(_ArrivalFeed):
             self.types[tid].status = "latent"
         self._auto_id = tid + 1
         self._pull_event()
-        ev = PitEvent(t, "immigration", tid, slope, parent, self.fitness)
-        self._log(ev)
-        return ev
+        self.log.append(PitEvent(t, "immigration", tid, slope, parent, self.fitness))
 
     def _check_after_change(self, winner):
         tol = _check_tol(self.fitness)
@@ -570,10 +547,8 @@ class PitState(_ArrivalFeed):
 
         With ``stop_after_solitary`` the run returns right after the first
         solitary resident change instead (the clock then sits at that
-        change).  Returns the list of events applied during this call, in
-        order.
+        change).  Every applied event is appended to :attr:`log`.
         """
-        applied: list[PitEvent] = []
         while True:
             offs = self._hit_offsets()
             if offs.size:
@@ -588,7 +563,7 @@ class PitState(_ArrivalFeed):
                 if math.isfinite(until):
                     self._advance_heights(until - self.clock)
                     self.clock = until
-                return applied
+                return
 
             if math.isfinite(t_hit) and t_hit <= t_next + TIME_EPS:
                 # Group by offset, not by t_next - clock: at large clocks the
@@ -605,38 +580,22 @@ class PitState(_ArrivalFeed):
             self.clock = float(t_next)
 
             for tid in dying:
-                applied.append(self._apply_extinction(tid))
+                self._apply_extinction(tid)
             saw_solitary = False
             if rising:
                 for tid in rising:
                     self._h[self._slot_of[tid]] = 1.0
-                ev = self.apply_resident_change(rising)
-                applied.append(ev)
-                saw_solitary = bool(ev.solitary)
+                saw_solitary = bool(self.apply_resident_change(rising).solitary)
             if take_imm:
-                applied.append(self._apply_immigration())
+                self._apply_immigration()
             if stop_after_solitary and saw_solitary:
-                return applied
+                return
 
     # -- derived views -------------------------------------------------------
 
     def trajectory_path(self, tid: int) -> PiecewisePath:
-        """Piecewise-linear height path of type ``tid`` (needs ``record_paths``)."""
-        traj = self.types[tid]
-        if traj.status == "latent":
-            return PiecewisePath([(traj.birth, 0.0, 0.0)], self.clock)
-        if traj.segments is None:
-            raise ConfigurationError("trajectory paths were not recorded for this run")
-        return PiecewisePath(traj.segments, self.clock)
-
-    def trace_on_grid(self, grid) -> dict[int, np.ndarray]:
-        """Heights of every tracked type over ``grid`` (needs ``record_paths``)."""
-        grid = np.asarray(grid, dtype=float)
-        out = {}
-        for tid, traj in self.types.items():
-            vals = self.trajectory_path(tid)(grid)
-            out[tid] = np.where(grid < traj.birth, 0.0, vals)
-        return out
+        """Piecewise-linear height path of type ``tid``."""
+        return PiecewisePath(self.types[tid].segments, self.clock)
 
     def check_invariants(self):
         """Run all closing checks; raises :class:`InvariantViolation` on failure."""
@@ -840,9 +799,6 @@ def write_trajectories_jsonl(state: PitState, path, scenario_hash: str | None = 
             fh.write(json.dumps({"scenario": scenario_hash}) + "\n")
         for tid in sorted(state.types):
             traj = state.types[tid]
-            segments = None
-            if traj.segments is not None:
-                segments = [[t, h, v] for (t, h, v) in traj.segments]
             fh.write(
                 json.dumps(
                     {
@@ -851,7 +807,7 @@ def write_trajectories_jsonl(state: PitState, path, scenario_hash: str | None = 
                         "birth": traj.birth,
                         "fitness": traj.fitness,
                         "status": traj.status,
-                        "segments": segments,
+                        "segments": traj.segments,
                     }
                 )
                 + "\n"

@@ -71,7 +71,7 @@ def cycles_lam1_c1():
 
 
 def test_01_deterministic_replay_six_events():
-    st = PitState(events=SIX_EVENTS, record_paths=True)
+    st = PitState(events=SIX_EVENTS)
     st.advance()
     times = [rc[0] for rc in st.resident_changes]
     fits = [rc[2] for rc in st.resident_changes]
@@ -312,7 +312,7 @@ def test_12_invariant_suite(tmp_path):
     law = contender_params(1.0, PointMass(1.0))
     # PitState re-checks the bookkeeping identities at every change
     evs = sample_contender_stream(law, 3000.0, replicate_rng(1212, 0))
-    st = PitState(events=list(evs), record_paths=True)
+    st = PitState(events=list(evs))
     st.advance(until=3000.0)
     st.check_invariants()
     tops = [t for t in st.active_ids if st.height(t) == 1.0 and st.slope(t) == 0.0]

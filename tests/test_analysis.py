@@ -101,7 +101,7 @@ class TestRenewalSampling:
         law = contender_params(1.0, PointMass(1.0))
         rng = replicate_rng(314, 0)
         records, events = sample_renewal_cycles(law, 200, rng, collect_events=True)
-        st = PitState(events=[(t, a) for t, a in events], record_log=False)
+        st = PitState(events=[(t, a) for t, a in events])
         st.advance()
         times, replay = detect_renewals(st)
         assert len(replay) >= len(records)

@@ -16,7 +16,6 @@ from clonepit import (
     mean_fitness,
     moran_init,
     moran_run,
-    moran_step,
     write_trace_csv,
 )
 from clonepit.pit import ConfigurationError, _fmt
@@ -84,14 +83,6 @@ class TestRuns:
         st = moran_init(50, [50], [0.0])
         with pytest.raises(ConfigurationError):
             moran_run(st, 0.0, np.random.default_rng(3))
-
-    def test_step_returns_kind(self):
-        st = moran_init(
-            100, [100], [0.0], lam=5.0, gamma=PointMass(1.0)
-        )
-        rng = np.random.default_rng(4)
-        kinds = {moran_step(st, rng) for _ in range(50)}
-        assert kinds == {"resampling", "mutation"}
 
 
 class TestSchedule:
@@ -431,6 +422,8 @@ def test_write_trace_csv_matches_reference(tmp_path, seed):
     st = moran_init(300, [200, 100], [0.0, 0.5], lam=3.0, gamma=Exponential(1.0))
     res = moran_run(st, 2.0, np.random.default_rng(seed), grid_step=0.05)
     assert len(res.trace.heights) > 2
+    # both kinds of event happened: mutations and resamplings
+    assert 0 < res.state.mutations < res.n_events
     write_trace_csv(res, tmp_path / "new.csv", "ab")
     _reference_trace_csv(res, tmp_path / "ref.csv", "ab")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -35,8 +35,8 @@ SIX_EVENTS = (
 )
 
 
-def run_six_events(**kwargs):
-    st = PitState(events=SIX_EVENTS, **kwargs)
+def run_six_events():
+    st = PitState(events=SIX_EVENTS)
     st.advance()
     return st
 
@@ -69,7 +69,7 @@ class TestSixEventReplay:
         }
 
     def test_trajectory_4_is_kinked_from_2_to_1(self):
-        st = run_six_events(record_paths=True)
+        st = run_six_events()
         p4 = st.trajectory_path(4)
         # slope 2 from birth at 2.5 to the change at 2.6, slope 1 after
         assert p4(2.55) == pytest.approx(0.1)
@@ -187,7 +187,7 @@ class TestFarClockProgress:
         for _ in range(400):
             t += rng.exponential(2.0)
             evs.append((t, float(rng.uniform(0.5, 2.0))))
-        st = PitState(events=evs, record_log=False)
+        st = PitState(events=evs)
         st.advance()
         st.check_invariants()
         assert st.vstar_sum == pytest.approx(st.fitness - st.f0, abs=1e-9)
@@ -197,7 +197,7 @@ class TestFarClockProgress:
         # check tolerance; this run used to raise InvariantViolation
         law = contender_params(20.0, parse_distribution("pareto(1,0.5)"))
         evs = sample_contender_stream(law, 10.0, replicate_rng(0, 0))
-        st = PitState(events=evs, record_log=False)
+        st = PitState(events=evs)
         st.advance(until=10.0)
         st.check_invariants()
         assert st.fitness > 1e7
@@ -213,7 +213,7 @@ class TestPaths:
         np.testing.assert_allclose(sp(np.array([0.0, 1.0, 4.0])), [0.0, 2.0, 5.0])
 
     def test_piecewise_path_clips_to_unit_interval(self):
-        st = run_six_events(record_paths=True)
+        st = run_six_events()
         p0 = st.trajectory_path(0)
         grid = np.linspace(0.0, st.clock, 101)
         vals = p0(grid)
@@ -223,7 +223,7 @@ class TestPaths:
         assert p0(3.0) == pytest.approx(0.6)
 
     def test_latent_path_is_flat_zero(self):
-        st = run_six_events(record_paths=True)
+        st = run_six_events()
         p2 = st.trajectory_path(2)
         np.testing.assert_allclose(p2(np.array([1.4, 2.0, 4.0])), 0.0)
 
@@ -240,7 +240,7 @@ class TestOutputs:
         assert lines[1].split(",")[0] == "time"
 
     def test_trajectories_jsonl(self, tmp_path):
-        st = run_six_events(record_paths=True)
+        st = run_six_events()
         out = tmp_path / "traj.jsonl"
         write_trajectories_jsonl(st, out, "cafebabe00000000")
         rows = [json.loads(line) for line in out.read_text().splitlines()]
@@ -269,7 +269,7 @@ def _random_events(seed, count, lam=1.0):
 @settings(max_examples=40, deadline=None)
 @given(seed=hs.integers(min_value=0, max_value=2**31), count=hs.integers(2, 60))
 def test_random_streams_keep_invariants(seed, count):
-    st = PitState(events=_random_events(seed, count), record_log=False)
+    st = PitState(events=_random_events(seed, count))
     st.advance()
     st.check_invariants()
     # exactly one trajectory parked at (1, 0)
@@ -299,7 +299,7 @@ def test_deterministic_given_same_events():
     evs = _random_events(123, 300)
     runs = []
     for _ in range(2):
-        st = PitState(events=list(evs), record_log=False)
+        st = PitState(events=list(evs))
         st.advance()
         runs.append((st.clock, st.fitness, tuple(map(tuple, st.resident_changes))))
     assert runs[0] == runs[1]
@@ -427,7 +427,7 @@ def test_skeleton_matches_pit_state(gamma, lam, horizon, n_seeds):
     law = contender_params(lam, parse_distribution(gamma))
     for seed in range(n_seeds):
         evs = sample_contender_stream(law, horizon, replicate_rng(4242, seed))
-        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs, record_log=False)
+        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs)
         for until in (horizon / 3, horizon):
             sk.advance(until=until)
             ref.advance(until=until)
@@ -435,7 +435,7 @@ def test_skeleton_matches_pit_state(gamma, lam, horizon, n_seeds):
             np.testing.assert_allclose(sk.fitness, ref.fitness, rtol=1e-12, atol=0.0)
             _assert_same_changes(sk, ref)
 
-        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs, record_log=False)
+        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs)
         sk.advance(stop_after_solitary=True)
         ref.advance(stop_after_solitary=True)
         _assert_same_changes(sk, ref)
