@@ -35,6 +35,7 @@ from .pit import (
     PitState,
     StepPath,
     _fmt,
+    _write_csv,
 )
 from .rng import as_generator
 
@@ -640,11 +641,9 @@ def high_mutation_probe(
 
 def write_cycles_csv(records, path, scenario_hash: str | None = None):
     """Per-cycle CSV: length, reward."""
-    lines = []
-    if scenario_hash:
-        lines.append(f"# scenario={scenario_hash}")
-    lines.append("length,reward")
-    for r in records:
-        lines.append(f"{_fmt(r.length)},{_fmt(r.reward)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(
+        path,
+        "length,reward",
+        (f"{_fmt(r.length)},{_fmt(r.reward)}" for r in records),
+        scenario_hash,
+    )

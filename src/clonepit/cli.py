@@ -73,6 +73,8 @@ from .pit import (
     FitnessSkeleton,
     InvariantViolation,
     PitState,
+    _fmt,
+    _write_csv,
     write_event_csv,
     write_trajectories_jsonl,
 )
@@ -484,15 +486,13 @@ def _cmd_moran_run(scn: Scenario, shash: str, out: str) -> dict:
 
 def _cmd_couple(scn: Scenario, shash: str, out: str) -> dict:
     schedule = [(t, a, i + 1) for i, (t, a, _) in enumerate(scn.events)]
-    lines = ["# scenario=" + shash, "replicate,distance"]
     dists = []
     for r in range(scn.replicates):
         res = coupled_run(scn.n, schedule, scn.horizon, replicate_rng(scn.seed, r),
                           grid_step=scn.grid_step)
         dists.append(res.distance)
-        lines.append(f"{r},{res.distance:.17g}")
-    with open(os.path.join(out, "couple.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(os.path.join(out, "couple.csv"), "replicate,distance",
+               (f"{r},{_fmt(d)}" for r, d in enumerate(dists)), shash)
     return {
         "n": scn.n,
         "distances": dists,
@@ -540,20 +540,19 @@ def _cmd_heuristics(scn: Scenario, shash: str, out: str) -> dict:
 def _cmd_gw(scn: Scenario, shash: str, out: str) -> dict:
     params = GwParams(scn.birth, scn.death, scn.initial)
     horizon = scn.horizon if scn.horizon > 0 else math.inf
-    lines = ["# scenario=" + shash,
-             "replicate,extinct,escaped,extinction_time,final_value,max_level"]
+    rows = []
     n_extinct = n_escaped = 0
     for r in range(scn.replicates):
         run = gw_run(params, replicate_rng(scn.seed, r), horizon=horizon, cap=scn.cap)
         n_extinct += run.extinct
         n_escaped += run.escaped
-        ext_t = "" if run.extinction_time is None else f"{run.extinction_time:.17g}"
-        lines.append(
+        ext_t = "" if run.extinction_time is None else _fmt(run.extinction_time)
+        rows.append(
             f"{r},{int(run.extinct)},{int(run.escaped)},{ext_t},"
             f"{run.final_value},{run.max_level}"
         )
-    with open(os.path.join(out, "runs.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(os.path.join(out, "runs.csv"),
+               "replicate,extinct,escaped,extinction_time,final_value,max_level", rows, shash)
     results = {
         "replicates": scn.replicates,
         "n_extinct": n_extinct,
@@ -584,11 +583,8 @@ def _cmd_fclt(scn: Scenario, shash: str, out: str) -> dict:
     k = int(round(1.0 / scn.grid_step))
     grid = np.arange(1, k + 1) / k
     diag = fclt_diagnostic(paths, scn.scale, grid, v_bar, sigma2)
-    lines = ["# scenario=" + shash, "t,variance"]
-    for t, var in zip(diag.times, diag.variance):
-        lines.append(f"{t:.17g},{var:.17g}")
-    with open(os.path.join(out, "fclt.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(os.path.join(out, "fclt.csv"), "t,variance",
+               (f"{_fmt(t)},{_fmt(var)}" for t, var in zip(diag.times, diag.variance)), shash)
     return {
         "v_bar": v_bar,
         "sigma2": sigma2,

@@ -56,7 +56,7 @@ import numpy as np
 
 from .branching import _jump_chain
 from .inputs import IncrementDistribution, InputEvent
-from .pit import ConfigurationError, GenealogyTree, _fmt
+from .pit import ConfigurationError, GenealogyTree, _fmt, _write_csv
 from .rng import UniformBuffer, as_generator
 
 __all__ = [
@@ -580,10 +580,6 @@ def _apply_mutation(state, idx, inc, nextu, pending, t_off, want_indicator):
 def write_trace_csv(result: MoranResult, path, scenario_hash: str | None = None):
     """Trace CSV: time, type_id, count, H, mean_fitness (one row per live type)."""
     tr = result.trace
-    lines = []
-    if scenario_hash:
-        lines.append(f"# scenario={scenario_hash}")
-    lines.append("time,type_id,count,H,mean_fitness")
     order = sorted(tr.heights)
     cols = [(tid, tr.counts[tid].tolist(), tr.heights[tid].tolist()) for tid in order]
     # a row equal to the one before it (same counts, same mean-fitness bits)
@@ -595,6 +591,7 @@ def write_trace_csv(result: MoranResult, path, scenario_hash: str | None = None)
         for tid in order:
             c = tr.counts[tid]
             repeat[1:] &= c[1:] == c[:-1]
+    rows: list[str] = []
     tails: list[str] = []
     for row, (t, fb, again) in enumerate(
         zip(tr.times.tolist(), tr.mean_fitness.tolist(), repeat.tolist())
@@ -608,6 +605,5 @@ def write_trace_csv(result: MoranResult, path, scenario_hash: str | None = None)
             ]
         head = _fmt(t)
         for tail in tails:
-            lines.append(head + tail)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+            rows.append(head + tail)
+    _write_csv(path, "time,type_id,count,H,mean_fitness", rows, scenario_hash)

@@ -777,19 +777,27 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def write_event_csv(events, path, scenario_hash: str | None = None):
-    """Write an event log as CSV: time, kind, trajectory_id, v_star_or_slope, resident_id, fitness."""
-    lines = []
-    if scenario_hash:
-        lines.append(f"# scenario={scenario_hash}")
-    lines.append("time,kind,trajectory_id,v_star_or_slope,resident_id,fitness")
-    for ev in events:
-        lines.append(
-            f"{_fmt(ev.time)},{ev.kind},{ev.trajectory_id},"
-            f"{_fmt(ev.value)},{ev.resident_id},{_fmt(ev.fitness)}"
-        )
+def _write_csv(path, header: str, rows, scenario_hash: str | None = None):
+    """Write a ``# scenario=`` line (when a hash is given), ``header`` and the joined ``rows``."""
+    lines = [f"# scenario={scenario_hash}"] if scenario_hash else []
+    lines.append(header)
+    lines.extend(rows)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_event_csv(events, path, scenario_hash: str | None = None):
+    """Write an event log as CSV: time, kind, trajectory_id, v_star_or_slope, resident_id, fitness."""
+    _write_csv(
+        path,
+        "time,kind,trajectory_id,v_star_or_slope,resident_id,fitness",
+        (
+            f"{_fmt(ev.time)},{ev.kind},{ev.trajectory_id},"
+            f"{_fmt(ev.value)},{ev.resident_id},{_fmt(ev.fitness)}"
+            for ev in events
+        ),
+        scenario_hash,
+    )
 
 
 def write_trajectories_jsonl(state: PitState, path, scenario_hash: str | None = None):
