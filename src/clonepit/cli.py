@@ -206,7 +206,7 @@ def _unquote(text: str) -> str:
     return t
 
 
-def _cast(key: str, attr: str, conv, raw: str):
+def _cast(key: str, conv, raw: str):
     try:
         return conv(_unquote(raw)) if conv is str else conv(raw)
     except ValueError:
@@ -231,7 +231,7 @@ def parse_scenario(text: str, overrides: dict | None = None) -> Scenario:
     for key, raw in _parse_pairs(text):
         if key in _SCALARS:
             attr, conv = _SCALARS[key]
-            values[attr] = _cast(key, attr, conv, raw)
+            values[attr] = _cast(key, conv, raw)
         elif key == "command":
             values["command"] = _unquote(raw)
         elif key in _LISTS:
@@ -248,18 +248,18 @@ def parse_scenario(text: str, overrides: dict | None = None) -> Scenario:
 
     if rows["counts"]:
         values["counts"] = tuple(
-            _cast("counts", "counts", int, p) for r in rows["counts"] for p in r.split(",")
+            _cast("counts", int, p) for r in rows["counts"] for p in r.split(",")
         )
     if rows["fitness"]:
         values["fitness"] = tuple(
-            _cast("fitness", "fitness", float, p) for r in rows["fitness"] for p in r.split(",")
+            _cast("fitness", float, p) for r in rows["fitness"] for p in r.split(",")
         )
     starts = []
     for r in rows["start"]:
         parts = r.split(",")
         if len(parts) != 2:
             raise ConfigurationError(f"bad value for 'start': {r!r} (need height, slope)")
-        starts.append((float(parts[0]), float(parts[1])))
+        starts.append(tuple(_cast("start", float, p) for p in parts))
     values["starts"] = tuple(starts)
     events = []
     for r in rows["event"]:
@@ -273,7 +273,8 @@ def parse_scenario(text: str, overrides: dict | None = None) -> Scenario:
             if parts[2] not in ("0", "1"):
                 raise ConfigurationError(f"bad value for 'event': flag must be 0 or 1, got {parts[2]!r}")
             flag = int(parts[2])
-        events.append((float(parts[0]), float(parts[1]), flag))
+        t, a = (_cast("event", float, p) for p in parts[:2])
+        events.append((t, a, flag))
     values["events"] = tuple(events)
 
     scn = Scenario(command=command, **values)
@@ -314,6 +315,9 @@ def _validate(scn: Scenario):
     _require(scn.seed >= 0, "seed", "must be nonnegative")
     _require(scn.grid_step > 0, "grid_step", "must be positive")
     cmd = scn.command
+    _require(all(t >= 0 for t, _, _ in scn.events), "event", "event times must be >= 0")
+    if cmd in ("pit-replay", "couple"):
+        _require(all(a > 0 for _, a, _ in scn.events), "event", "increments must be positive")
 
     if cmd in ("pit-run", "speed", "fclt", "heuristics"):
         _require(scn.lam > 0, "lambda", "must be positive")

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .rng import as_generator
 
@@ -72,6 +71,8 @@ def survival_prob(a: float) -> float:
 
 
 def _quad(fn, lo, hi, rtol=_QUAD_RTOL):
+    from scipy import integrate  # imported on first use: it is slow to load
+
     val, err = integrate.quad(fn, lo, hi, epsabs=1e-13, epsrel=rtol, limit=200)
     if err > max(1e-7, 1e-6 * abs(val)):
         raise NumericalError(
@@ -381,6 +382,8 @@ def sample_increment(gamma: IncrementDistribution, rng, size=None):
 def _scaled_exp1(x: float) -> float:
     """``exp(x) * E1(x)`` without overflow for large ``x``."""
     if x < 500.0:
+        from scipy import special  # imported on first use: it is slow to load
+
         return math.exp(x) * special.exp1(x)
     # Asymptotic continued fraction, accurate to ~1e-12 for x >= 500.
     cf = 0.0

@@ -1,9 +1,13 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import clonepit
 from clonepit import glh_speed, PointMass, rglh_speed
 from clonepit.cli import Scenario, main, parse_scenario, scenario_hash
 from clonepit.pit import ConfigurationError
@@ -24,6 +28,15 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def test_import_does_not_load_scipy():
+    # scipy is slow to load and only the quadratures need it
+    src = os.path.dirname(os.path.dirname(clonepit.__file__))
+    code = "import sys, clonepit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 class TestParsing:
@@ -232,6 +245,18 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, REPLAY_CFG)
         assert main(["speed", "--config", cfg, "--out", str(tmp_path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command, text", [
+        ("couple", "n = 200\nhorizon = 1\nevent = 0.5, -1\n"),
+        ("pit-replay", "event = 0.5, abc\n"),
+        ("pit-replay", "start = x, 1\nevent = 0.5, 1\n"),
+        ("pit-replay", "event = -0.5, 1\n"),
+        ("moran-run", "n = 200\nhorizon = 1\nevent = -0.5, 1\n"),
+    ])
+    def test_malformed_row_exits_2(self, tmp_path, capsys, command, text):
+        cfg = write_cfg(tmp_path, f"command = {command}\n{text}")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 # One small seeded scenario per command that writes CSV or JSONL, with the
