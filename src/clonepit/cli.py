@@ -127,22 +127,10 @@ class Scenario:
         of the scenario's identity.
         """
         lines = [f"command = {self.command}"]
-        scalars = [
-            ("lambda", self.lam),
-            ("gamma", self.gamma),
-            ("n", self.n),
-            ("horizon", self.horizon),
-            ("replicates", self.replicates),
-            ("seed", self.seed),
-            ("grid_step", self.grid_step),
-            ("f0", self.f0),
-            ("birth", self.birth),
-            ("death", self.death),
-            ("initial", self.initial),
-            ("cap", self.cap),
-            ("scale", self.scale),
-        ]
-        for key, val in scalars:
+        for key, (attr, _) in _SCALARS.items():
+            if key == "out":
+                continue
+            val = getattr(self, attr)
             lines.append(f"{key} = {val!r}" if isinstance(val, str) else f"{key} = {val}")
         if self.counts:
             lines.append("counts = " + ", ".join(str(c) for c in self.counts))
