@@ -39,9 +39,10 @@ mutation rate, an ``Exp(lam)`` mutation time drawn when the stretch starts;
 indicator checks and trace grid points inside it read the count off the
 block with ``searchsorted``.
 
-With three or more live types the loop is plain Python over scalar floats, one event at a time: it maintains the
-aggregates ``T_a = sum_b x_b * (1 + (m_a - m_b)^+)`` in O(k) for k live
-types and consumes uniforms from a block buffer.  Aggregates are rebuilt
+With three or more live types the loop is plain Python over scalar
+floats, one event at a time: it maintains the aggregates
+``T_a = sum_b x_b * (1 + (m_a - m_b)^+)`` in O(k) for k live types and
+consumes uniforms from a block buffer.  Aggregates are rebuilt
 from scratch periodically, and whenever a type dies or a two-type stretch
 ends, so float drift cannot accumulate over tens of millions of events.
 """
