@@ -42,9 +42,9 @@ block with ``searchsorted``.
 With three or more live types the loop is plain Python over scalar
 floats, one event at a time: it maintains the aggregates
 ``T_a = sum_b x_b * (1 + (m_a - m_b)^+)`` in O(k) for k live types and
-consumes uniforms from a block buffer.  Aggregates are rebuilt
-from scratch periodically, and whenever a type dies or a two-type stretch
-ends, so float drift cannot accumulate over tens of millions of events.
+consumes uniforms from a block buffer.  Aggregates are rebuilt from
+scratch periodically, and whenever a type dies or a two-type stretch ends,
+so float drift cannot accumulate over tens of millions of events.
 """
 
 from __future__ import annotations
