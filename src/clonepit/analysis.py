@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inputs import (
+    ArrivalBuffer,
     ContenderLaw,
     InputEvent,
     contender_params,
@@ -166,13 +167,17 @@ def sample_renewal_cycles(law: ContenderLaw, n_cycles: int, rng, *, collect_even
     that stream is also returned as absolute ``(time, slope)`` pairs so the
     equivalence can be replayed.
 
+    Every cycle reads its arrivals from one :class:`~clonepit.inputs.ArrivalBuffer`,
+    which draws gaps and increments in blocks of
+    :data:`~clonepit.inputs.ARRIVAL_BLOCK`; ``collect_events`` returns only
+    the arrivals the cycles consumed, not the rest of the last block.
+
     Cycle lengths must have finite mean (finite mean of the contender
     increment law) or this will effectively not terminate.
     """
-    rng = as_generator(rng)
     if n_cycles < 1:
         raise ConfigurationError(f"need n_cycles >= 1, got {n_cycles}")
-    scale = 1.0 / law.rate
+    arrivals = ArrivalBuffer(law, rng)
     records: list[RenewalRecord] = []
     all_events: list[tuple[float, float]] = []
     carried: tuple[float, float] | None = None
@@ -185,8 +190,8 @@ def sample_renewal_cycles(law: ContenderLaw, n_cycles: int, rng, *, collect_even
                 t = first[0]
                 yield first
             while True:
-                t += rng.exponential(scale)
-                a = float(law.sample(rng))
+                gap, a = arrivals.next()
+                t += gap
                 if collect_events:
                     all_events.append((elapsed + t, a))
                 yield (t, a)

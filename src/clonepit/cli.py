@@ -492,8 +492,24 @@ def _cmd_couple(scn: Scenario, shash: str, out: str) -> dict:
     }
 
 
+def _finite_mean(dist) -> bool:
+    """``dist.has_finite_mean()``, with a warning on stderr when it is false.
+
+    The speed of adaptation is infinite exactly when the increment law has
+    an infinite mean, so the finite ``v_hat`` of a run then estimates
+    nothing; the run still completes and exits 0.
+    """
+    if dist.has_finite_mean():
+        return True
+    print(f"warning: increment law {dist.describe()} has an infinite mean; the speed "
+          "of adaptation is infinite and v_hat has no finite limit", file=sys.stderr)
+    return False
+
+
 def _cmd_speed(scn: Scenario, shash: str, out: str) -> dict:
-    law = contender_params(scn.lam, scn.gamma_dist())
+    dist = scn.gamma_dist()
+    finite_mean = _finite_mean(dist)
+    law = contender_params(scn.lam, dist)
     cycles = int(scn.horizon)
     pooled = []
     reps = []
@@ -511,8 +527,8 @@ def _cmd_speed(scn: Scenario, shash: str, out: str) -> dict:
         "stderr": est.stderr,
         "sigma2_hat": est.sigma2_hat,
         "replicates": reps,
+        "finite_mean": finite_mean,
     }
-    dist = scn.gamma_dist()
     if isinstance(dist, PointMass):
         results["closed_form"] = pointmass_speed(scn.lam, dist.c)
     return results
@@ -559,8 +575,9 @@ def _cmd_gw(scn: Scenario, shash: str, out: str) -> dict:
 
 
 def _cmd_fclt(scn: Scenario, shash: str, out: str) -> dict:
-    law = contender_params(scn.lam, scn.gamma_dist())
     dist = scn.gamma_dist()
+    finite_mean = _finite_mean(dist)
+    law = contender_params(scn.lam, dist)
     calib = sample_renewal_cycles(law, 20_000, replicate_rng(scn.seed, scn.replicates))
     est = speed_estimate(calib)
     v_bar = pointmass_speed(scn.lam, dist.c) if isinstance(dist, PointMass) else est.v_hat
@@ -583,6 +600,7 @@ def _cmd_fclt(scn: Scenario, shash: str, out: str) -> dict:
         "scale": scn.scale,
         "low_scale": diag.low_scale,
         "variance_at_1": float(diag.variance[-1]),
+        "finite_mean": finite_mean,
     }
 
 

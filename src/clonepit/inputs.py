@@ -46,6 +46,8 @@ __all__ = [
     "parse_distribution",
     "InputEvent",
     "ContenderLaw",
+    "ARRIVAL_BLOCK",
+    "ArrivalBuffer",
     "contender_params",
     "sample_increment",
     "sample_input_stream",
@@ -466,18 +468,20 @@ class ContenderLaw:
     def mean_increment(self) -> float:
         return self.expect(lambda a: a)
 
-    def sample(self, rng, size=None):
-        """Draw contender increments.
+    def sample(self, rng, size: int) -> np.ndarray:
+        """Draw an array of ``size`` contender increments.
 
-        The derived law is sampled by rejection: propose from the base
-        distribution and accept with probability ``a / (1 + a)``, which is
-        exactly the size-biasing weight.
+        ``size`` is required: there is no scalar draw, because a single
+        draw of the derived law costs a whole rejection block.  Callers
+        that consume increments one at a time read them from an
+        :class:`ArrivalBuffer`.  The derived law is sampled by rejection:
+        propose from the base distribution and accept with probability
+        ``a / (1 + a)``, which is exactly the size-biasing weight.
         """
         rng = as_generator(rng)
         if self.explicit is not None:
             return self.explicit.sample(rng, size)
-        scalar = size is None
-        need = 1 if scalar else int(size)
+        need = int(size)
         out = np.empty(need)
         got = 0
         while got < need:
@@ -487,7 +491,43 @@ class ContenderLaw:
             take = min(need - got, keep.size)
             out[got : got + take] = keep[:take]
             got += take
-        return float(out[0]) if scalar else out
+        return out
+
+
+#: Arrivals drawn per block by :class:`ArrivalBuffer`.
+ARRIVAL_BLOCK = 256
+
+
+class ArrivalBuffer:
+    """Contender arrivals as ``(gap, increment)`` pairs, drawn in blocks.
+
+    Each block draws ``ARRIVAL_BLOCK`` inter-arrival gaps with
+    ``rng.exponential(1 / law.rate, ARRIVAL_BLOCK)`` and then as many
+    increments with ``law.sample(rng, ARRIVAL_BLOCK)``; :meth:`next` hands
+    the pairs out left to right as Python floats.  The first block is drawn
+    on the first :meth:`next`.  This draw order differs from that of
+    :func:`sample_contender_stream`, which draws every time up to its
+    horizon before any increment, so the same generator state gives the two
+    different streams.
+    """
+
+    __slots__ = ("_rng", "_law", "_buf", "_pos")
+
+    def __init__(self, law: ContenderLaw, rng):
+        self._rng = as_generator(rng)
+        self._law = law
+        self._buf: list[tuple[float, float]] = []
+        self._pos = ARRIVAL_BLOCK
+
+    def next(self) -> tuple[float, float]:
+        pos = self._pos
+        if pos == ARRIVAL_BLOCK:
+            gaps = self._rng.exponential(1.0 / self._law.rate, ARRIVAL_BLOCK)
+            incs = self._law.sample(self._rng, ARRIVAL_BLOCK)
+            self._buf = list(zip(gaps.tolist(), incs.tolist()))
+            pos = 0
+        self._pos = pos + 1
+        return self._buf[pos]
 
 
 def contender_params(lam: float, gamma: IncrementDistribution) -> ContenderLaw:

@@ -8,6 +8,7 @@ from clonepit import (
     ContenderLaw,
     Exponential,
     InputEvent,
+    Mixture,
     Pareto,
     PitState,
     PointMass,
@@ -34,6 +35,7 @@ from clonepit import (
     sup_distance,
     write_cycles_csv,
 )
+from clonepit.inputs import ARRIVAL_BLOCK
 from clonepit.pit import ConfigurationError
 from clonepit.rng import replicate_rng
 
@@ -94,29 +96,59 @@ class TestSpeedEstimate:
             pointmass_speed(0.0, 1.0)
 
 
+HALF_POINTMASS_EXP = Mixture((0.5, 0.5), (PointMass(1.0), Exponential(1.0)))
+
+
 class TestRenewalSampling:
     def test_driver_matches_single_replay(self):
         # the cycle driver restarts the clock each regeneration; replaying
-        # the same arrivals through one long run must give the same cycles
-        law = contender_params(1.0, PointMass(1.0))
-        rng = replicate_rng(314, 0)
-        records, events = sample_renewal_cycles(law, 200, rng, collect_events=True)
-        st = PitState(events=[(t, a) for t, a in events])
-        st.advance()
-        times, replay = detect_renewals(st)
-        assert len(replay) >= len(records)
-        lengths = np.cumsum([r.length for r in records])
-        np.testing.assert_allclose(times[: len(records)], lengths, atol=1e-9)
-        for mine, theirs in zip(records, replay):
-            assert mine.length == pytest.approx(theirs.length, abs=1e-9)
-            assert mine.reward == pytest.approx(theirs.reward, abs=1e-9)
+        # the same arrivals through one long run must give the same cycles,
+        # also where a cycle's arrivals straddle the edge of an arrival block
+        cases = [  # lam, gamma, cycles, arrival blocks consumed at least
+            (1.0, PointMass(1.0), 200, 1),
+            (20.0, Exponential(1.0), 150, 4),
+            (1.0, HALF_POINTMASS_EXP, 800, 4),
+        ]
+        for lam, gamma, n_cycles, blocks in cases:
+            law = contender_params(lam, gamma)
+            rng = replicate_rng(314, 0)
+            records, events = sample_renewal_cycles(law, n_cycles, rng, collect_events=True)
+            assert len(events) > blocks * ARRIVAL_BLOCK
+            st = PitState(events=[(t, a) for t, a in events])
+            st.advance()
+            times, replay = detect_renewals(st)
+            assert len(replay) >= len(records)
+            lengths = np.cumsum([r.length for r in records])
+            np.testing.assert_allclose(times[: len(records)], lengths, atol=1e-9)
+            for mine, theirs in zip(records, replay):
+                assert mine.length == pytest.approx(theirs.length, abs=1e-9)
+                assert mine.reward == pytest.approx(theirs.reward, abs=1e-9)
+
+    def test_arrivals_follow_block_draw_order(self):
+        # documented order: ARRIVAL_BLOCK gaps, then ARRIVAL_BLOCK increments,
+        # block after block, read across cycles with nothing skipped
+        law = contender_params(1.0, HALF_POINTMASS_EXP)
+        _, first = sample_renewal_cycles(law, 1, replicate_rng(5, 0), collect_events=True)
+        _, events = sample_renewal_cycles(law, 400, replicate_rng(5, 0), collect_events=True)
+        twin = replicate_rng(5, 0)
+        gaps, incs = [], []
+        while len(gaps) < len(events):
+            gaps.extend(twin.exponential(1.0 / law.rate, ARRIVAL_BLOCK))
+            incs.extend(law.sample(twin, ARRIVAL_BLOCK))
+        times = np.cumsum(gaps)
+        # the first cycle's arrivals, the one drawn past its end included
+        assert first == list(zip(times[: len(first)].tolist(), incs[: len(first)]))
+        assert len(events) > 2 * ARRIVAL_BLOCK
+        assert [a for _, a in events] == incs[: len(events)]
+        np.testing.assert_allclose([t for t, _ in events], times[: len(events)],
+                                   rtol=1e-12)
 
     def test_frozen_speeds_2000_cycles(self):
         # seeded end-to-end regression of the sampler and the estimator
         cases = {
-            (1.0, 1.0): (0.3338681851956393, 0.1394631630855426),
-            (2.0, 2.0): (1.5929082216754467, 1.1707329397838935),
-            (0.5, 1.0): (0.19821647074916757, 0.12560789759136542),
+            (1.0, 1.0): (0.3397947501228962, 0.1479729801011183),
+            (2.0, 2.0): (1.5990506184332118, 1.0956186876501088),
+            (0.5, 1.0): (0.19928534800264566, 0.12224983934545613),
         }
         for (lam, c), (v_want, s2_want) in cases.items():
             law = contender_params(lam, PointMass(c))

@@ -225,6 +225,27 @@ class TestCommands:
         assert lines[1] == "t,variance"
 
 
+@pytest.mark.parametrize("command, body", [
+    ("speed", "horizon = 50\n"),
+    ("fclt", "scale = 100\nreplicates = 3\ngrid_step = 0.25\n"),
+], ids=["speed", "fclt"])
+@pytest.mark.parametrize("gamma, finite", [("pareto(1,0.5)", False), ("pareto(1,2)", True)])
+def test_infinite_mean_is_reported(tmp_path, capsys, command, body, gamma, finite):
+    # the speed is infinite exactly when E[A] is: the run completes, but it
+    # says so on stderr and in summary.json
+    cfg = write_cfg(tmp_path, f"command = {command}\nlambda = 1\ngamma = {gamma}\n"
+                              f"seed = 3\n{body}")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    s = json.loads((tmp_path / "summary.json").read_text())
+    assert s["results"]["finite_mean"] is finite
+    if finite:
+        assert err == ""
+    else:
+        assert err.startswith("warning:") and err.count("\n") == 1
+        assert "infinite mean" in err
+
+
 class TestExitCodes:
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "command = speed\nbogus = 1\n")
@@ -261,7 +282,8 @@ class TestExitCodes:
 
 # One small seeded scenario per command that writes CSV or JSONL, with the
 # sha256 of every such artifact.  summary.json is left out: it carries the
-# wall time and the build tag.
+# wall time and the build tag.  The speed and fclt digests follow the block
+# draw order of the renewal sampler's arrivals (inputs.ArrivalBuffer).
 FROZEN_ARTIFACTS = {
     "pit-replay": (REPLAY_CFG, {
         "events.csv": "41172337b0de5ec8dfafababa7f28b3bf26ae33f4b168a09e4cca1993a379d7d",
@@ -280,8 +302,8 @@ FROZEN_ARTIFACTS = {
     "speed": (
         "command = speed\nlambda = 1\ngamma = pointmass(1)\nhorizon = 50\n"
         "replicates = 2\nseed = 11\n", {
-            "cycles_r000.csv": "58876df5f5162e270559d816395ccd4c4fd408464799e485fab49267ec2560dc",
-            "cycles_r001.csv": "70dd3032eb49bc8fffa7c2251ff407cf656243799aa0a548efdebbc545ed7807",
+            "cycles_r000.csv": "51df4eb6c4d9652e47a97512112f0a79c06bfc112345f98ea76ef1a07814d0b7",
+            "cycles_r001.csv": "727e6c27c36732b960b67319d11ad826e169f57e10b58dd69ce704cd52b087c1",
         }),
     "moran-run": (
         "command = moran-run\nn = 200\ncounts = 150, 50\nfitness = 0, 1\n"
@@ -301,7 +323,7 @@ FROZEN_ARTIFACTS = {
     "fclt": (
         "command = fclt\nlambda = 1\ngamma = pointmass(1)\nscale = 100\n"
         "replicates = 3\nseed = 7\ngrid_step = 0.25\n", {
-            "fclt.csv": "6088e283747f8c9a4a7c90aebf3493cf8abb537e404f2052363f6d424d657af2",
+            "fclt.csv": "8942886e72224ba1d0f6264a078a27efa14fc912f6721320042b8043c403f909",
         }),
 }
 

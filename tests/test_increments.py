@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 from scipy.special import exp1
+from scipy.stats import kstest
 
 from clonepit import (
     ContenderLaw,
@@ -20,6 +21,7 @@ from clonepit import (
     sample_input_stream,
     survival_prob,
 )
+from clonepit.inputs import ARRIVAL_BLOCK, ArrivalBuffer
 
 
 def test_survival_prob_values():
@@ -144,10 +146,15 @@ class TestContenderLaw:
     def test_sample_is_size_biased(self):
         # under Uniform(1,2) candidates, contenders should skew larger
         law = contender_params(1.0, Uniform(1.0, 2.0))
-        rng = np.random.default_rng(11)
-        draws = np.array([law.sample(rng) for _ in range(4000)])
+        draws = law.sample(np.random.default_rng(11), 4000)
+        assert draws.shape == (4000,)
         assert draws.mean() == pytest.approx(law.mean_increment(), abs=0.02)
         assert draws.mean() > 1.5
+
+    def test_sample_needs_size(self):
+        law = contender_params(1.0, Uniform(1.0, 2.0))
+        with pytest.raises(TypeError):
+            law.sample(np.random.default_rng(11))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -158,6 +165,26 @@ class TestContenderLaw:
         law = contender_params(1.0, Exponential(1.0))
         lo, hi = min(a, b), max(a, b)
         assert 0.0 <= law.tail(hi) <= law.tail(lo) <= 1.0
+
+
+class TestArrivalBuffer:
+    def test_draws_lazily(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        ArrivalBuffer(contender_params(1.0, Uniform(1.0, 2.0)), rng)
+        assert rng.bit_generator.state == before
+
+    def test_block_drawn_laws(self):
+        # a continuous mixture, so that a KS test applies; it runs rng.choice
+        # and the rejection step in every block
+        law = contender_params(1.0, Mixture((0.5, 0.5), (Exponential(1.0), Uniform(1.0, 2.0))))
+        buf = ArrivalBuffer(law, np.random.default_rng(21))
+        pairs = [buf.next() for _ in range(4 * ARRIVAL_BLOCK + 100)]
+        assert all(type(g) is float and type(a) is float for g, a in pairs)
+        gaps, incs = (np.array(col) for col in zip(*pairs))
+        cdf = np.vectorize(lambda a: 1.0 - law.tail(a))
+        assert kstest(incs, cdf).pvalue > 1e-3
+        assert kstest(gaps, "expon", args=(0.0, 1.0 / law.rate)).pvalue > 1e-3
 
 
 class TestStreams:
