@@ -32,7 +32,6 @@ from .pit import (
     TIME_EPS,
     ConfigurationError,
     FitnessSkeleton,
-    GenealogyTree,
     PitState,
     StepPath,
     _fmt,
@@ -107,29 +106,21 @@ def pointmass_speed(lam: float, c: float) -> float:
     return lam * c * c / (1.0 + c + lam)
 
 
-def detect_renewals(source, f0: float = 0.0):
+def detect_renewals(engine):
     """Extract regeneration times and cycle records from a completed run.
 
-    ``source`` is a :class:`~clonepit.pit.PitState` or an iterable of its
-    logged events.  A resident change counts as a regeneration when every
+    ``engine`` is a :class:`~clonepit.pit.PitState` or a
+    :class:`~clonepit.pit.FitnessSkeleton`; its ``resident_changes`` and
+    ``f0`` are read.  A resident change counts as a regeneration when every
     trajectory left at positive height has nonpositive slope (up to the
     engine's slope tolerance); the engine stamps that flag on each change.
     Returns ``(times, records)``; anything after the last regeneration is an
     incomplete cycle and produces no record.
     """
-    if isinstance(source, PitState):
-        changes = [(t, f, sol) for (t, _, f, _, sol) in source.resident_changes]
-        f0 = source.f0
-    else:
-        changes = [
-            (e.time, e.fitness, e.solitary)
-            for e in source
-            if e.kind == "resident_change"
-        ]
     times: list[float] = []
     records: list[RenewalRecord] = []
-    prev_t, prev_f = 0.0, f0
-    for t, f, solitary in changes:
+    prev_t, prev_f = 0.0, engine.f0
+    for t, _, f, _, solitary in engine.resident_changes:
         if solitary:
             times.append(t)
             records.append(RenewalRecord(t - prev_t, f - prev_f))
@@ -198,7 +189,7 @@ def sample_renewal_cycles(law: ContenderLaw, n_cycles: int, rng, *, collect_even
 
         st = FitnessSkeleton(events=stream())
         st.advance(stop_after_solitary=True)
-        records.append(RenewalRecord(st.clock, st.vstar_sum))
+        records.append(RenewalRecord(st.clock, st.fitness))
         pend = st.pending_immigration
         if pend is None:
             carried = None
@@ -297,16 +288,10 @@ def rgl_retention(events) -> set[int]:
     Event ``i`` is discarded when an earlier event ``j`` with increment
     ``A_j >= A_i`` is still rising at ``T_i`` (``T_j < T_i < T_j + 1/A_j``),
     or when a strictly fitter event arrives during ``(T_i, T_i + 1/A_i)``.
-    Accepts :class:`~clonepit.inputs.InputEvent` lists or ``(time,
-    increment)`` pairs (then indexed from 1 in order).
+    ``events`` are :class:`~clonepit.inputs.InputEvent` records; the
+    returned indices are their ``index`` fields.
     """
-    evs = []
-    for pos, e in enumerate(events):
-        if isinstance(e, InputEvent):
-            evs.append((e.index, e.time, e.increment))
-        else:
-            t, a = e
-            evs.append((pos + 1, float(t), float(a)))
+    evs = [(e.index, e.time, e.increment) for e in events]
     retained = set()
     for i, ti, ai in evs:
         for j, tj, aj in evs:
@@ -391,36 +376,25 @@ class FixationReport:
         return self.solitary_ids <= self.ancestral_ids <= self.resident_ids
 
 
-def classify_fixation(source, genealogy: GenealogyTree | None = None) -> FixationReport:
+def classify_fixation(state: PitState) -> FixationReport:
     """Classify every non-root type of a completed run.
 
-    ``source`` is a :class:`~clonepit.pit.PitState` or an event log (then
-    ``genealogy`` is required).  A type is ``resident`` if it won some
-    resident change, ``solitary_resident`` if it won a regenerating one, and
-    ``ancestral`` if it lies on the ancestor path of some solitary winner.
+    A type is ``resident`` if it won some resident change,
+    ``solitary_resident`` if it won a regenerating one, and ``ancestral`` if
+    it lies on the ancestor path of some solitary winner, read through each
+    type's ``parent``.
     """
-    if isinstance(source, PitState):
-        genealogy = source.genealogy
-        contender = {
-            tid: traj.slope0 > 0.0 for tid, traj in source.types.items() if tid != 0
-        }
-        changes = [(w, sol) for (_, _, _, w, sol) in source.resident_changes]
-    else:
-        if genealogy is None:
-            raise ConfigurationError("an event log needs an explicit genealogy")
-        contender = {}
-        changes = []
-        for e in source:
-            if e.kind == "immigration":
-                contender[e.trajectory_id] = e.value > 0.0
-            elif e.kind == "resident_change":
-                changes.append((e.resident_id, e.solitary))
+    types = state.types
+    contender = {tid: traj.slope0 > 0.0 for tid, traj in types.items() if tid != 0}
+    changes = [(w, sol) for (_, _, _, w, sol) in state.resident_changes]
     resident = {w for w, _ in changes if w != 0}
     solitary = {w for w, sol in changes if sol and w != 0}
     ancestral: set[int] = set()
     for w in solitary:
-        ancestral.add(w)
-        ancestral.update(a for a in genealogy.ancestors(w) if a != 0)
+        tid = w
+        while tid is not None and tid != 0:
+            ancestral.add(tid)
+            tid = types[tid].parent
     flags = {}
     for tid in sorted(set(contender) | resident | ancestral):
         flags[tid] = FixationFlags(
@@ -465,20 +439,15 @@ class CouplingResult:
 def coupled_run(n, schedule, horizon, rng, *, grid_step: float = 0.01) -> CouplingResult:
     """Drive a Moran population and the trajectory system by the same mutations.
 
-    ``schedule`` fixes the mutation times and increments
-    (:class:`~clonepit.inputs.InputEvent` or ``(time, increment, index)``
-    rows).  The population realizes its own contender indicators; the
+    ``schedule`` fixes the mutation times and increments as
+    :class:`~clonepit.inputs.InputEvent` records (their contender flags are
+    ignored).  The population realizes its own contender indicators; the
     trajectory system is then replayed with those emergent flags, and the
     two height traces are compared on the population's sample grid.  As
     ``n`` grows the log-frequency paths track the trajectory system more
     closely, so the returned distance should shrink.
     """
-    events = []
-    for ev in schedule:
-        if not isinstance(ev, InputEvent):
-            t, inc, idx = ev
-            ev = InputEvent(int(idx), float(t), float(inc), True)
-        events.append(ev)
+    events = list(schedule)
     state = moran_init(n, [n], [0.0], schedule=events)
     res = moran_run(state, horizon, rng, grid_step=grid_step)
     flags = {ind.index: bool(ind.flag) for ind in res.indicators}

@@ -304,8 +304,7 @@ def _validate(scn: Scenario):
     _require(scn.grid_step > 0, "grid_step", "must be positive")
     cmd = scn.command
     _require(all(t >= 0 for t, _, _ in scn.events), "event", "event times must be >= 0")
-    if cmd in ("pit-replay", "couple"):
-        _require(all(a > 0 for _, a, _ in scn.events), "event", "increments must be positive")
+    _require(all(a > 0 for _, a, _ in scn.events), "event", "increments must be positive")
 
     if cmd in ("pit-run", "speed", "fclt", "heuristics"):
         _require(scn.lam > 0, "lambda", "must be positive")
@@ -392,9 +391,10 @@ def _write_summary(scn: Scenario, shash: str, results: dict, started: float) -> 
     return path
 
 
-def _replay_events(scn: Scenario):
+def _replay_events(scn: Scenario, first: int):
+    """The scenario's event rows as InputEvents indexed from ``first`` up."""
     return [
-        InputEvent(i + 1, t, a, bool(b)) for i, (t, a, b) in enumerate(scn.events)
+        InputEvent(first + i, t, a, bool(b)) for i, (t, a, b) in enumerate(scn.events)
     ]
 
 
@@ -433,7 +433,7 @@ def _cmd_pit_run(scn: Scenario, shash: str, out: str) -> dict:
 def _cmd_pit_replay(scn: Scenario, shash: str, out: str) -> dict:
     start = [(1.0, 0.0)] + list(scn.starts)
     horizon = scn.horizon if scn.horizon > 0 else math.inf
-    st = PitState(start=start, events=_replay_events(scn), f0=scn.f0)
+    st = PitState(start=start, events=_replay_events(scn, 1), f0=scn.f0)
     st.advance(until=horizon)
     st.check_invariants()
     write_event_csv(st.log, os.path.join(out, "events.csv"), shash)
@@ -448,20 +448,17 @@ def _cmd_pit_replay(scn: Scenario, shash: str, out: str) -> dict:
     }
 
 
-def _moran_schedule(scn: Scenario):
-    base = len(scn.counts) if scn.counts else 1
-    return [(t, a, base + i) for i, (t, a, _) in enumerate(scn.events)] or None
-
-
 def _cmd_moran_run(scn: Scenario, shash: str, out: str) -> dict:
     counts = list(scn.counts) if scn.counts else [scn.n]
     fitness = list(scn.fitness) if scn.fitness else [0.0] * len(counts)
     gamma = parse_distribution(scn.gamma) if scn.gamma else None
+    # scheduled mutants take the ids after the initial types
+    schedule = _replay_events(scn, len(counts)) or None
     reps = []
     for r in range(scn.replicates):
         state = moran_init(
             scn.n, counts, fitness,
-            lam=scn.lam, gamma=gamma, schedule=_moran_schedule(scn),
+            lam=scn.lam, gamma=gamma, schedule=schedule,
         )
         res = moran_run(state, scn.horizon, replicate_rng(scn.seed, r),
                         grid_step=scn.grid_step)
@@ -477,7 +474,7 @@ def _cmd_moran_run(scn: Scenario, shash: str, out: str) -> dict:
 
 
 def _cmd_couple(scn: Scenario, shash: str, out: str) -> dict:
-    schedule = [(t, a, i + 1) for i, (t, a, _) in enumerate(scn.events)]
+    schedule = _replay_events(scn, 1)
     dists = []
     for r in range(scn.replicates):
         res = coupled_run(scn.n, schedule, scn.horizon, replicate_rng(scn.seed, r),
@@ -536,12 +533,16 @@ def _cmd_speed(scn: Scenario, shash: str, out: str) -> dict:
 
 def _cmd_heuristics(scn: Scenario, shash: str, out: str) -> dict:
     dist = scn.gamma_dist()
+    finite_mean = _finite_mean(dist)
     law = contender_params(scn.lam, dist)
+    # all three are infinite with the increment mean, and the quadratures
+    # behind them would divide by zero at the end of their range
     return {
         "contender_rate": law.rate,
-        "mean_increment": law.mean_increment(),
-        "v_gl": glh_speed(scn.lam, dist),
-        "v_rgl": rglh_speed(scn.lam, dist),
+        "mean_increment": law.mean_increment() if finite_mean else None,
+        "v_gl": glh_speed(scn.lam, dist) if finite_mean else None,
+        "v_rgl": rglh_speed(scn.lam, dist) if finite_mean else None,
+        "finite_mean": finite_mean,
     }
 
 

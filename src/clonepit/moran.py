@@ -56,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branching import _jump_chain
-from .inputs import IncrementDistribution, InputEvent
-from .pit import ConfigurationError, GenealogyTree, _fmt, _write_csv
+from .inputs import IncrementDistribution
+from .pit import ConfigurationError, _fmt, _write_csv
 from .rng import UniformBuffer, as_generator
 
 __all__ = [
@@ -90,9 +90,10 @@ class MoranState:
 
     Built by :func:`moran_init`.  The mutation source is either *free*
     (Poisson arrivals at rescaled rate ``lam`` with increments from
-    ``gamma``) or a *coupled* schedule of fixed ``(time, increment)`` pairs;
-    a schedule makes runs comparable to a trajectory-system replay driven by
-    the same input.
+    ``gamma``) or a *coupled* schedule of
+    :class:`~clonepit.inputs.InputEvent` records with fixed times and
+    increments; a schedule makes runs comparable to a trajectory-system
+    replay driven by the same input.
     """
 
     def __init__(self, n, counts, fitness, lam, gamma, schedule):
@@ -113,9 +114,6 @@ class MoranState:
             i: m for i, m in zip(self.ids, self.fitness)
         }
         self.type_birth: dict[int, float] = {i: 0.0 for i in self.ids}
-        self.genealogy = GenealogyTree()
-        for i in self.ids:
-            self.genealogy.add_root(i)
         self._next_id = len(self.ids)
         self._aggr: list[float] = []
         self._rebuild()
@@ -168,8 +166,8 @@ def moran_init(n, counts, fitness, *, lam=0.0, gamma=None, schedule=None) -> Mor
         Coupled mutation schedule, an iterable of
         :class:`~clonepit.inputs.InputEvent` (contender flags are ignored;
         indicator values are emergent here).  Mutually exclusive with
-        ``lam``/``gamma``.  Event indices become type ids and must start
-        past the initial ids.
+        ``lam``/``gamma``.  Event indices become type ids; they must be
+        distinct and start past the initial ids.
     """
     if n < 2:
         raise ConfigurationError(f"population size must be >= 2, got {n}")
@@ -186,22 +184,18 @@ def moran_init(n, counts, fitness, *, lam=0.0, gamma=None, schedule=None) -> Mor
     if schedule is not None:
         if lam:
             raise ConfigurationError("a mutation schedule excludes a free mutation rate")
-        sched = []
+        schedule = list(schedule)
         prev = -math.inf
+        seen = set()
         for ev in schedule:
-            if isinstance(ev, InputEvent):
-                t, inc, idx = ev.time, ev.increment, ev.index
-            else:
-                t, inc, idx = ev
-            if t <= prev:
+            if ev.time <= prev:
                 raise ConfigurationError("schedule times must be strictly increasing")
-            prev = t
-            if idx < len(counts):
+            prev = ev.time
+            if ev.index < len(counts) or ev.index in seen:
                 raise ConfigurationError(
-                    f"schedule index {idx} collides with an initial type id"
+                    f"schedule index {ev.index} collides with another type id"
                 )
-            sched.append((float(t), float(inc), int(idx)))
-        schedule = sched
+            seen.add(ev.index)
     elif lam:
         if lam < 0:
             raise ConfigurationError(f"lambda must be >= 0, got {lam}")
@@ -381,7 +375,7 @@ def moran_run(
 
     def mutate(t, idx, inc):
         """Settle up to t, then let a uniform individual found type idx."""
-        nonlocal aggr, events_done, next_due
+        nonlocal aggr, next_due
         if t >= next_due:
             settle(t)
         state.clock = t
@@ -390,18 +384,16 @@ def moran_run(
         aggr = state._aggr
         if pending:
             next_due = min(next_due, pending[0][0])
-        events_done += 1
         state.events += 1
         if trace:
             snapshot([t], None)
 
-    events_done = 0
     rebuild_in = _REBUILD_EVERY
     while True:
         k = len(ids)
         t_mut = math.inf
         if sched is not None and state.sched_pos < len(sched):
-            t_mut = sched[state.sched_pos][0]
+            t_mut = sched[state.sched_pos].time
 
         if k == 2:
             # -- two-type stretch: the fitter type a replaces the other at
@@ -430,7 +422,6 @@ def moran_run(
             x[a] = float(z)
             x[1 - a] = float(n - z)
             state.sum_xm = x[0] * m[0] + x[1] * m[1]
-            events_done += steps
             state.events += steps
             absorbed = z == 0 or z == n
             if absorbed:
@@ -445,9 +436,9 @@ def moran_run(
             if absorbed:
                 continue
             if t_stop == t_mut:
-                _, inc, idx = sched[state.sched_pos]
+                ev = sched[state.sched_pos]
                 state.sched_pos += 1
-                mutate(t_mut, idx, inc)
+                mutate(t_mut, ev.index, ev.increment)
             elif t_stop == t_free:
                 mutate(t_free, state._next_id, float(state.gamma.sample(rng)))
             else:
@@ -472,9 +463,9 @@ def moran_run(
             # discarded, which is exact by memorylessness
             if t_mut > horizon:
                 break
-            _, inc, idx = sched[state.sched_pos]
+            ev = sched[state.sched_pos]
             state.sched_pos += 1
-            mutate(t_mut, idx, inc)
+            mutate(t_mut, ev.index, ev.increment)
             continue
 
         if t_new > horizon or math.isinf(t_new):
@@ -524,7 +515,6 @@ def moran_run(
             m.pop(b)
             state._rebuild()
             aggr = state._aggr
-        events_done += 1
         state.events += 1
         rebuild_in -= 1
         if rebuild_in == 0:
@@ -541,7 +531,7 @@ def moran_run(
         state,
         LogFrequencyTrace._build(n, pieces, sorted(all_ids)) if trace else None,
         done_inds,
-        events_done,
+        state.events,
     )
 
 
@@ -557,7 +547,6 @@ def _apply_mutation(state, idx, inc, nextu, pending, t_off, want_indicator):
         if u < acc:
             p = i
             break
-    parent = ids[p]
     fit = m[p] + inc
     x[p] -= 1.0
     if x[p] == 0.0:
@@ -569,7 +558,6 @@ def _apply_mutation(state, idx, inc, nextu, pending, t_off, want_indicator):
     m.append(fit)
     state.type_fitness[idx] = fit
     state.type_birth[idx] = state.clock
-    state.genealogy.add_edge(parent, idx)
     state.mutations += 1
     state._next_id = max(state._next_id, idx) + 1
     state.sum_xm += inc

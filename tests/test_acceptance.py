@@ -78,7 +78,7 @@ def test_01_deterministic_replay_six_events():
     ok = (
         np.allclose(times, [2.6, 3.4, 68.0 / 15.0], atol=1e-9)
         and np.allclose(fits, [1.0, 2.0, 2.6], atol=1e-9)
-        and {i: st.genealogy.parent[i] for i in range(1, 7)}
+        and {i: st.types[i].parent for i in range(1, 7)}
         == {1: 0, 2: 0, 3: 0, 4: 0, 5: 3, 6: 3}
         and [rc[4] for rc in st.resident_changes] == [False, False, True]
     )
@@ -247,11 +247,10 @@ def test_08_coupling_distance_shrinks_with_n():
     # later sweeps anyway) vanishes like 1/sqrt(log N), so 20-replicate
     # medians still carry noise; at 100 replicates per N the medians are
     # 0.52 -> 0.31 -> 0.27.  The seed here is a draw showing that trend.
-    schedule = [(ev.time, ev.increment, ev.index) for ev in SIX_EVENTS]
     meds = []
     for j, n in enumerate((1_000, 10_000, 100_000)):
         dists = [
-            coupled_run(n, schedule, 5.0, replicate_rng(202, 100 * j + r)).distance
+            coupled_run(n, SIX_EVENTS, 5.0, replicate_rng(202, 100 * j + r)).distance
             for r in range(20)
         ]
         meds.append(float(np.median(dists)))

@@ -7,6 +7,7 @@ import pytest
 from clonepit import (
     ContenderLaw,
     Exponential,
+    FitnessSkeleton,
     InputEvent,
     Mixture,
     Pareto,
@@ -30,6 +31,7 @@ from clonepit import (
     rgl_retention,
     rglh_misprediction_fixture,
     rglh_speed,
+    sample_contender_stream,
     sample_renewal_cycles,
     speed_estimate,
     sup_distance,
@@ -49,6 +51,11 @@ SIX_EVENTS = (
 )
 
 
+def _events(*pairs):
+    """Contender events from ``(time, increment)`` pairs, indexed from 1."""
+    return [InputEvent(i + 1, t, a, True) for i, (t, a) in enumerate(pairs)]
+
+
 class TestRenewalRecords:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -66,13 +73,24 @@ class TestRenewalRecords:
         assert rec.length == pytest.approx(68.0 / 15.0)
         assert rec.reward == pytest.approx(2.6)
 
-    def test_detect_from_event_log(self):
-        st = PitState(events=SIX_EVENTS)
-        st.advance()
-        times_state, recs_state = detect_renewals(st)
-        times_log, recs_log = detect_renewals(st.log)
-        assert times_state == times_log
-        assert recs_state == recs_log
+    def test_detect_from_skeleton_matches_state(self):
+        # both engines carry resident_changes and f0; on one seeded stream
+        # they give the same cycles (the skeleton's heights take fewer
+        # steps, so times and fitness agree to rounding)
+        law = contender_params(20.0, Exponential(1.0))
+        evs = sample_contender_stream(law, 40.0, replicate_rng(2718, 0))
+        found = []
+        for engine in (FitnessSkeleton(events=evs), PitState(events=evs)):
+            engine.advance(until=40.0)
+            found.append(detect_renewals(engine))
+        (t_sk, rec_sk), (t_st, rec_st) = found
+        assert len(rec_sk) == len(rec_st) >= 5
+        np.testing.assert_allclose(t_sk, t_st, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            [(r.length, r.reward) for r in rec_sk],
+            [(r.length, r.reward) for r in rec_st],
+            rtol=1e-12, atol=1e-12,
+        )
 
 
 class TestSpeedEstimate:
@@ -198,17 +216,17 @@ class TestHeuristics:
 
 class TestRetentionRule:
     def test_lone_event_is_kept(self):
-        assert rgl_retention([(1.0, 1.0)]) == {1}
+        assert rgl_retention(_events((1.0, 1.0))) == {1}
 
     def test_shadowed_by_earlier_riser(self):
         # second arrives while a weakly fitter first is still rising
-        assert rgl_retention([(1.0, 2.0), (1.2, 1.0)]) == {1}
+        assert rgl_retention(_events((1.0, 2.0), (1.2, 1.0))) == {1}
 
     def test_discarded_when_fitter_future_arrival(self):
-        assert rgl_retention([(1.0, 1.0), (1.5, 2.0)]) == {2}
+        assert rgl_retention(_events((1.0, 1.0), (1.5, 2.0))) == {2}
 
     def test_disjoint_rises_all_kept(self):
-        assert rgl_retention([(1.0, 1.0), (5.0, 1.0)]) == {1, 2}
+        assert rgl_retention(_events((1.0, 1.0), (5.0, 1.0))) == {1, 2}
 
     def test_accepts_input_events(self):
         evs = [InputEvent(3, 1.0, 2.0, True), InputEvent(9, 1.2, 1.0, True)]
@@ -238,19 +256,6 @@ class TestFixationClassification:
         assert rep.lattice_holds()
         assert not rep.flags[2].contender
         assert rep.flags[4].resident and not rep.flags[4].ancestral
-
-    def test_event_log_source_matches_state(self):
-        st = PitState(events=SIX_EVENTS)
-        st.advance()
-        from_state = classify_fixation(st)
-        from_log = classify_fixation(st.log, genealogy=st.genealogy)
-        assert from_state == from_log
-
-    def test_log_source_requires_genealogy(self):
-        st = PitState(events=SIX_EVENTS)
-        st.advance()
-        with pytest.raises(ConfigurationError):
-            classify_fixation(st.log)
 
 
 class TestDistances:
@@ -339,8 +344,7 @@ class TestInfiniteMeanProbe:
 
 class TestCoupledRun:
     def test_shapes_and_flags(self):
-        schedule = [(0.4, 1.0, 1), (0.9, 1.5, 2)]
-        res = coupled_run(300, schedule, 2.0, replicate_rng(8, 0))
+        res = coupled_run(300, _events((0.4, 1.0), (0.9, 1.5)), 2.0, replicate_rng(8, 0))
         assert res.n == 300
         assert set(res.flags) == {1, 2}
         assert 0.0 <= res.distance <= 1.0

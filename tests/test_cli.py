@@ -173,6 +173,7 @@ class TestCommands:
         assert s["results"]["v_gl"] == pytest.approx(glh_speed(1.0, PointMass(1.0)))
         assert s["results"]["v_rgl"] == pytest.approx(rglh_speed(1.0, PointMass(1.0)))
         assert s["results"]["contender_rate"] == pytest.approx(0.5)
+        assert s["results"]["finite_mean"] is True
 
     def test_gw_runs_csv(self, tmp_path):
         cfg = write_cfg(
@@ -246,6 +247,20 @@ def test_infinite_mean_is_reported(tmp_path, capsys, command, body, gamma, finit
         assert "infinite mean" in err
 
 
+@pytest.mark.parametrize("gamma", [
+    "pareto(1,0.5)", "pareto(1,1)", "mixture(0.5:pointmass(1),0.5:pareto(1,0.8))",
+])
+def test_heuristics_on_infinite_mean(tmp_path, capsys, gamma):
+    # every heuristic speed is infinite with E[A]: reported as null, not computed
+    cfg = write_cfg(tmp_path, f"command = heuristics\nlambda = 1\ngamma = {gamma}\n")
+    assert main(["heuristics", "--config", cfg, "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning:") and "infinite mean" in err
+    res = json.loads((tmp_path / "summary.json").read_text())["results"]
+    assert res["finite_mean"] is False and res["contender_rate"] > 0
+    assert res["mean_increment"] is None and res["v_gl"] is None and res["v_rgl"] is None
+
+
 class TestExitCodes:
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "command = speed\nbogus = 1\n")
@@ -273,6 +288,7 @@ class TestExitCodes:
         ("pit-replay", "start = x, 1\nevent = 0.5, 1\n"),
         ("pit-replay", "event = -0.5, 1\n"),
         ("moran-run", "n = 200\nhorizon = 1\nevent = -0.5, 1\n"),
+        ("moran-run", "n = 200\nhorizon = 1\nevent = 0.5, -1.0\n"),
     ])
     def test_malformed_row_exits_2(self, tmp_path, capsys, command, text):
         cfg = write_cfg(tmp_path, f"command = {command}\n{text}")

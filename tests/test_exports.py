@@ -1,0 +1,22 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import clonepit
+
+# every library module; the command line front end exports no names
+MODULES = sorted(m.name for m in pkgutil.iter_modules(clonepit.__path__) if m.name != "cli")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_are_reexported(name):
+    mod = importlib.import_module(f"clonepit.{name}")
+    for attr in mod.__all__:
+        assert getattr(mod, attr) is getattr(clonepit, attr)
+    assert set(mod.__all__) <= set(clonepit.__all__)
+
+
+def test_package_exports_resolve():
+    assert all(hasattr(clonepit, attr) for attr in clonepit.__all__)
+    assert len(set(clonepit.__all__)) == len(clonepit.__all__)

@@ -43,6 +43,12 @@ class TestInit:
             moran_init(10, [10], [0.0], lam=1.0)
         with pytest.raises(ConfigurationError):
             moran_init(10, [5, 5], [0.0, 1.0], schedule=[InputEvent(1, 0.5, 1.0, True)])
+        # scheduled indices become type ids, so each may appear once
+        with pytest.raises(ConfigurationError):
+            moran_init(
+                10, [10], [0.0],
+                schedule=[InputEvent(1, 0.5, 1.0, True), InputEvent(1, 0.7, 1.0, True)],
+            )
 
     def test_mean_fitness(self):
         st = moran_init(10, [5, 5], [0.0, 1.0])

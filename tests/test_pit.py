@@ -64,7 +64,7 @@ class TestSixEventReplay:
 
     def test_parent_vector(self):
         st = run_six_events()
-        assert {i: st.genealogy.parent[i] for i in range(1, 7)} == {
+        assert {i: st.types[i].parent for i in range(1, 7)} == {
             1: 0, 2: 0, 3: 0, 4: 0, 5: 3, 6: 3,
         }
 
@@ -326,7 +326,7 @@ class TestFitnessSkeleton:
                                    atol=1e-9)
         assert [rc[3] for rc in sk.resident_changes] == [3, 4, 6]
         assert [rc[4] for rc in sk.resident_changes] == [False, False, True]
-        assert sk.vstar_sum == pytest.approx(2.6)
+        assert sk.fitness == pytest.approx(2.6)
         assert sk.resident_fitness_path()(4.0) == pytest.approx(2.0)
         _assert_same_changes(sk, run_six_events())
 
