@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +86,16 @@ class InvariantViolation(RuntimeError):
     """An exact bookkeeping identity failed beyond tolerance."""
 
 
+def _forward_until(until, clock) -> float:
+    """``until`` as a float; ``advance`` runs forward, so not NaN nor below the clock."""
+    until = float(until)
+    if not until >= clock:
+        raise ConfigurationError(
+            f"advance(until={until}) needs until >= the clock {clock} (and not NaN)"
+        )
+    return until
+
+
 @dataclass(frozen=True)
 class StartEntry:
     """Initial trajectory: height in [0, 1] and slope.
@@ -117,14 +128,13 @@ class Trajectory:
     slope0: float
     increment: float
     fitness: float
-    fitness_at_birth: float
     status: str = "active"  # active | resident | latent | extinct
     death: float | None = None
     #: (time, height, slope) breakpoints of the height path
     segments: list = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PitEvent:
     """One logged event.
 
@@ -183,20 +193,8 @@ class PiecewisePath:
         return float(out) if np.isscalar(t) else out
 
 
-# Bare (time, slope) pairs stay beside InputEvent because the renewal
-# sampler feeds one pair per arrival.  An InputEvent per arrival there gave
-# bit-identical cycles but ran about 10% slower (median 9.2 against 8.4 ms
-# per 500 pointmass(1) cycles at rate 1, ten alternating runs; Python 3.11,
-# numpy 2.4, 2-core Xeon).
-def _normalize_events(events):
-    """Yield (time, slope, increment, id_hint) from mixed event records."""
-    for ev in events:
-        if isinstance(ev, InputEvent):
-            slope = ev.increment if ev.contender else 0.0
-            yield ev.time, slope, ev.increment, ev.index
-        else:
-            t, slope = ev
-            yield float(t), float(slope), float(slope), None
+#: PitState's per-slot arrays, in the order _add_slot grows them
+_SLOT_ROWS = ("_h", "_v", "_c0", "_fb", "_tg", "_buf")
 
 
 class _ArrivalFeed:
@@ -207,18 +205,36 @@ class _ArrivalFeed:
     """
 
     def _open_feed(self, events):
-        self._events = _normalize_events(events)
+        self._events = iter(events)
         self._pending = None
         self._last_time = -math.inf
         self._auto_id = 1
         self._pull_event()
 
+    # Bare (time, slope) pairs stay beside InputEvent because the renewal
+    # sampler feeds one pair per arrival.  An InputEvent per arrival there
+    # gave bit-identical cycles but ran about 10% slower (median 9.2 against
+    # 8.4 ms per 500 pointmass(1) cycles at rate 1, ten alternating runs;
+    # Python 3.11, numpy 2.4, 2-core Xeon).
     def _pull_event(self):
+        """Draw the next arrival as (time, slope, increment, id) into ``_pending``.
+
+        Times and increments become Python floats and indices Python ints,
+        whatever number types the record holds, so the engines keep no numpy
+        scalars.
+        """
         try:
-            t, slope, inc, idx = next(self._events)
+            ev = next(self._events)
         except StopIteration:
             self._pending = None
             return
+        if isinstance(ev, InputEvent):
+            t, inc, idx = float(ev.time), float(ev.increment), operator.index(ev.index)
+            slope = inc if ev.contender else 0.0
+        else:
+            t, slope = ev
+            t, slope, idx = float(t), float(slope), None
+            inc = slope
         if t <= self._last_time:
             raise ConfigurationError(
                 f"immigration times must be strictly increasing, got {t} after {self._last_time}"
@@ -285,11 +301,13 @@ class PitState(_ArrivalFeed):
                 f"start must contain exactly one (1, 0) entry, found {len(residents)}"
             )
 
+        # One row per active slot: height, slope, initial slope, resident
+        # fitness at birth, and the height the slope is heading for (1 rising,
+        # 0 falling, 2 flat: never reached, so the hit offset is inf).
+        # _buf is scratch for the hit offsets and then the height step.
         cap = max(8, len(entries) + 4)
-        self._h = np.zeros(cap)
-        self._v = np.zeros(cap)
-        self._c0 = np.zeros(cap)
-        self._fb = np.zeros(cap)
+        for name in _SLOT_ROWS:
+            setattr(self, name, np.zeros(cap))
         self._n = 0
         self._slot_ids: list[int] = []
         self._slot_of: dict[int, int] = {}
@@ -309,16 +327,17 @@ class PitState(_ArrivalFeed):
 
         next_start_id = -1
         for e in entries:
-            if e.height == 1.0 and e.slope == 0.0:
+            h, v = float(e.height), float(e.slope)
+            if h == 1.0 and v == 0.0:
                 tid = 0
             else:
                 tid = next_start_id
                 next_start_id -= 1
-            self._add_type(tid, None, 0.0, e.height, e.slope, e.slope, self.f0 + e.slope)
-            if e.slope > 0.0:
-                self.fitness_gain_bound += e.slope
-            if e.height > 0.0 or e.slope > 0.0:
-                self._add_slot(tid, e.height, e.slope)
+            self._add_type(tid, None, 0.0, h, v, v, self.f0 + v)
+            if v > 0.0:
+                self.fitness_gain_bound += v
+            if h > 0.0 or v > 0.0:
+                self._add_slot(tid, h, v)
             else:
                 self.types[tid].status = "latent"
         self.types[0].status = "resident"
@@ -328,24 +347,16 @@ class PitState(_ArrivalFeed):
     # -- construction helpers --------------------------------------------
 
     def _add_type(self, tid, parent, birth, height0, slope, increment, fitness):
-        if tid in self.types:
-            raise ConfigurationError(f"duplicate trajectory id {tid}")
-        traj = Trajectory(
-            id=tid,
-            parent=parent,
-            birth=birth,
-            slope0=slope,
-            increment=increment,
-            fitness=fitness,
-            fitness_at_birth=self.fitness,
-            segments=[(birth, height0, slope)],
+        # ids never repeat: starts take 0, -1, -2, ... and the feed's
+        # indices are at least 1 and strictly increasing
+        self.types[tid] = Trajectory(
+            tid, parent, birth, slope, increment, fitness, segments=[(birth, height0, slope)]
         )
-        self.types[tid] = traj
 
     def _add_slot(self, tid, h, v):
         n = self._n
         if n == self._h.size:
-            for name in ("_h", "_v", "_c0", "_fb"):
+            for name in _SLOT_ROWS:
                 arr = getattr(self, name)
                 grown = np.zeros(2 * arr.size)
                 grown[:n] = arr
@@ -354,6 +365,7 @@ class PitState(_ArrivalFeed):
         self._v[n] = v
         self._c0[n] = v
         self._fb[n] = self.fitness
+        self._tg[n] = 1.0 if v > 0.0 else 0.0 if v < 0.0 else 2.0
         self._slot_ids.append(tid)
         self._slot_of[tid] = n
         self._n = n + 1
@@ -363,7 +375,7 @@ class PitState(_ArrivalFeed):
         dropped = self._slot_ids[slot]
         del self._slot_of[dropped]
         if slot != last:
-            for arr in (self._h, self._v, self._c0, self._fb):
+            for arr in (self._h, self._v, self._c0, self._fb, self._tg):
                 arr[slot] = arr[last]
             moved = self._slot_ids[last]
             self._slot_ids[slot] = moved
@@ -374,15 +386,17 @@ class PitState(_ArrivalFeed):
     # -- event scanning ----------------------------------------------------
 
     def _hit_offsets(self):
-        """Relative time to each active slot's next boundary hit (inf if none)."""
+        """Relative time to each active slot's next boundary hit (inf if none).
+
+        ``(target - h) / v`` in the scratch row: ``(1 - h) / v`` when rising,
+        ``-h / v`` when falling (``h / -v`` to the bit in IEEE arithmetic, but
+        for the sign of a zero offset at h = 0), and ``(2 - h) / 0 = inf``
+        when flat.  Callers silence the division by zero.
+        """
         n = self._n
-        h, v = self._h[:n], self._v[:n]
-        out = np.full(n, math.inf)
-        rising = v > 0.0
-        falling = v < 0.0
-        np.divide(1.0 - h, v, out=out, where=rising)
-        np.divide(h, -v, out=out, where=falling)
-        return out
+        out = self._buf[:n]
+        np.subtract(self._tg[:n], self._h[:n], out=out)
+        return np.divide(out, self._v[:n], out=out)
 
     # -- event application ---------------------------------------------------
 
@@ -423,6 +437,10 @@ class PitState(_ArrivalFeed):
         wslot = self._slot_of[winner]
         self._h[wslot] = 1.0
         self._v[wslot] = 0.0
+        tg = self._tg[:n]
+        tg.fill(2.0)
+        tg[v > 0.0] = 1.0
+        tg[v < 0.0] = 0.0
 
         old_resident = self.resident_id
         self.resident_id = winner
@@ -502,11 +520,14 @@ class PitState(_ArrivalFeed):
             )
 
     def _advance_heights(self, dt):
-        if dt > 0.0 and self._n:
-            n = self._n
-            h = self._h[:n]
-            h += self._v[:n] * dt
-            np.clip(h, 0.0, 1.0, out=h)
+        """Move every slot by ``v * dt`` and clamp to [0, 1]; overwrites the scratch row."""
+        n = self._n
+        if dt > 0.0 and n:
+            h, step = self._h[:n], self._buf[:n]
+            np.multiply(self._v[:n], dt, out=step)
+            np.add(h, step, out=h)
+            np.maximum(h, 0.0, out=h)
+            np.minimum(h, 1.0, out=h)
 
     def advance(self, until: float = math.inf, *, stop_after_solitary: bool = False):
         """Process all events up to ``until``; the clock ends at ``until``.
@@ -515,47 +536,50 @@ class PitState(_ArrivalFeed):
         solitary resident change instead (the clock then sits at that
         change).  Every applied event is appended to :attr:`log`.
         """
-        while True:
-            offs = self._hit_offsets()
-            if offs.size:
-                slot_min = int(np.argmin(offs))
-                off_min = offs[slot_min]
-            else:
-                off_min = math.inf
-            t_hit = self.clock + off_min if math.isfinite(off_min) else math.inf
-            t_imm = self._pending[0] if self._pending is not None else math.inf
-            t_next = min(t_hit, t_imm)
-            if t_next > until or math.isinf(t_next):
-                if math.isfinite(until):
-                    self._advance_heights(until - self.clock)
-                    self.clock = until
-                return
+        until = _forward_until(until, self.clock)
+        with np.errstate(divide="ignore"):
+            while True:
+                if self._n:
+                    offs = self._hit_offsets()
+                    slot_min = int(offs.argmin())
+                    off_min = float(offs[slot_min])
+                else:
+                    off_min = math.inf
+                t_hit = self.clock + off_min
+                t_imm = self._pending[0] if self._pending is not None else math.inf
+                t_next = min(t_hit, t_imm)
+                if t_next > until or t_next == math.inf:
+                    if until < math.inf:
+                        self._advance_heights(until - self.clock)
+                        self.clock = until
+                    return
 
-            if math.isfinite(t_hit) and t_hit <= t_next + TIME_EPS:
-                # Group by offset, not by t_next - clock: at large clocks the
-                # absolute difference rounds below the true offset and can
-                # even collapse to zero, which would select nothing and stall.
-                sel = np.nonzero(offs <= off_min + TIME_EPS)[0]
-                dying = [self._slot_ids[s] for s in sel if self._v[s] < 0.0]
-                rising = [self._slot_ids[s] for s in sel if self._v[s] > 0.0]
-            else:
-                dying, rising = [], []
-            take_imm = t_imm <= t_next + TIME_EPS
+                if t_hit <= t_next + TIME_EPS:
+                    # Group by offset, not by t_next - clock: at large clocks
+                    # the absolute difference rounds below the true offset and
+                    # can even collapse to zero, which would select nothing
+                    # and stall.
+                    sel = np.nonzero(offs <= off_min + TIME_EPS)[0]
+                    dying = [self._slot_ids[s] for s in sel if self._v[s] < 0.0]
+                    rising = [self._slot_ids[s] for s in sel if self._v[s] > 0.0]
+                else:
+                    dying, rising = [], []
+                take_imm = t_imm <= t_next + TIME_EPS
 
-            self._advance_heights(t_next - self.clock)
-            self.clock = float(t_next)
+                self._advance_heights(t_next - self.clock)
+                self.clock = t_next
 
-            for tid in dying:
-                self._apply_extinction(tid)
-            saw_solitary = False
-            if rising:
-                for tid in rising:
-                    self._h[self._slot_of[tid]] = 1.0
-                saw_solitary = bool(self.apply_resident_change(rising).solitary)
-            if take_imm:
-                self._apply_immigration()
-            if stop_after_solitary and saw_solitary:
-                return
+                for tid in dying:
+                    self._apply_extinction(tid)
+                saw_solitary = False
+                if rising:
+                    for tid in rising:
+                        self._h[self._slot_of[tid]] = 1.0
+                    saw_solitary = bool(self.apply_resident_change(rising).solitary)
+                if take_imm:
+                    self._apply_immigration()
+                if stop_after_solitary and saw_solitary:
+                    return
 
     # -- derived views -------------------------------------------------------
 
@@ -653,6 +677,7 @@ class FitnessSkeleton(_ArrivalFeed):
         solitary resident change instead (and after an arrival carrying the
         same timestamp), with the clock at that change.
         """
+        until = _forward_until(until, self.clock)
         hs, vs = self._h, self._v
         while True:
             offs = [(1.0 - h) / v for h, v in zip(hs, vs)]
@@ -765,22 +790,22 @@ def write_event_csv(events, path, scenario_hash: str | None = None):
 
 
 def write_trajectories_jsonl(state: PitState, path, scenario_hash: str | None = None):
-    """Write per-type records as JSON lines: id, parent, birth, fitness, segments."""
+    """Write per-type records as JSON lines: id, parent, birth, fitness, status, segments.
+
+    Each line is the text ``json.dumps`` gives for the record, built
+    directly: the record's numbers are Python ints and floats, whose ``repr``
+    is the JSON spelling except for non-finite floats, respelled at the end.
+    """
+    types = state.types
+    body = "".join(
+        f'{{"id": {t.id!r}, "parent": {"null" if t.parent is None else repr(t.parent)}, '
+        f'"birth": {t.birth!r}, "fitness": {t.fitness!r}, "status": "{t.status}", '
+        f'"segments": [{", ".join(["[%r, %r, %r]" % seg for seg in t.segments])}]}}\n'
+        for t in map(types.__getitem__, sorted(types))
+    )
+    # No key, status or finite float repr contains "inf" or "nan".
+    if "inf" in body or "nan" in body:
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+    head = json.dumps({"scenario": scenario_hash}) + "\n" if scenario_hash else ""
     with open(path, "w") as fh:
-        if scenario_hash:
-            fh.write(json.dumps({"scenario": scenario_hash}) + "\n")
-        for tid in sorted(state.types):
-            traj = state.types[tid]
-            fh.write(
-                json.dumps(
-                    {
-                        "id": traj.id,
-                        "parent": traj.parent,
-                        "birth": traj.birth,
-                        "fitness": traj.fitness,
-                        "status": traj.status,
-                        "segments": traj.segments,
-                    }
-                )
-                + "\n"
-            )
+        fh.write(head + body)

@@ -296,10 +296,11 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
 
 
-# One small seeded scenario per command that writes CSV or JSONL, with the
-# sha256 of every such artifact.  summary.json is left out: it carries the
-# wall time and the build tag.  The speed and fclt digests follow the block
-# draw order of the renewal sampler's arrivals (inputs.ArrivalBuffer).
+# One small seeded scenario per command that writes CSV or JSONL (two for
+# pit-run), with the sha256 of every such artifact.  summary.json is left
+# out: it carries the wall time and the build tag.  The speed and fclt
+# digests follow the block draw order of the renewal sampler's arrivals
+# (inputs.ArrivalBuffer).
 FROZEN_ARTIFACTS = {
     "pit-replay": (REPLAY_CFG, {
         "events.csv": "41172337b0de5ec8dfafababa7f28b3bf26ae33f4b168a09e4cca1993a379d7d",
@@ -341,12 +342,24 @@ FROZEN_ARTIFACTS = {
         "replicates = 3\nseed = 7\ngrid_step = 0.25\n", {
             "fclt.csv": "8942886e72224ba1d0f6264a078a27efa14fc912f6721320042b8043c403f909",
         }),
+    # the dense regime of criteria 10/12: hundreds of active trajectories
+    "pit-run-dense": (
+        "command = pit-run\nlambda = 1000\ngamma = uniform(1,2)\nhorizon = 1\n"
+        "replicates = 2\nseed = 1\n", {
+            "events_r000.csv": "0e31d0e312c63c0bc75e8a161f2f528ca9768953778b582e1c43bb5642f50b44",
+            "events_r001.csv": "788f20748ca18bff80e26de207fac7bb58837edd2bb2d5037c6723d7b627a8cf",
+            "trajectories_r000.jsonl":
+                "52ac48ecc62b5a06a49cbfb311d53cc71a32f311800a54d6f1d33360ac4e31ae",
+            "trajectories_r001.jsonl":
+                "68ef14b310a2134b11ef0d66904cbf09edea5b564b194146d22b7143e939da16",
+        }),
 }
 
 
-@pytest.mark.parametrize("command", sorted(FROZEN_ARTIFACTS))
-def test_artifact_bytes_are_frozen(tmp_path, command):
-    text, digests = FROZEN_ARTIFACTS[command]
+@pytest.mark.parametrize("label", sorted(FROZEN_ARTIFACTS))
+def test_artifact_bytes_are_frozen(tmp_path, label):
+    text, digests = FROZEN_ARTIFACTS[label]
+    command = parse_scenario(text, {}).command
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 0

@@ -148,6 +148,31 @@ class TestValidation:
             st.advance()
 
 
+@pytest.mark.parametrize("engine", [PitState, FitnessSkeleton])
+class TestAdvanceRunsForward:
+    def test_until_below_clock_is_refused(self, engine):
+        st = engine(events=[(0.1, 1.0), (0.5, 2.0)])
+        st.advance(until=0.3)
+        with pytest.raises(ConfigurationError, match="until"):
+            st.advance(until=0.2)
+        assert st.clock == 0.3
+        st.advance(until=0.3)
+        st.advance(until=0.6)
+        assert st.clock == 0.6
+        if engine is PitState:
+            # rewinding the clock without the heights used to leave 0.6 here
+            assert st.height(1) == pytest.approx(0.5)
+            assert st.height(2) == pytest.approx(0.2)
+
+    def test_nan_until_is_refused(self, engine):
+        st = engine(events=[(0.1, 1.0), (0.5, 2.0)])
+        with pytest.raises(ConfigurationError, match="nan"):
+            st.advance(until=math.nan)
+        # nothing ran: a NaN bound used to let every event through
+        assert st.clock == 0.0
+        assert st.pending_immigration[0] == 0.1
+
+
 class TestEventOrdering:
     def test_hit_applies_before_same_stamp_arrival(self):
         # a change and an arrival share the stamp t=0.5; the arrival must
@@ -239,6 +264,48 @@ class TestOutputs:
         # second line is the header row
         assert lines[1].split(",")[0] == "time"
 
+    def test_trajectories_jsonl_is_json_dumps(self, tmp_path):
+        # np.float64 times and increments, an np.int64 index, negative start
+        # ids, None parents, and latent, extinct, flat and resident types
+        st = PitState(
+            start=[(1.0, 0.0), (0.5, -1.0), (0.25, 0.0)],
+            events=[
+                InputEvent(1, np.float64(0.1), np.float64(1.5), True),
+                InputEvent(2, np.float64(0.2), np.float64(0.7), False),
+                InputEvent(np.int64(4), 0.3, 2.0, True),
+            ],
+            f0=np.float64(0.125),
+        )
+        # the extinction at 0.5 is stamped after a clock set from np.float64
+        st.advance(until=np.float64(0.35))
+        st.advance(until=np.float64(2.0))
+        assert {t.status for t in st.types.values()} == {
+            "active", "resident", "latent", "extinct"
+        }
+        assert {-2, -1, 0} <= set(st.types) and st.types[-1].parent is None
+
+        def reference():
+            lines = [json.dumps({"scenario": "cafebabe00000000"})]
+            for tid in sorted(st.types):
+                t = st.types[tid]
+                lines.append(json.dumps({
+                    "id": t.id, "parent": t.parent, "birth": t.birth,
+                    "fitness": t.fitness, "status": t.status, "segments": t.segments,
+                }))
+            return "\n".join(lines) + "\n"
+
+        out = tmp_path / "traj.jsonl"
+        write_trajectories_jsonl(st, out, "cafebabe00000000")
+        assert out.read_text() == reference()
+        # non-finite floats take json's spelling
+        st.types[1].fitness = math.inf
+        st.types[2].segments.append((math.nan, -math.inf, 0.0))
+        write_trajectories_jsonl(st, out, "cafebabe00000000")
+        assert out.read_text() == reference()
+        assert "Infinity" in out.read_text() and "NaN" in out.read_text()
+        write_trajectories_jsonl(st, out)
+        assert out.read_text() == reference().split("\n", 1)[1]
+
     def test_trajectories_jsonl(self, tmp_path):
         st = run_six_events()
         out = tmp_path / "traj.jsonl"
@@ -255,6 +322,71 @@ class TestOutputs:
             st.advance()
             write_event_csv(st.log, out, "feed000000000000")
         assert a.read_bytes() == b.read_bytes()
+
+
+def _masked_offsets(h, v):
+    """The hit offsets as computed before the per-slot targets: two masked divides."""
+    out = np.full(h.size, math.inf)
+    np.divide(1.0 - h, v, out=out, where=v > 0.0)
+    np.divide(h, -v, out=out, where=v < 0.0)
+    return out
+
+
+def _assert_offsets_match(st):
+    """``st._hit_offsets()`` equals the masked formula bit for bit.
+
+    The one exception is the sign of a zero: a falling slot already at height
+    0 gives -0.0 for 0.0, which compares equal and selects the same event.
+    """
+    n = st._n
+    with np.errstate(divide="ignore", over="ignore"):
+        old = _masked_offsets(st._h[:n].copy(), st._v[:n].copy())
+        new = PitState._hit_offsets(st).copy()
+    zero = (old == 0.0) & (new == 0.0)
+    assert np.array_equal(old.view(np.uint64)[~zero], new.view(np.uint64)[~zero])
+    assert np.array_equal(old == 0.0, new == 0.0)
+
+
+class _CheckedOffsets(PitState):
+    """PitState that checks every offset scan of ``advance`` against the old formula."""
+
+    def _hit_offsets(self):
+        _assert_offsets_match(self)
+        return super()._hit_offsets()
+
+
+def test_hit_offsets_match_masked_formula_on_edge_states():
+    tiny = 5e-324
+    st = PitState(start=[
+        (1.0, 0.0), (0.0, 0.0), (0.0, 1.0), (0.0, tiny), (1.0, -1.0), (1.0, -tiny),
+        (0.5, 0.0), (0.5, tiny), (0.5, -tiny), (0.3, 1e-300), (0.7, -1e300),
+        (1e-300, -1.0), (1.0 - 2**-53, 3.0),
+    ])
+    _assert_offsets_match(st)
+    # a falling slot already at height 0, as a clamp can leave one
+    slot = st._slot_of[-2]
+    st._v[slot], st._tg[slot] = -2.0, 0.0
+    _assert_offsets_match(st)
+    with np.errstate(divide="ignore", over="ignore"):
+        assert math.copysign(1.0, st._hit_offsets()[slot]) == -1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=hs.integers(min_value=0, max_value=2**31))
+def test_hit_offsets_match_masked_formula_on_random_runs(seed):
+    # random starts (h = 0 and h = 1 included, flat and tiny slopes) and
+    # arrivals, so every scan also sees kinked slopes
+    rng = np.random.default_rng(seed)
+    start = [(1.0, 0.0)]
+    for _ in range(int(rng.integers(0, 12))):
+        h = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]))
+        v = float(rng.choice([0.0, 1e-300, -1e-300, rng.normal()]))
+        if (h == 0.0 and v < 0.0) or (h == 1.0 and v > 0.0) or (h, v) in start:
+            continue
+        start.append((h, v))
+    st = _CheckedOffsets(start=start, events=_random_events(seed, 40, lam=4.0))
+    st.advance()
+    assert st.resident_changes
 
 
 def _random_events(seed, count, lam=1.0):
