@@ -193,8 +193,8 @@ class PiecewisePath:
         return float(out) if np.isscalar(t) else out
 
 
-#: PitState's per-slot arrays, in the order _add_slot grows them
-_SLOT_ROWS = ("_h", "_v", "_c0", "_fb", "_tg", "_buf")
+#: PitState's per-slot rows, grown by _add_slot and compacted by _drop_slot
+_SLOT_ROWS = ("_h", "_v", "_c0", "_fb", "_tg")
 
 
 class _ArrivalFeed:
@@ -308,6 +308,7 @@ class PitState(_ArrivalFeed):
         cap = max(8, len(entries) + 4)
         for name in _SLOT_ROWS:
             setattr(self, name, np.zeros(cap))
+        self._buf = np.zeros(cap)
         self._n = 0
         self._slot_ids: list[int] = []
         self._slot_of: dict[int, int] = {}
@@ -361,6 +362,9 @@ class PitState(_ArrivalFeed):
                 grown = np.zeros(2 * arr.size)
                 grown[:n] = arr
                 setattr(self, name, grown)
+            self._buf = np.zeros(2 * n)
+        # a flat slope of -0.0 would make the flat offset (2 - h)/v read -inf
+        v = v + 0.0
         self._h[n] = h
         self._v[n] = v
         self._c0[n] = v
@@ -375,7 +379,8 @@ class PitState(_ArrivalFeed):
         dropped = self._slot_ids[slot]
         del self._slot_of[dropped]
         if slot != last:
-            for arr in (self._h, self._v, self._c0, self._fb, self._tg):
+            for name in _SLOT_ROWS:
+                arr = getattr(self, name)
                 arr[slot] = arr[last]
             moved = self._slot_ids[last]
             self._slot_ids[slot] = moved

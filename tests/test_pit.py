@@ -360,9 +360,11 @@ def test_hit_offsets_match_masked_formula_on_edge_states():
     st = PitState(start=[
         (1.0, 0.0), (0.0, 0.0), (0.0, 1.0), (0.0, tiny), (1.0, -1.0), (1.0, -tiny),
         (0.5, 0.0), (0.5, tiny), (0.5, -tiny), (0.3, 1e-300), (0.7, -1e300),
-        (1e-300, -1.0), (1.0 - 2**-53, 3.0),
+        (1e-300, -1.0), (1.0 - 2**-53, 3.0), (0.25, -0.0),
     ])
     _assert_offsets_match(st)
+    with np.errstate(divide="ignore", over="ignore"):
+        assert st._hit_offsets()[st._slot_of[-13]] == math.inf
     # a falling slot already at height 0, as a clamp can leave one
     slot = st._slot_of[-2]
     st._v[slot], st._tg[slot] = -2.0, 0.0
@@ -380,13 +382,25 @@ def test_hit_offsets_match_masked_formula_on_random_runs(seed):
     start = [(1.0, 0.0)]
     for _ in range(int(rng.integers(0, 12))):
         h = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]))
-        v = float(rng.choice([0.0, 1e-300, -1e-300, rng.normal()]))
+        v = float(rng.choice([0.0, -0.0, 1e-300, -1e-300, rng.normal()]))
         if (h == 0.0 and v < 0.0) or (h == 1.0 and v > 0.0) or (h, v) in start:
             continue
         start.append((h, v))
     st = _CheckedOffsets(start=start, events=_random_events(seed, 40, lam=4.0))
     st.advance()
     assert st.resident_changes
+
+
+def test_negative_zero_slope_is_flat():
+    # (2 - h)/-0.0 is -inf: a flat slot stored with that sign would be
+    # picked as the next hit at clock -inf and stall advance
+    st = PitState(start=[(1.0, 0.0), (0.5, -0.0)], events=[(0.4, 1.0)])
+    st.advance(until=3.0)
+    assert st.clock == 3.0
+    assert st.height(-1) == 0.0
+    assert [round(t, 12) for t, *_ in st.resident_changes] == [1.4]
+    assert math.copysign(1.0, st.types[-1].segments[0][2]) == -1.0
+    st.check_invariants()
 
 
 def _random_events(seed, count, lam=1.0):
