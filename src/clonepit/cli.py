@@ -299,6 +299,12 @@ def _validate(scn: Scenario):
         raise ConfigurationError(
             f"key '{sorted(stray)[0]}' does not apply to command {scn.command!r}"
         )
+    floats = {key: [getattr(scn, attr)] for key, (attr, conv) in _SCALARS.items() if conv is float}
+    floats["fitness"] = scn.fitness
+    floats["start"] = [x for row in scn.starts for x in row]
+    floats["event"] = [x for t, a, _ in scn.events for x in (t, a)]
+    for key, values in floats.items():
+        _require(all(map(math.isfinite, values)), key, "must be finite")
     _require(scn.replicates >= 1, "replicates", "must be at least 1")
     _require(scn.seed >= 0, "seed", "must be nonnegative")
     _require(scn.grid_step > 0, "grid_step", "must be positive")

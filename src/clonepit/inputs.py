@@ -36,6 +36,7 @@ import numpy as np
 from .rng import as_generator
 
 __all__ = [
+    "ConfigurationError",
     "survival_prob",
     "IncrementDistribution",
     "PointMass",
@@ -53,6 +54,11 @@ __all__ = [
     "sample_input_stream",
     "sample_contender_stream",
 ]
+
+
+class ConfigurationError(ValueError):
+    """Invalid start configuration, immigration sequence or parameters."""
+
 
 # Relative quadrature tolerance for rate*/tail integrals.
 _QUAD_RTOL = 1e-9
@@ -419,10 +425,12 @@ class InputEvent:
     contender: bool
 
     def __post_init__(self):
-        if not self.time >= 0:
-            raise ValueError(f"event time must be >= 0, got {self.time}")
-        if not self.increment > 0:
-            raise ValueError(f"event increment must be positive, got {self.increment}")
+        if not 0.0 <= self.time < math.inf:
+            raise ConfigurationError(f"event time must be finite and >= 0, got {self.time}")
+        if not 0.0 < self.increment < math.inf:
+            raise ConfigurationError(
+                f"event increment must be finite and positive, got {self.increment}"
+            )
 
 
 @dataclass(frozen=True)

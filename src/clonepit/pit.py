@@ -30,6 +30,8 @@ The check tolerance is absolute plus a small part relative to the fitness.
 event log and paths.  Runs that need only the resident changes (renewal
 cycles, fitness paths) use :class:`FitnessSkeleton`, which follows only the
 trajectories that can still become resident and yields the same changes.
+Both run one event loop, written once; each supplies only the storage
+steps (next hit offset, hit group, height move, hit and arrival updates).
 
 Event times are compared with an absolute tolerance of 1e-12; hits within
 that window of each other are processed as one simultaneous group
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inputs import InputEvent
+from .inputs import ConfigurationError, InputEvent
 
 __all__ = [
     "ConfigurationError",
@@ -78,22 +80,8 @@ def _check_tol(magnitude: float) -> float:
     return CHECK_TOL + CHECK_RTOL * abs(magnitude)
 
 
-class ConfigurationError(ValueError):
-    """Invalid start configuration, immigration sequence or parameters."""
-
-
 class InvariantViolation(RuntimeError):
     """An exact bookkeeping identity failed beyond tolerance."""
-
-
-def _forward_until(until, clock) -> float:
-    """``until`` as a float; ``advance`` runs forward, so not NaN nor below the clock."""
-    until = float(until)
-    if not until >= clock:
-        raise ConfigurationError(
-            f"advance(until={until}) needs until >= the clock {clock} (and not NaN)"
-        )
-    return until
 
 
 @dataclass(frozen=True)
@@ -111,6 +99,8 @@ class StartEntry:
         h, v = self.height, self.slope
         if not 0.0 <= h <= 1.0:
             raise ConfigurationError(f"start height must lie in [0,1], got {h}")
+        if not math.isfinite(v):
+            raise ConfigurationError(f"start slope must be finite, got {v}")
         if h == 0.0 and v < 0.0:
             raise ConfigurationError(f"start at height 0 needs slope >= 0, got {v}")
         if h == 1.0 and v > 0.0:
@@ -169,19 +159,15 @@ class StepPath:
         out = self.values[idx]
         return float(out) if np.isscalar(t) else out
 
-    def jumps(self):
-        return list(zip(self.times.tolist(), self.values.tolist()))
-
 
 class PiecewisePath:
     """Piecewise-linear trajectory given by (time, height, slope) breakpoints."""
 
-    def __init__(self, breakpoints, end_time: float):
+    def __init__(self, breakpoints):
         arr = np.asarray(breakpoints, dtype=float).reshape(-1, 3)
         self.t = arr[:, 0]
         self.h = arr[:, 1]
         self.v = arr[:, 2]
-        self.end_time = end_time
 
     def __call__(self, t):
         ts = np.asarray(t, dtype=float)
@@ -197,19 +183,71 @@ class PiecewisePath:
 _SLOT_ROWS = ("_h", "_v", "_c0", "_fb", "_tg")
 
 
-class _ArrivalFeed:
-    """Arrival stream and resident-change record shared by both engines.
+class _Engine:
+    """The event loop both engines share, with their arrival feed and record.
 
-    Holds one drawn but not yet applied arrival, checks that arrival times
-    strictly increase, and numbers arrivals without an index from 1 up.
+    :meth:`advance` races the next boundary hit against the next arrival,
+    groups hits by offset within ``TIME_EPS`` and applies each stamp as
+    extinctions, then the resident change, then the arrival.  An engine
+    supplies the storage steps: ``_next_offset()``, the offset of its next
+    hit (inf if none); ``_hit_group(cut)``, the hitters with offsets up to
+    ``cut``; ``_move(dt)``; ``_apply_hits(group)``, which returns the
+    solitary flag (False without a resident change); and ``_immigrate()``.
+
+    The feed holds one drawn but not yet applied arrival, checks that
+    arrival times strictly increase, and numbers arrivals without an index
+    from 1 up.
     """
 
-    def _open_feed(self, events):
+    def __init__(self, events, f0: float):
+        self.f0 = float(f0)
+        self.clock = 0.0
+        self.fitness = self.f0
+        #: compact (time, v_star, fitness_after, resident_id, solitary) tuples
+        self.resident_changes: list[tuple] = []
         self._events = iter(events)
         self._pending = None
         self._last_time = -math.inf
         self._auto_id = 1
         self._pull_event()
+
+    def advance(self, until: float = math.inf, *, stop_after_solitary: bool = False):
+        """Process all events up to ``until``; the clock ends at ``until``.
+
+        With ``stop_after_solitary`` the run returns right after the first
+        solitary resident change instead (and after an arrival carrying the
+        same timestamp), with the clock at that change.
+        """
+        until = float(until)
+        if not until >= self.clock:
+            raise ConfigurationError(
+                f"advance(until={until}) needs until >= the clock {self.clock} (and not NaN)"
+            )
+        while True:
+            off_min = self._next_offset()
+            t_hit = self.clock + off_min
+            t_imm = self._pending[0] if self._pending is not None else math.inf
+            t_next = min(t_hit, t_imm)
+            if t_next > until or t_next == math.inf:
+                if until < math.inf:
+                    self._move(until - self.clock)
+                    self.clock = until
+                return
+            # Group by offset, not by t_next - clock: at large clocks the
+            # absolute difference rounds below the true offset and can even
+            # collapse to zero, which would select nothing and stall.
+            group = None
+            if t_hit <= t_next + TIME_EPS:
+                group = self._hit_group(off_min + TIME_EPS)
+            take_imm = t_imm <= t_next + TIME_EPS
+
+            self._move(t_next - self.clock)
+            self.clock = t_next
+            solitary = group is not None and self._apply_hits(group)
+            if take_imm:
+                self._immigrate()
+            if stop_after_solitary and solitary:
+                return
 
     # Bare (time, slope) pairs stay beside InputEvent because the renewal
     # sampler feeds one pair per arrival.  An InputEvent per arrival there
@@ -263,7 +301,7 @@ class _ArrivalFeed:
         return StepPath(times, values)
 
 
-class PitState(_ArrivalFeed):
+class PitState(_Engine):
     """Mutable state of the trajectory system.
 
     Parameters
@@ -287,8 +325,7 @@ class PitState(_ArrivalFeed):
     """
 
     def __init__(self, start=None, events=(), f0: float = 0.0):
-        self.f0 = float(f0)
-
+        super().__init__(events, f0)
         if start is None:
             start = (StartEntry(1.0, 0.0),)
         entries = [e if isinstance(e, StartEntry) else StartEntry(*e) for e in start]
@@ -304,17 +341,17 @@ class PitState(_ArrivalFeed):
         # One row per active slot: height, slope, initial slope, resident
         # fitness at birth, and the height the slope is heading for (1 rising,
         # 0 falling, 2 flat: never reached, so the hit offset is inf).
-        # _buf is scratch for the hit offsets and then the height step.
+        # _buf is scratch for the hit offsets (_offs views the last scan)
+        # and then the height step.
         cap = max(8, len(entries) + 4)
         for name in _SLOT_ROWS:
             setattr(self, name, np.zeros(cap))
         self._buf = np.zeros(cap)
+        self._offs = self._buf[:0]
         self._n = 0
         self._slot_ids: list[int] = []
         self._slot_of: dict[int, int] = {}
 
-        self.clock = 0.0
-        self.fitness = self.f0
         self.resident_id = 0
         self.vstar_sum = 0.0
         #: upper bound for the total fitness gain: positive start slopes plus
@@ -322,8 +359,6 @@ class PitState(_ArrivalFeed):
         #: contributes at most its initial slope when it does)
         self.fitness_gain_bound = 0.0
         self.log: list[PitEvent] = []
-        #: compact (time, v_star, fitness_after, resident_id, solitary) tuples
-        self.resident_changes: list[tuple] = []
         self.types: dict[int, Trajectory] = {}
 
         next_start_id = -1
@@ -342,8 +377,6 @@ class PitState(_ArrivalFeed):
             else:
                 self.types[tid].status = "latent"
         self.types[0].status = "resident"
-
-        self._open_feed(events)
 
     # -- construction helpers --------------------------------------------
 
@@ -403,6 +436,15 @@ class PitState(_ArrivalFeed):
         np.subtract(self._tg[:n], self._h[:n], out=out)
         return np.divide(out, self._v[:n], out=out)
 
+    def _next_offset(self):
+        if not self._n:
+            return math.inf
+        self._offs = offs = self._hit_offsets()
+        return float(offs[int(offs.argmin())])
+
+    def _hit_group(self, cut):
+        return np.nonzero(self._offs <= cut)[0]
+
     # -- event application ---------------------------------------------------
 
     def _apply_extinction(self, tid):
@@ -417,16 +459,26 @@ class PitState(_ArrivalFeed):
             PitEvent(self.clock, "extinction", tid, 0.0, self.resident_id, self.fitness)
         )
 
-    def apply_resident_change(self, hitter_ids) -> PitEvent:
-        """Kink every positive-height trajectory and crown the new resident.
+    def _apply_hits(self, slots) -> bool:
+        """Apply the hits of ``slots`` at the clock: extinctions, then the resident change.
 
-        ``hitter_ids`` are the trajectories that reached height 1 at the
-        current clock (already pinned to height exactly 1).  The winner is
-        the hitter with maximal pre-hit slope, ties broken by smaller id.
+        The rising hitters are pinned to height 1; the one with maximal
+        pre-hit slope (ties to the smaller id) becomes the resident, and
+        every positive-height trajectory is kinked.  Returns the change's
+        solitary flag, False when no trajectory rose.
         """
-        hitters = sorted(hitter_ids)
-        slots = [self._slot_of[tid] for tid in hitters]
-        pre = np.asarray([self._v[s] for s in slots])
+        ids, vs = self._slot_ids, self._v
+        dying = [ids[s] for s in slots if vs[s] < 0.0]
+        rising = [ids[s] for s in slots if vs[s] > 0.0]
+        for tid in dying:
+            self._apply_extinction(tid)
+        if not rising:
+            return False
+        hitters = sorted(rising)
+        pinned = [self._slot_of[tid] for tid in hitters]
+        for s in pinned:
+            self._h[s] = 1.0
+        pre = np.asarray([vs[s] for s in pinned])
         v_star = float(pre.max())
         if not v_star > 0.0:
             raise InvariantViolation(
@@ -465,14 +517,14 @@ class PitState(_ArrivalFeed):
             )
 
         self._check_after_change(winner)
-
-        ev = PitEvent(
-            self.clock, "resident_change", winner, v_star, winner, self.fitness, solitary
+        self.log.append(
+            PitEvent(
+                self.clock, "resident_change", winner, v_star, winner, self.fitness, solitary
+            )
         )
-        self.log.append(ev)
-        return ev
+        return solitary
 
-    def _apply_immigration(self):
+    def _immigrate(self):
         t, slope, inc, tid = self._pending
         parent = self.resident_id
         self._add_type(tid, parent, t, 0.0, slope, inc, self.fitness + inc)
@@ -488,12 +540,12 @@ class PitState(_ArrivalFeed):
     def _check_after_change(self, winner):
         tol = _check_tol(self.fitness)
         drift = abs(self.fitness - self.f0 - self.vstar_sum)
-        if drift > tol:
+        if not drift <= tol:
             raise InvariantViolation(
                 f"fitness != f0 + sum of v* at t={self.clock} (drift {drift:.3e})"
             )
         mism = abs(self.fitness - self.types[winner].fitness)
-        if mism > tol:
+        if not mism <= tol:
             raise InvariantViolation(
                 f"resident fitness {self.fitness} != type fitness "
                 f"{self.types[winner].fitness} for {winner} at t={self.clock}"
@@ -501,7 +553,7 @@ class PitState(_ArrivalFeed):
         n = self._n
         implied = self._c0[:n] - (self.fitness - self._fb[:n])
         err = float(np.max(np.abs(self._v[:n] - implied))) if n else 0.0
-        if err > tol:
+        if not err <= tol:
             raise InvariantViolation(
                 f"slope-coupling identity violated at t={self.clock} (max err {err:.3e})"
             )
@@ -517,14 +569,14 @@ class PitState(_ArrivalFeed):
         top = np.nonzero((self._h[:n] == 1.0) & (self._v[:n] == 0.0))[0]
         ids = [self._slot_ids[s] for s in top]
         if self.resident_id not in ids or any(
-            abs(self.types[tid].fitness - self.fitness) > tol for tid in ids
+            not abs(self.types[tid].fitness - self.fitness) <= tol for tid in ids
         ):
             raise InvariantViolation(
                 f"trajectories {ids} at (1, 0){when}; only the resident "
                 f"{self.resident_id} and types tied with it may sit there"
             )
 
-    def _advance_heights(self, dt):
+    def _move(self, dt):
         """Move every slot by ``v * dt`` and clamp to [0, 1]; overwrites the scratch row."""
         n = self._n
         if dt > 0.0 and n:
@@ -538,81 +590,41 @@ class PitState(_ArrivalFeed):
         """Process all events up to ``until``; the clock ends at ``until``.
 
         With ``stop_after_solitary`` the run returns right after the first
-        solitary resident change instead (the clock then sits at that
-        change).  Every applied event is appended to :attr:`log`.
+        solitary resident change instead (and after an arrival carrying the
+        same timestamp), with the clock at that change.  Every applied event
+        is appended to :attr:`log`.
         """
-        until = _forward_until(until, self.clock)
+        # only flat slots divide by zero, and inf is their intended offset
         with np.errstate(divide="ignore"):
-            while True:
-                if self._n:
-                    offs = self._hit_offsets()
-                    slot_min = int(offs.argmin())
-                    off_min = float(offs[slot_min])
-                else:
-                    off_min = math.inf
-                t_hit = self.clock + off_min
-                t_imm = self._pending[0] if self._pending is not None else math.inf
-                t_next = min(t_hit, t_imm)
-                if t_next > until or t_next == math.inf:
-                    if until < math.inf:
-                        self._advance_heights(until - self.clock)
-                        self.clock = until
-                    return
-
-                if t_hit <= t_next + TIME_EPS:
-                    # Group by offset, not by t_next - clock: at large clocks
-                    # the absolute difference rounds below the true offset and
-                    # can even collapse to zero, which would select nothing
-                    # and stall.
-                    sel = np.nonzero(offs <= off_min + TIME_EPS)[0]
-                    dying = [self._slot_ids[s] for s in sel if self._v[s] < 0.0]
-                    rising = [self._slot_ids[s] for s in sel if self._v[s] > 0.0]
-                else:
-                    dying, rising = [], []
-                take_imm = t_imm <= t_next + TIME_EPS
-
-                self._advance_heights(t_next - self.clock)
-                self.clock = t_next
-
-                for tid in dying:
-                    self._apply_extinction(tid)
-                saw_solitary = False
-                if rising:
-                    for tid in rising:
-                        self._h[self._slot_of[tid]] = 1.0
-                    saw_solitary = bool(self.apply_resident_change(rising).solitary)
-                if take_imm:
-                    self._apply_immigration()
-                if stop_after_solitary and saw_solitary:
-                    return
+            super().advance(until, stop_after_solitary=stop_after_solitary)
 
     # -- derived views -------------------------------------------------------
 
     def trajectory_path(self, tid: int) -> PiecewisePath:
         """Piecewise-linear height path of type ``tid``."""
-        return PiecewisePath(self.types[tid].segments, self.clock)
+        return PiecewisePath(self.types[tid].segments)
 
     def check_invariants(self):
         """Run all closing checks; raises :class:`InvariantViolation` on failure."""
         n = self._n
         if n:
             h = self._h[:n]
-            if h.min() < 0.0 or h.max() > 1.0:
+            if not (h.min() >= 0.0 and h.max() <= 1.0):
                 raise InvariantViolation("height outside [0, 1]")
         tol = _check_tol(self.fitness)
         self._check_top(tol)
         drift = abs(self.fitness - self.f0 - self.vstar_sum)
-        if drift > tol:
+        if not drift <= tol:
             raise InvariantViolation(f"fitness != f0 + sum of v* (drift {drift:.3e})")
         bound = self.fitness_gain_bound
-        if self.fitness - self.f0 > bound + tol:
+        if not self.fitness - self.f0 <= bound + tol:
             raise InvariantViolation(
                 f"fitness gain {self.fitness - self.f0} exceeds increment bound {bound}"
             )
         for tid, traj in self.types.items():
             if traj.parent is not None:
                 expect = self.types[traj.parent].fitness + traj.increment
-                if abs(traj.fitness - expect) > _check_tol(expect):
+                if not abs(traj.fitness - expect) <= _check_tol(expect):
                     raise InvariantViolation(
                         f"type {tid} fitness {traj.fitness} != parent + increment {expect}"
                     )
@@ -642,7 +654,7 @@ class PitState(_ArrivalFeed):
         return float(self._v[slot])
 
 
-class FitnessSkeleton(_ArrivalFeed):
+class FitnessSkeleton(_Engine):
     """Resident changes of the trajectory system started from one resident.
 
     Produces the ``resident_changes`` of a :class:`PitState` run on the same
@@ -658,57 +670,28 @@ class FitnessSkeleton(_ArrivalFeed):
       is strictly above that of every kept trajectory.
 
     The kept trajectories are all rising and are held in arrival order,
-    which is also the order of increasing slope.  The event rules are those
-    of :meth:`PitState.advance`, and heights move in the same steps, except
-    that the extinctions the skeleton never sees are not steps here; times
-    and fitness therefore agree with :class:`PitState` up to rounding.
+    which is also the order of increasing slope.  It runs the same event
+    loop as :class:`PitState` on its own storage, and heights move in the
+    same steps, except that the extinctions the skeleton never sees are not
+    steps here; times and fitness therefore agree with :class:`PitState` up
+    to rounding.
     """
 
     def __init__(self, events=()):
-        self.f0 = 0.0
-        self.clock = 0.0
-        self.fitness = self.f0
-        #: compact (time, v_star, fitness_after, resident_id, solitary) tuples
-        self.resident_changes: list[tuple] = []
+        super().__init__(events, 0.0)
         self._ids: list[int] = []
         self._h: list[float] = []
         self._v: list[float] = []
-        self._open_feed(events)
+        #: hit offsets of the last scan, read by _hit_group
+        self._offs: list[float] = []
 
-    def advance(self, until: float = math.inf, *, stop_after_solitary: bool = False):
-        """Process all events up to ``until``; the clock ends at ``until``.
+    def _next_offset(self):
+        self._offs = offs = [(1.0 - h) / v for h, v in zip(self._h, self._v)]
+        # not min(offs, default=inf): the keyword makes each call ~3x slower
+        return min(offs) if offs else math.inf
 
-        With ``stop_after_solitary`` the run returns right after the first
-        solitary resident change instead (and after an arrival carrying the
-        same timestamp), with the clock at that change.
-        """
-        until = _forward_until(until, self.clock)
-        hs, vs = self._h, self._v
-        while True:
-            offs = [(1.0 - h) / v for h, v in zip(hs, vs)]
-            off_min = min(offs, default=math.inf)
-            t_hit = self.clock + off_min
-            t_imm = self._pending[0] if self._pending is not None else math.inf
-            t_next = min(t_hit, t_imm)
-            if t_next > until or t_next == math.inf:
-                if until < math.inf:
-                    self._move(until - self.clock)
-                    self.clock = until
-                return
-            hitters = None
-            if t_hit <= t_next + TIME_EPS:
-                # grouped by offset, as in PitState.advance
-                cut = off_min + TIME_EPS
-                hitters = [k for k, off in enumerate(offs) if off <= cut]
-            take_imm = t_imm <= t_next + TIME_EPS
-
-            self._move(t_next - self.clock)
-            self.clock = t_next
-            solitary = hitters is not None and self._resident_change(hitters)
-            if take_imm:
-                self._immigrate()
-            if stop_after_solitary and solitary:
-                return
+    def _hit_group(self, cut):
+        return [k for k, off in enumerate(self._offs) if off <= cut]
 
     def _move(self, dt):
         if dt > 0.0:
@@ -717,10 +700,11 @@ class FitnessSkeleton(_ArrivalFeed):
                 h = hs[k] + v * dt
                 hs[k] = h if h < 1.0 else 1.0
 
-    def _resident_change(self, hitters) -> bool:
+    def _apply_hits(self, hitters) -> bool:
         """Crown the steepest hitter (smaller id on ties), kink and prune the rest.
 
-        ``hitters`` are positions in the kept lists.  Returns the solitary flag.
+        ``hitters`` are positions in the kept lists; all of them rise, so
+        every group is a resident change.  Returns its solitary flag.
         """
         ids, hs, vs = self._ids, self._h, self._v
         win = min(hitters, key=lambda k: (-vs[k], ids[k]))

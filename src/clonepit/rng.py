@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_generator", "replicate_rng", "UniformBuffer"]
+__all__ = ["as_generator", "replicate_rng", "UNIFORM_BLOCK", "UniformBuffer"]
 
 
 def as_generator(seed_or_rng) -> np.random.Generator:
@@ -29,29 +29,33 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
+#: variates per block drawn by :class:`UniformBuffer`
+UNIFORM_BLOCK = 8192
+
+
 class UniformBuffer:
     """Uniform(0,1) variates drawn in blocks, consumed one at a time.
 
     Tight event loops pay a noticeable per-call cost for scalar Generator
-    draws; drawing blocks of 8192 amortises it while consuming the stream in
-    a fixed documented order (block by block, left to right), so runs remain
-    reproducible for a given generator state.  The first block is drawn on
-    the first :meth:`next`, so a buffer that is never read takes nothing
-    from the stream, and values are handed out as Python floats.
+    draws; drawing blocks of :data:`UNIFORM_BLOCK` amortises it while
+    consuming the stream in a fixed documented order (block by block, left
+    to right), so runs remain reproducible for a given generator state.
+    The first block is drawn on the first :meth:`next`, so a buffer that is
+    never read takes nothing from the stream, and values are handed out as
+    Python floats.
     """
 
-    __slots__ = ("_rng", "_block", "_buf", "_pos")
+    __slots__ = ("_rng", "_buf", "_pos")
 
-    def __init__(self, rng: np.random.Generator, block: int = 8192):
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._block = int(block)
         self._buf: list[float] = []
-        self._pos = self._block
+        self._pos = UNIFORM_BLOCK
 
     def next(self) -> float:
         pos = self._pos
-        if pos == self._block:
-            self._buf = self._rng.random(self._block).tolist()
+        if pos == UNIFORM_BLOCK:
+            self._buf = self._rng.random(UNIFORM_BLOCK).tolist()
             pos = 0
         self._pos = pos + 1
         return self._buf[pos]

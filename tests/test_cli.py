@@ -295,6 +295,35 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command, text, flags, key", [
+        # a NaN start slope used to hang the replay
+        ("pit-replay", "start = 0.5, nan\nevent = 0.1, 1\n", [], "start"),
+        # an infinite increment used to exit 0 with final_fitness Infinity
+        ("pit-replay", "event = 0.1, inf\n", [], "event"),
+        ("pit-replay", "event = nan, 1\n", [], "event"),
+        ("moran-run", "n = 200\nhorizon = 1\ncounts = 150, 50\nfitness = 0, nan\n", [],
+         "fitness"),
+        # these three used to end in an OverflowError traceback, exit 1
+        ("pit-run", "lambda = 1\ngamma = pointmass(1)\nhorizon = inf\n", [], "horizon"),
+        ("fclt", "lambda = 1\ngamma = pointmass(1)\nscale = inf\nreplicates = 2\n", [],
+         "scale"),
+        ("pit-run", "lambda = 1\ngamma = pointmass(1)\nhorizon = 1\n", ["--horizon", "inf"],
+         "horizon"),
+        # and this one in an IndexError traceback
+        ("moran-run", "n = 200\nhorizon = inf\ncounts = 150, 50\nfitness = 0, 1\n", [],
+         "horizon"),
+        ("moran-run", "n = 200\nhorizon = 1\ncounts = 150, 50\nfitness = 0, 1\n",
+         ["--grid-step", "nan"], "grid_step"),
+        ("speed", "lambda = -inf\ngamma = pointmass(1)\nhorizon = 10\n", [], "lambda"),
+        ("pit-replay", "f0 = nan\nevent = 0.1, 1\n", [], "f0"),
+        ("gw", "birth = inf\ndeath = 1\n", [], "birth"),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, command, text, flags, key):
+        cfg = write_cfg(tmp_path, f"command = {command}\n{text}")
+        assert main([command, "--config", cfg, "--out", str(tmp_path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{key}': must be finite" in err
+
 
 # One small seeded scenario per command that writes CSV or JSONL (two for
 # pit-run), with the sha256 of every such artifact.  summary.json is left

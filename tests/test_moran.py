@@ -19,7 +19,7 @@ from clonepit import (
     write_trace_csv,
 )
 from clonepit.pit import ConfigurationError, _fmt
-from clonepit.rng import UniformBuffer, replicate_rng
+from clonepit.rng import UNIFORM_BLOCK, UniformBuffer, replicate_rng
 
 
 class TestInit:
@@ -353,13 +353,14 @@ class TestTwoTypeWalk:
 
 def test_uniform_buffer_draws_lazily():
     rng = np.random.default_rng(5)
-    buf = UniformBuffer(rng, block=16)
+    buf = UniformBuffer(rng)
     # nothing is drawn before the first next()
     assert rng.random() == np.random.default_rng(5).random()
     ref = np.random.default_rng(5)
     ref.random()
-    expected = ref.random(32)
-    got = [buf.next() for _ in range(32)]
+    # two blocks, read across the edge: one stream in order, as Python floats
+    expected = ref.random(2 * UNIFORM_BLOCK)
+    got = [buf.next() for _ in range(2 * UNIFORM_BLOCK)]
     assert all(type(u) is float for u in got)
     assert got == expected.tolist()
 

@@ -147,6 +147,68 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             st.advance()
 
+    @pytest.mark.parametrize("slope", [math.nan, math.inf, -math.inf])
+    def test_start_slope_must_be_finite(self, slope):
+        # a NaN slope used to make advance(2.0) spin forever
+        with pytest.raises(ConfigurationError, match="finite"):
+            PitState(start=[(1.0, 0.0), (0.5, slope)])
+
+    @pytest.mark.parametrize("time, increment", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan), (0.1, math.inf),
+    ])
+    def test_input_event_must_be_finite(self, time, increment):
+        with pytest.raises(ConfigurationError, match="finite"):
+            InputEvent(1, time, increment, True)
+
+
+class TestChecksSeeNaN:
+    """Each identity check raises on a NaN residual instead of passing it."""
+
+    def _state(self):
+        st = PitState(start=[(1.0, 0.0), (0.5, 1.0), (0.2, 0.5)])
+        st.advance(until=0.3)
+        st.check_invariants()
+        return st
+
+    def test_nan_fitness_fails_every_check(self):
+        st = self._state()
+        st.fitness = math.nan
+        with pytest.raises(InvariantViolation):
+            st.check_invariants()
+        with pytest.raises(InvariantViolation):
+            st._check_after_change(st.resident_id)
+
+    def test_nan_vstar_sum_fails_the_drift_check(self):
+        st = self._state()
+        st.vstar_sum = math.nan
+        with pytest.raises(InvariantViolation, match="sum of v"):
+            st.check_invariants()
+        with pytest.raises(InvariantViolation, match="sum of v"):
+            st._check_after_change(st.resident_id)
+
+    def test_nan_slope_fails_the_coupling_check(self):
+        st = self._state()
+        st._v[st._slot_of[-1]] = math.nan
+        with pytest.raises(InvariantViolation, match="slope-coupling"):
+            st._check_after_change(st.resident_id)
+
+    def test_nan_height_fails_the_range_check(self):
+        st = self._state()
+        st._h[st._slot_of[-2]] = math.nan
+        with pytest.raises(InvariantViolation, match=r"outside \[0, 1\]"):
+            st.check_invariants()
+
+    def test_nan_type_fitness_fails_the_parent_and_top_checks(self):
+        st = self._state()
+        st.types[0].fitness = math.nan
+        with pytest.raises(InvariantViolation, match="at \\(1, 0\\)"):
+            st._check_top(1e-9)
+        st = PitState(events=[(0.1, 1.0)])
+        st.advance(until=0.5)
+        st.types[1].fitness = math.nan
+        with pytest.raises(InvariantViolation, match="parent \\+ increment"):
+            st.check_invariants()
+
 
 @pytest.mark.parametrize("engine", [PitState, FitnessSkeleton])
 class TestAdvanceRunsForward:
