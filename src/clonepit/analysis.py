@@ -161,7 +161,10 @@ def sample_renewal_cycles(law: ContenderLaw, n_cycles: int, rng, *, collect_even
     Every cycle reads its arrivals from one :class:`~clonepit.inputs.ArrivalBuffer`,
     which draws gaps and increments in blocks of
     :data:`~clonepit.inputs.ARRIVAL_BLOCK`; ``collect_events`` returns only
-    the arrivals the cycles consumed, not the rest of the last block.
+    the arrivals the cycles consumed, not the rest of the last block.  The
+    first cycle sums its gaps as :func:`~clonepit.inputs.sample_contender_stream`
+    does, so on the same generator state its arrivals are the first ones of
+    that stream.
 
     Cycle lengths must have finite mean (finite mean of the contender
     increment law) or this will effectively not terminate.

@@ -50,7 +50,6 @@ __all__ = [
     "ARRIVAL_BLOCK",
     "ArrivalBuffer",
     "contender_params",
-    "sample_increment",
     "sample_input_stream",
     "sample_contender_stream",
 ]
@@ -249,10 +248,21 @@ class Pareto(IncrementDistribution):
             raise ValueError(f"pareto scale must be positive, got {self.scale}")
         if not self.alpha > 0:
             raise ValueError(f"pareto alpha must be positive, got {self.alpha}")
+        # The largest draw comes from the smallest 1 - u, which is 2**-53.
+        try:
+            top = self.scale * (2.0**-53) ** (-1.0 / self.alpha)
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ValueError(
+                f"pareto({self.scale!r},{self.alpha!r}) can draw inf: its largest "
+                f"draw, scale * 2**(53/alpha), overflows a float"
+            )
 
     def sample(self, rng, size=None):
         u = as_generator(rng).random(size)
-        # 1 - u lies in (0, 1], so the quantile never overflows to inf.
+        # 1 - u lies in [2**-53, 1], and __post_init__ refused any law whose
+        # quantile at 2**-53 overflows, so no draw is inf.
         return self.scale * (1.0 - u) ** (-1.0 / self.alpha)
 
     def mean(self):
@@ -382,11 +392,6 @@ def parse_distribution(text: str) -> IncrementDistribution:
     raise ValueError(f"unknown distribution kind {kind!r} in {text!r}")
 
 
-def sample_increment(gamma: IncrementDistribution, rng, size=None):
-    """Draw one (or ``size``) increments from ``gamma``."""
-    return gamma.sample(as_generator(rng), size)
-
-
 def _scaled_exp1(x: float) -> float:
     """``exp(x) * E1(x)`` without overflow for large ``x``."""
     if x < 500.0:
@@ -447,10 +452,12 @@ class ContenderLaw:
     base: IncrementDistribution | None = None
     explicit: IncrementDistribution | None = None
 
+    def __post_init__(self):
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError(f"arrival rate must be positive and finite, got {self.rate}")
+
     @staticmethod
     def direct(rate: float, dist: IncrementDistribution) -> "ContenderLaw":
-        if not rate > 0:
-            raise ValueError(f"contender rate must be positive, got {rate}")
         return ContenderLaw(rate=rate, explicit=dist)
 
     def expect(self, g, lower: float = 0.0, include_lower: bool = True) -> float:
@@ -513,10 +520,9 @@ class ArrivalBuffer:
     ``rng.exponential(1 / law.rate, ARRIVAL_BLOCK)`` and then as many
     increments with ``law.sample(rng, ARRIVAL_BLOCK)``; :meth:`next` hands
     the pairs out left to right as Python floats.  The first block is drawn
-    on the first :meth:`next`.  This draw order differs from that of
-    :func:`sample_contender_stream`, which draws every time up to its
-    horizon before any increment, so the same generator state gives the two
-    different streams.
+    on the first :meth:`next`.  It is the one arrival sampler:
+    :func:`sample_contender_stream` and :func:`sample_input_stream` cut its
+    stream at a horizon, and the renewal sampler reads it cycle after cycle.
     """
 
     __slots__ = ("_rng", "_law", "_buf", "_pos")
@@ -550,20 +556,23 @@ def contender_params(lam: float, gamma: IncrementDistribution) -> ContenderLaw:
     return ContenderLaw(rate=rate, base_rate=lam, base=gamma)
 
 
-def _poisson_times(rate: float, horizon: float, rng) -> np.ndarray:
-    times = []
-    t = 0.0
-    chunk = max(64, int(rate * horizon * 1.2) + 16)
-    while True:
-        gaps = rng.exponential(1.0 / rate, chunk)
-        cum = t + np.cumsum(gaps)
-        if cum[-1] >= horizon:
-            times.append(cum[cum < horizon])
-            break
-        times.append(cum)
-        t = cum[-1]
-        chunk = max(64, chunk // 4)
-    return np.concatenate(times) if times else np.empty(0)
+def _horizon_cut(law: ContenderLaw, horizon: float, rng) -> list[tuple[float, float]]:
+    """``(time, increment)`` pairs of the arrivals of ``law`` on ``[0, horizon)``.
+
+    Reads an :class:`ArrivalBuffer` and sums its gaps one by one, in the
+    order :func:`~clonepit.analysis.sample_renewal_cycles` sums them; the
+    arrival at or past ``horizon`` ends the cut and is dropped.
+    """
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    arrivals = ArrivalBuffer(law, rng)
+    pairs = []
+    t, a = arrivals.next()
+    while t < horizon:
+        pairs.append((t, a))
+        gap, a = arrivals.next()
+        t += gap
+    return pairs
 
 
 def sample_input_stream(
@@ -571,35 +580,29 @@ def sample_input_stream(
 ) -> list[InputEvent]:
     """Candidate mutations on ``[0, horizon)``: Poisson times, increments, flags.
 
-    Events are indexed from 1 in time order.  Each candidate independently
-    becomes a contender with probability ``survival_prob(increment)``.
+    The times and increments are the horizon cut of an :class:`ArrivalBuffer`
+    at rate ``lam`` with increments from ``gamma``; the contender flags are
+    drawn after it as one block of uniforms.  Events are indexed from 1 in
+    time order.  Each candidate independently becomes a contender with
+    probability ``survival_prob(increment)``.
     """
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
     rng = as_generator(rng)
-    times = _poisson_times(lam, horizon, rng)
-    n = times.size
-    incs = np.asarray(gamma.sample(rng, n)) if n else np.empty(0)
-    flags = rng.random(n) < incs / (1.0 + incs) if n else np.empty(0, dtype=bool)
+    pairs = _horizon_cut(ContenderLaw.direct(lam, gamma), horizon, rng)
+    flags = rng.random(len(pairs)).tolist()
     return [
-        InputEvent(i + 1, float(times[i]), float(incs[i]), bool(flags[i]))
-        for i in range(n)
+        InputEvent(i, t, a, u < a / (1.0 + a))
+        for i, ((t, a), u) in enumerate(zip(pairs, flags), 1)
     ]
 
 
 def sample_contender_stream(law: ContenderLaw, horizon: float, rng) -> list[InputEvent]:
     """Contender stream on ``[0, horizon)``; every event carries ``contender=True``.
 
+    The stream is the horizon cut of an :class:`ArrivalBuffer`, so on the
+    same generator state its arrivals are those the renewal sampler reads.
     Driving the trajectory system with this stream is equivalent in law to
     driving it with the full candidate stream, because non-contenders never
     leave height zero.
     """
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    rng = as_generator(rng)
-    times = _poisson_times(law.rate, horizon, rng)
-    n = times.size
-    incs = np.asarray(law.sample(rng, n)) if n else np.empty(0)
-    return [InputEvent(i + 1, float(times[i]), float(incs[i]), True) for i in range(n)]
+    pairs = _horizon_cut(law, horizon, rng)
+    return [InputEvent(i, t, a, True) for i, (t, a) in enumerate(pairs, 1)]

@@ -195,8 +195,9 @@ class _Engine:
     solitary flag (False without a resident change); and ``_immigrate()``.
 
     The feed holds one drawn but not yet applied arrival, checks that
-    arrival times strictly increase, and numbers arrivals without an index
-    from 1 up.
+    arrival times are finite, at least 0 and strictly increasing and that a
+    bare pair's slope is finite, and numbers arrivals without an index from
+    1 up.
     """
 
     def __init__(self, events, f0: float):
@@ -207,7 +208,8 @@ class _Engine:
         self.resident_changes: list[tuple] = []
         self._events = iter(events)
         self._pending = None
-        self._last_time = -math.inf
+        # the largest float below 0.0: times must exceed it, so none is negative
+        self._last_time = -math.ulp(0.0)
         self._auto_id = 1
         self._pull_event()
 
@@ -272,10 +274,13 @@ class _Engine:
         else:
             t, slope = ev
             t, slope, idx = float(t), float(slope), None
+            if not math.isfinite(slope):
+                raise ConfigurationError(f"immigration slope must be finite, got {slope}")
             inc = slope
-        if t <= self._last_time:
+        if not self._last_time < t < math.inf:
+            after = f" after {self._last_time}" if self._last_time >= 0.0 else ""
             raise ConfigurationError(
-                f"immigration times must be strictly increasing, got {t} after {self._last_time}"
+                f"immigration times must be finite, >= 0 and strictly increasing, got {t}{after}"
             )
         self._last_time = t
         if idx is None:

@@ -160,6 +160,14 @@ class TestRenewalSampling:
         assert [a for _, a in events] == incs[: len(events)]
         np.testing.assert_allclose([t for t, _ in events], times[: len(events)],
                                    rtol=1e-12)
+        # the horizon-cut stream reads the same arrivals, summed in the same
+        # order, so it equals the twin's cumsum cut at the horizon exactly
+        horizon = float(times[-1])
+        cut = [(e.time, e.increment) for e in
+               sample_contender_stream(law, horizon, replicate_rng(5, 0))]
+        assert len(cut) == len(times) - 1 > 2 * ARRIVAL_BLOCK
+        assert cut == list(zip(times[:-1].tolist(), incs[:-1]))
+        assert cut[: len(first)] == first
 
     def test_frozen_speeds_2000_cycles(self):
         # seeded end-to-end regression of the sampler and the estimator

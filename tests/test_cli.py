@@ -289,6 +289,8 @@ class TestExitCodes:
         ("pit-replay", "event = -0.5, 1\n"),
         ("moran-run", "n = 200\nhorizon = 1\nevent = -0.5, 1\n"),
         ("moran-run", "n = 200\nhorizon = 1\nevent = 0.5, -1.0\n"),
+        # a law that can draw inf used to end in an OverflowError traceback, exit 1
+        ("moran-run", "n = 200\nhorizon = 1\nlambda = 5\ngamma = pareto(1,0.001)\n"),
     ])
     def test_malformed_row_exits_2(self, tmp_path, capsys, command, text):
         cfg = write_cfg(tmp_path, f"command = {command}\n{text}")
@@ -327,9 +329,8 @@ class TestExitCodes:
 
 # One small seeded scenario per command that writes CSV or JSONL (two for
 # pit-run), with the sha256 of every such artifact.  summary.json is left
-# out: it carries the wall time and the build tag.  The speed and fclt
-# digests follow the block draw order of the renewal sampler's arrivals
-# (inputs.ArrivalBuffer).
+# out: it carries the wall time and the build tag.  Every sampled stream
+# follows the block draw order of inputs.ArrivalBuffer.
 FROZEN_ARTIFACTS = {
     "pit-replay": (REPLAY_CFG, {
         "events.csv": "41172337b0de5ec8dfafababa7f28b3bf26ae33f4b168a09e4cca1993a379d7d",
@@ -338,12 +339,12 @@ FROZEN_ARTIFACTS = {
     "pit-run": (
         "command = pit-run\nlambda = 20\ngamma = uniform(1,2)\nhorizon = 2\n"
         "replicates = 2\nseed = 3\n", {
-            "events_r000.csv": "48965341653f9f21e3108671242fc87a8b9ee41fe57a40e9a23fe40243044a2c",
-            "events_r001.csv": "803dc8109d3a69b36c541736391f3489f9c356b29d06ce07173ae15ec973061b",
+            "events_r000.csv": "a122d45adcfa8865aeb8a59fcff47d7555d217b1e14f2da2b962090e6bf2787c",
+            "events_r001.csv": "99cf1c1af9d99e8b67f67ecba797b762e70e7c7fb97a5216cc273afb778116d7",
             "trajectories_r000.jsonl":
-                "c3dadcfc275f4a209e871efc0f5dd7a3c694f16868daf4ecf4396e871aa6a843",
+                "5aa471db3fa41cc714cda53551c2985588fd1e16b46bab46fbfddbf0612320cb",
             "trajectories_r001.jsonl":
-                "3d79eff0d133118e5ba04de83b1bbe8e99f07ef60a4e7dfd00c1f96c2b278e3d",
+                "dafb34517f22978d5e10e249839564fcf867a3b4c62f0ceb80e8653ba9d99be6",
         }),
     "speed": (
         "command = speed\nlambda = 1\ngamma = pointmass(1)\nhorizon = 50\n"
@@ -375,12 +376,12 @@ FROZEN_ARTIFACTS = {
     "pit-run-dense": (
         "command = pit-run\nlambda = 1000\ngamma = uniform(1,2)\nhorizon = 1\n"
         "replicates = 2\nseed = 1\n", {
-            "events_r000.csv": "0e31d0e312c63c0bc75e8a161f2f528ca9768953778b582e1c43bb5642f50b44",
-            "events_r001.csv": "788f20748ca18bff80e26de207fac7bb58837edd2bb2d5037c6723d7b627a8cf",
+            "events_r000.csv": "7cebcfb1fc0a5fbdbd70d956cf4a59dda5e81dd45fc630fc6a559a91913d5b03",
+            "events_r001.csv": "bae38a57287d747dd489817903219f617f5d31ae6d1a4cfdb46a88355d986ba5",
             "trajectories_r000.jsonl":
-                "52ac48ecc62b5a06a49cbfb311d53cc71a32f311800a54d6f1d33360ac4e31ae",
+                "95c7115c5337ca84d6c91776c24dcacf96caef87aa2491006462c615fc27b7e9",
             "trajectories_r001.jsonl":
-                "68ef14b310a2134b11ef0d66904cbf09edea5b564b194146d22b7143e939da16",
+                "6ddb56bde0b11ae430788e122ab7138e05a4728f9f0d721894bd88d177fd70a8",
         }),
 }
 

@@ -17,7 +17,6 @@ from clonepit import (
     contender_params,
     parse_distribution,
     sample_contender_stream,
-    sample_increment,
     sample_input_stream,
     survival_prob,
 )
@@ -73,6 +72,18 @@ class TestDistributions:
             Pareto(1.0, 0.0)
         with pytest.raises(ValueError):
             Mixture((0.4, 0.4), (PointMass(1.0), PointMass(2.0)))
+
+    def test_pareto_refuses_laws_that_draw_inf(self):
+        # the largest draw, scale * 2**(53/alpha), overflows for alpha below 53/1024
+        with pytest.raises(ValueError, match="inf"):
+            Pareto(1.0, 0.05)
+        with pytest.raises(ValueError, match="inf"):
+            parse_distribution("pareto(1,0.01)")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_accepted_heavy_pareto_draws_are_finite(self):
+        x = Pareto(1.0, 0.06).sample(np.random.default_rng(12), 10**6)
+        assert np.isfinite(x).all()
 
     def test_mixture_mean(self):
         d = Mixture((0.5, 0.5), (PointMass(1.0), Exponential(1.0)))
@@ -135,6 +146,15 @@ class TestContenderLaw:
         assert law.mean_increment() == pytest.approx(1.0)
         with pytest.raises(ValueError):
             ContenderLaw.direct(0.0, Exponential(1.0))
+
+    def test_rate_must_be_finite(self):
+        # an infinite rate draws gaps of 0.0, so no horizon cut would end
+        with pytest.raises(ValueError, match="finite"):
+            contender_params(math.inf, PointMass(1.0))
+        with pytest.raises(ValueError, match="finite"):
+            ContenderLaw.direct(math.inf, PointMass(1.0))
+        with pytest.raises(ValueError, match="finite"):
+            sample_input_stream(math.inf, PointMass(1.0), 1.0, np.random.default_rng(0))
 
     def test_tail_excludes_atom_inverse_tail_includes_it(self):
         law = ContenderLaw.direct(1.0, PointMass(2.0))
@@ -217,7 +237,15 @@ class TestStreams:
         se = math.sqrt(law.rate / horizon)
         assert abs(rate - law.rate) < 4 * se
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="horizon"):
+            sample_contender_stream(contender_params(1.0, PointMass(1.0)), horizon, rng)
+        with pytest.raises(ValueError, match="horizon"):
+            sample_input_stream(1.0, PointMass(1.0), horizon, rng)
+
     def test_sample_increment_pointmass(self):
         rng = np.random.default_rng(6)
-        assert sample_increment(PointMass(3.0), rng) == 3.0
-        assert sample_increment(PointMass(3.0), rng, size=4).shape == (4,)
+        assert PointMass(3.0).sample(rng) == 3.0
+        assert PointMass(3.0).sample(rng, 4).shape == (4,)

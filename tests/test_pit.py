@@ -161,6 +161,22 @@ class TestValidation:
             InputEvent(1, time, increment, True)
 
 
+@pytest.mark.parametrize("events", [
+    # an infinite slope used to make the skeleton's advance spin forever
+    [(0.1, math.inf), (0.5, 1.0)],
+    [(0.1, math.nan), (0.5, 1.0)],
+    # a NaN time used to stay pending for good and drop every later arrival
+    [(0.1, 1.0), (math.nan, 1.0), (0.5, 2.0)],
+    [(0.1, 1.0), (math.inf, 1.0)],
+    # a negative time used to run the clock back
+    [(-1.0, 1.0), (0.5, 2.0)],
+])
+@pytest.mark.parametrize("engine", [PitState, FitnessSkeleton])
+def test_bare_pairs_are_checked_like_input_events(engine, events):
+    with pytest.raises(ConfigurationError):
+        engine(events=events).advance(until=1.0)
+
+
 class TestChecksSeeNaN:
     """Each identity check raises on a NaN residual instead of passing it."""
 
