@@ -29,9 +29,8 @@ from .inputs import (
 )
 from .moran import moran_init, moran_run
 from .pit import (
-    TIME_EPS,
     ConfigurationError,
-    FitnessSkeleton,
+    FitnessRows,
     PitState,
     StepPath,
     _fmt,
@@ -69,7 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RenewalRecord:
     """One regeneration cycle: its duration and the fitness gained in it."""
 
@@ -109,11 +108,11 @@ def pointmass_speed(lam: float, c: float) -> float:
 def detect_renewals(engine):
     """Extract regeneration times and cycle records from a completed run.
 
-    ``engine`` is a :class:`~clonepit.pit.PitState` or a
-    :class:`~clonepit.pit.FitnessSkeleton`; its ``resident_changes`` and
-    ``f0`` are read.  A resident change counts as a regeneration when every
-    trajectory left at positive height has nonpositive slope (up to the
-    engine's slope tolerance); the engine stamps that flag on each change.
+    ``engine`` is a :class:`~clonepit.pit.PitState`, or anything else with
+    its ``resident_changes`` and ``f0``; those two are read.  A resident
+    change counts as a regeneration when every trajectory left at positive
+    height has nonpositive slope (up to the engine's slope tolerance); the
+    engine stamps that flag on each change.
     Returns ``(times, records)``; anything after the last regeneration is an
     incomplete cycle and produces no record.
     """
@@ -143,67 +142,46 @@ def speed_estimate(records) -> SpeedEstimate:
     return SpeedEstimate(v_hat, stderr, len(records), sigma2)
 
 
+def _require_count(name: str, value, least: int) -> int:
+    """``value`` as an int, refused unless it is an integer of at least ``least``."""
+    if isinstance(value, bool) or not float(value).is_integer() or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def sample_renewal_cycles(law: ContenderLaw, n_cycles: int, rng, *, collect_events=False):
     """Simulate ``n_cycles`` regeneration cycles of the trajectory system.
 
-    The system regenerates at each qualifying resident change, so instead of
-    one long run the sampler restarts from a fresh single-resident state per
-    cycle while the arrival stream continues uninterrupted (an arrival drawn
-    beyond a cycle's end is carried into the next cycle).  Each cycle runs
-    on its own clock starting at zero, keeping the time resolution
-    independent of how many cycles have elapsed.  Trajectories surviving a
-    regeneration with nonpositive slope can never become resident or shift
-    the fitness again, so dropping them leaves every record identical to a
-    single uninterrupted run over the same stream; with ``collect_events``
-    that stream is also returned as absolute ``(time, slope)`` pairs so the
-    equivalence can be replayed.
+    The system regenerates at each qualifying resident change: every
+    trajectory left then has nonpositive slope, so it can never become
+    resident or shift the fitness again, and the system is back in its
+    state at time zero.  The cycles are therefore i.i.d., and the sampler
+    runs many at once, one per row of a :meth:`~clonepit.pit.FitnessRows.cycles`
+    lockstep: a row starts from one resident on its own clock at zero
+    (keeping the time resolution independent of how many cycles have
+    elapsed), runs to its first solitary change, records the cycle and
+    starts the next, carrying over the arrivals it has read but not used.
+    Records come in the order the cycles started; exactly ``n_cycles``
+    start, and each one runs to its end.
 
-    Every cycle reads its arrivals from one :class:`~clonepit.inputs.ArrivalBuffer`,
+    The rows read their arrivals from one :class:`~clonepit.inputs.ArrivalBuffer`,
     which draws gaps and increments in blocks of
-    :data:`~clonepit.inputs.ARRIVAL_BLOCK`; ``collect_events`` returns only
-    the arrivals the cycles consumed, not the rest of the last block.  The
-    first cycle sums its gaps as :func:`~clonepit.inputs.sample_contender_stream`
-    does, so on the same generator state its arrivals are the first ones of
-    that stream.
+    :data:`~clonepit.inputs.ARRIVAL_BLOCK`, a chunk per row at a time in row
+    order (see :meth:`~clonepit.pit.FitnessRows.cycles`).  With
+    ``collect_events`` it also returns, per cycle, the ``(time, increment)``
+    arrivals that cycle applied, on its own clock, so each cycle can be
+    replayed.
 
     Cycle lengths must have finite mean (finite mean of the contender
     increment law) or this will effectively not terminate.
     """
-    if n_cycles < 1:
-        raise ConfigurationError(f"need n_cycles >= 1, got {n_cycles}")
-    arrivals = ArrivalBuffer(law, rng)
-    records: list[RenewalRecord] = []
-    all_events: list[tuple[float, float]] = []
-    carried: tuple[float, float] | None = None
-    elapsed = 0.0
-    while len(records) < n_cycles:
-
-        def stream(first=carried):
-            t = 0.0
-            if first is not None:
-                t = first[0]
-                yield first
-            while True:
-                gap, a = arrivals.next()
-                t += gap
-                if collect_events:
-                    all_events.append((elapsed + t, a))
-                yield (t, a)
-
-        st = FitnessSkeleton(events=stream())
-        st.advance(stop_after_solitary=True)
-        records.append(RenewalRecord(st.clock, st.fitness))
-        pend = st.pending_immigration
-        if pend is None:
-            carried = None
-        else:
-            # pend can sit within the stamp tolerance *before* the stopping
-            # change; nudge it so the next cycle sees a positive time.
-            gap = pend[0] - st.clock
-            carried = (gap if gap > 0.0 else TIME_EPS, pend[1])
-        elapsed += st.clock
+    n_cycles = _require_count("n_cycles", n_cycles, 1)
+    lengths, rewards, events = FitnessRows.cycles(
+        ArrivalBuffer(law, rng), n_cycles, collect=collect_events
+    )
+    records = [RenewalRecord(t, f) for t, f in zip(lengths.tolist(), rewards.tolist())]
     if collect_events:
-        return records, all_events
+        return records, events
     return records
 
 
@@ -552,6 +530,7 @@ def infinite_mean_probe(lam: float, gamma, horizons, replicates: int, rng):
     horizons = sorted(float(h) for h in horizons)
     if not horizons or horizons[0] <= 0:
         raise ConfigurationError("horizons must be positive")
+    replicates = _require_count("replicates", replicates, 1)
     if gamma.has_finite_mean():
         warnings.warn(
             "increment law has a finite mean; F(t)/t converges and this probe "
@@ -560,12 +539,13 @@ def infinite_mean_probe(lam: float, gamma, horizons, replicates: int, rng):
         )
     rng = as_generator(rng)
     law = contender_params(lam, gamma)
+    rows = FitnessRows(
+        [sample_contender_stream(law, horizons[-1], rng) for _ in range(replicates)]
+    )
     ratios = np.empty((replicates, len(horizons)))
-    for r in range(replicates):
-        st = FitnessSkeleton(events=sample_contender_stream(law, horizons[-1], rng))
-        for j, h in enumerate(horizons):
-            st.advance(until=h)
-            ratios[r, j] = st.fitness / h
+    for j, h in enumerate(horizons):
+        rows.advance(until=h)
+        ratios[:, j] = rows.fitness / h
     return {h: float(np.median(ratios[:, j])) for j, h in enumerate(horizons)}
 
 
@@ -597,6 +577,7 @@ def high_mutation_probe(
     lo, hi = gamma.support()
     if not math.isfinite(hi):
         raise ConfigurationError("the high-rate limit needs a bounded increment law")
+    replicates = _require_count("replicates", replicates, 1)
     limit = high_mutation_limit(hi, t)
     rng = as_generator(rng)
     values: dict[float, np.ndarray] = {}
@@ -604,11 +585,9 @@ def high_mutation_probe(
     med_err: dict[float, float] = {}
     for lam in lambdas:
         law = contender_params(float(lam), gamma)
-        vals = np.empty(replicates)
-        for r in range(replicates):
-            st = FitnessSkeleton(events=sample_contender_stream(law, t, rng))
-            st.advance(until=t)
-            vals[r] = st.fitness
+        rows = FitnessRows([sample_contender_stream(law, t, rng) for _ in range(replicates)])
+        rows.advance(until=t)
+        vals = rows.fitness
         values[float(lam)] = vals
         err = np.abs(vals - limit)
         fraction[float(lam)] = float(np.mean(err <= tolerance))

@@ -70,7 +70,7 @@ from .inputs import (
 from .moran import moran_init, moran_run, write_trace_csv
 from .pit import (
     ConfigurationError,
-    FitnessSkeleton,
+    FitnessRows,
     InvariantViolation,
     PitState,
     _fmt,
@@ -292,6 +292,12 @@ def _require(cond: bool, key: str, message: str):
         raise ConfigurationError(f"constraint violated for '{key}': {message}")
 
 
+def _grid_count(step: float) -> int:
+    """``k`` when ``step`` is ``1/k`` for a positive integer ``k`` (within rounding), else 0."""
+    k = round(1.0 / step)
+    return k if k >= 1 and math.isclose(k * step, 1.0, rel_tol=1e-9) else 0
+
+
 def _validate(scn: Scenario):
     allowed = _COMMON | _ALLOWED[scn.command]
     stray = _used_keys(scn) - allowed
@@ -348,6 +354,8 @@ def _validate(scn: Scenario):
     elif cmd == "fclt":
         _require(scn.scale > 0, "scale", "must be positive")
         _require(scn.replicates >= 2, "replicates", "an ensemble needs at least 2 paths")
+        _require(_grid_count(scn.grid_step) >= 1, "grid_step",
+                 "must be 1/k for a positive integer k (the grid is k/k, 2/k, ..., 1)")
 
 
 # -- artifact plumbing --------------------------------------------------------
@@ -590,13 +598,11 @@ def _cmd_fclt(scn: Scenario, shash: str, out: str) -> dict:
     v_bar = pointmass_speed(scn.lam, dist.c) if isinstance(dist, PointMass) else est.v_hat
     sigma2 = est.sigma2_hat
 
-    paths = []
-    for r in range(scn.replicates):
-        rng = replicate_rng(scn.seed, r)
-        st = FitnessSkeleton(events=sample_contender_stream(law, scn.scale, rng))
-        st.advance(until=scn.scale)
-        paths.append(st.resident_fitness_path())
-    k = int(round(1.0 / scn.grid_step))
+    rows = FitnessRows([sample_contender_stream(law, scn.scale, replicate_rng(scn.seed, r))
+                        for r in range(scn.replicates)])
+    rows.advance(until=scn.scale)
+    paths = [rows.resident_fitness_path(r) for r in range(scn.replicates)]
+    k = _grid_count(scn.grid_step)
     grid = np.arange(1, k + 1) / k
     diag = fclt_diagnostic(paths, scn.scale, grid, v_bar, sigma2)
     _write_csv(os.path.join(out, "fclt.csv"), "t,variance",

@@ -518,30 +518,38 @@ class ArrivalBuffer:
 
     Each block draws ``ARRIVAL_BLOCK`` inter-arrival gaps with
     ``rng.exponential(1 / law.rate, ARRIVAL_BLOCK)`` and then as many
-    increments with ``law.sample(rng, ARRIVAL_BLOCK)``; :meth:`next` hands
-    the pairs out left to right as Python floats.  The first block is drawn
-    on the first :meth:`next`.  It is the one arrival sampler:
-    :func:`sample_contender_stream` and :func:`sample_input_stream` cut its
-    stream at a horizon, and the renewal sampler reads it cycle after cycle.
+    increments with ``law.sample(rng, ARRIVAL_BLOCK)``; :meth:`take` hands
+    the pairs out left to right.  A block is drawn only when a read reaches
+    it.  It is the one arrival sampler: :func:`sample_contender_stream` and
+    :func:`sample_input_stream` cut its stream at a horizon, and the renewal
+    sampler's rows read it in turn.
     """
 
-    __slots__ = ("_rng", "_law", "_buf", "_pos")
+    __slots__ = ("_rng", "law", "_gaps", "_incs", "_pos")
 
     def __init__(self, law: ContenderLaw, rng):
         self._rng = as_generator(rng)
-        self._law = law
-        self._buf: list[tuple[float, float]] = []
+        self.law = law
+        self._gaps = self._incs = np.empty(0)
         self._pos = ARRIVAL_BLOCK
 
-    def next(self) -> tuple[float, float]:
-        pos = self._pos
-        if pos == ARRIVAL_BLOCK:
-            gaps = self._rng.exponential(1.0 / self._law.rate, ARRIVAL_BLOCK)
-            incs = self._law.sample(self._rng, ARRIVAL_BLOCK)
-            self._buf = list(zip(gaps.tolist(), incs.tolist()))
-            pos = 0
-        self._pos = pos + 1
-        return self._buf[pos]
+    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``n`` pairs as two arrays, gaps and increments."""
+        gaps, incs = [], []
+        while n > 0:
+            pos = self._pos
+            if pos == ARRIVAL_BLOCK:
+                self._gaps = self._rng.exponential(1.0 / self.law.rate, ARRIVAL_BLOCK)
+                self._incs = self.law.sample(self._rng, ARRIVAL_BLOCK)
+                pos = 0
+            k = min(n, ARRIVAL_BLOCK - pos)
+            gaps.append(self._gaps[pos : pos + k])
+            incs.append(self._incs[pos : pos + k])
+            self._pos = pos + k
+            n -= k
+        if len(gaps) == 1:
+            return gaps[0], incs[0]
+        return np.concatenate([np.empty(0), *gaps]), np.concatenate([np.empty(0), *incs])
 
 
 def contender_params(lam: float, gamma: IncrementDistribution) -> ContenderLaw:
@@ -559,20 +567,25 @@ def contender_params(lam: float, gamma: IncrementDistribution) -> ContenderLaw:
 def _horizon_cut(law: ContenderLaw, horizon: float, rng) -> list[tuple[float, float]]:
     """``(time, increment)`` pairs of the arrivals of ``law`` on ``[0, horizon)``.
 
-    Reads an :class:`ArrivalBuffer` and sums its gaps one by one, in the
-    order :func:`~clonepit.analysis.sample_renewal_cycles` sums them; the
-    arrival at or past ``horizon`` ends the cut and is dropped.
+    Reads an :class:`ArrivalBuffer` a block at a time and sums its gaps in
+    order (``np.add.accumulate`` adds left to right, as ``t += gap`` does);
+    the block holding the first arrival at or past ``horizon`` is the last
+    one drawn.
     """
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     arrivals = ArrivalBuffer(law, rng)
-    pairs = []
-    t, a = arrivals.next()
+    times, incs = [], []
+    t = 0.0
     while t < horizon:
-        pairs.append((t, a))
-        gap, a = arrivals.next()
-        t += gap
-    return pairs
+        gaps, a = arrivals.take(ARRIVAL_BLOCK)
+        block = np.add.accumulate(np.concatenate(([t], gaps)))[1:]
+        times.append(block)
+        incs.append(a)
+        t = block[-1]
+    times, incs = np.concatenate(times), np.concatenate(incs)
+    cut = int(np.searchsorted(times, horizon, side="left"))
+    return list(zip(times[:cut].tolist(), incs[:cut].tolist()))
 
 
 def sample_input_stream(

@@ -26,12 +26,12 @@ parent's plus its increment, and every living trajectory's slope equals its
 initial slope minus the fitness gained by the resident since its birth.
 The check tolerance is absolute plus a small part relative to the fitness.
 
-:class:`PitState` always keeps the full record: types with their parents,
-event log and paths.  Runs that need only the resident changes (renewal
-cycles, fitness paths) use :class:`FitnessSkeleton`, which follows only the
-trajectories that can still become resident and yields the same changes.
-Both run one event loop, written once; each supplies only the storage
-steps (next hit offset, hit group, height move, hit and arrival updates).
+:class:`PitState` runs one system and always keeps the full record: types
+with their parents, event log and paths.  Runs that need only the resident
+changes of many independent systems (renewal cycles, fitness paths) use
+:class:`FitnessRows`, which advances one system per row of numpy arrays in
+lockstep, follows only the trajectories that can still become resident and
+yields the same changes.
 
 Event times are compared with an absolute tolerance of 1e-12; hits within
 that window of each other are processed as one simultaneous group
@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +61,7 @@ __all__ = [
     "StepPath",
     "PiecewisePath",
     "PitState",
-    "FitnessSkeleton",
+    "FitnessRows",
     "write_event_csv",
     "write_trajectories_jsonl",
 ]
@@ -183,130 +184,7 @@ class PiecewisePath:
 _SLOT_ROWS = ("_h", "_v", "_c0", "_fb", "_tg")
 
 
-class _Engine:
-    """The event loop both engines share, with their arrival feed and record.
-
-    :meth:`advance` races the next boundary hit against the next arrival,
-    groups hits by offset within ``TIME_EPS`` and applies each stamp as
-    extinctions, then the resident change, then the arrival.  An engine
-    supplies the storage steps: ``_next_offset()``, the offset of its next
-    hit (inf if none); ``_hit_group(cut)``, the hitters with offsets up to
-    ``cut``; ``_move(dt)``; ``_apply_hits(group)``, which returns the
-    solitary flag (False without a resident change); and ``_immigrate()``.
-
-    The feed holds one drawn but not yet applied arrival, checks that
-    arrival times are finite, at least 0 and strictly increasing and that a
-    bare pair's slope is finite, and numbers arrivals without an index from
-    1 up.
-    """
-
-    def __init__(self, events, f0: float):
-        self.f0 = float(f0)
-        self.clock = 0.0
-        self.fitness = self.f0
-        #: compact (time, v_star, fitness_after, resident_id, solitary) tuples
-        self.resident_changes: list[tuple] = []
-        self._events = iter(events)
-        self._pending = None
-        # the largest float below 0.0: times must exceed it, so none is negative
-        self._last_time = -math.ulp(0.0)
-        self._auto_id = 1
-        self._pull_event()
-
-    def advance(self, until: float = math.inf, *, stop_after_solitary: bool = False):
-        """Process all events up to ``until``; the clock ends at ``until``.
-
-        With ``stop_after_solitary`` the run returns right after the first
-        solitary resident change instead (and after an arrival carrying the
-        same timestamp), with the clock at that change.
-        """
-        until = float(until)
-        if not until >= self.clock:
-            raise ConfigurationError(
-                f"advance(until={until}) needs until >= the clock {self.clock} (and not NaN)"
-            )
-        while True:
-            off_min = self._next_offset()
-            t_hit = self.clock + off_min
-            t_imm = self._pending[0] if self._pending is not None else math.inf
-            t_next = min(t_hit, t_imm)
-            if t_next > until or t_next == math.inf:
-                if until < math.inf:
-                    self._move(until - self.clock)
-                    self.clock = until
-                return
-            # Group by offset, not by t_next - clock: at large clocks the
-            # absolute difference rounds below the true offset and can even
-            # collapse to zero, which would select nothing and stall.
-            group = None
-            if t_hit <= t_next + TIME_EPS:
-                group = self._hit_group(off_min + TIME_EPS)
-            take_imm = t_imm <= t_next + TIME_EPS
-
-            self._move(t_next - self.clock)
-            self.clock = t_next
-            solitary = group is not None and self._apply_hits(group)
-            if take_imm:
-                self._immigrate()
-            if stop_after_solitary and solitary:
-                return
-
-    # Bare (time, slope) pairs stay beside InputEvent because the renewal
-    # sampler feeds one pair per arrival.  An InputEvent per arrival there
-    # gave bit-identical cycles but ran about 10% slower (median 9.2 against
-    # 8.4 ms per 500 pointmass(1) cycles at rate 1, ten alternating runs;
-    # Python 3.11, numpy 2.4, 2-core Xeon).
-    def _pull_event(self):
-        """Draw the next arrival as (time, slope, increment, id) into ``_pending``.
-
-        Times and increments become Python floats and indices Python ints,
-        whatever number types the record holds, so the engines keep no numpy
-        scalars.
-        """
-        try:
-            ev = next(self._events)
-        except StopIteration:
-            self._pending = None
-            return
-        if isinstance(ev, InputEvent):
-            t, inc, idx = float(ev.time), float(ev.increment), operator.index(ev.index)
-            slope = inc if ev.contender else 0.0
-        else:
-            t, slope = ev
-            t, slope, idx = float(t), float(slope), None
-            if not math.isfinite(slope):
-                raise ConfigurationError(f"immigration slope must be finite, got {slope}")
-            inc = slope
-        if not self._last_time < t < math.inf:
-            after = f" after {self._last_time}" if self._last_time >= 0.0 else ""
-            raise ConfigurationError(
-                f"immigration times must be finite, >= 0 and strictly increasing, got {t}{after}"
-            )
-        self._last_time = t
-        if idx is None:
-            idx = self._auto_id
-        elif idx < self._auto_id:
-            raise ConfigurationError(f"immigration index {idx} reused or out of order")
-        self._pending = (t, slope, inc, idx)
-
-    @property
-    def pending_immigration(self):
-        """Next drawn but not yet applied arrival as (time, slope, increment, id).
-
-        ``None`` once the event stream is exhausted.  Drivers that stop a run
-        mid-stream (say at a regeneration) need this to hand the event to a
-        successor state instead of losing it.
-        """
-        return self._pending
-
-    def resident_fitness_path(self) -> StepPath:
-        """Resident fitness as a right-continuous step function from time 0."""
-        times = [0.0] + [rc[0] for rc in self.resident_changes]
-        values = [self.f0] + [rc[2] for rc in self.resident_changes]
-        return StepPath(times, values)
-
-
-class PitState(_Engine):
+class PitState:
     """Mutable state of the trajectory system.
 
     Parameters
@@ -317,20 +195,31 @@ class PitState(_Engine):
         Defaults to that single entry.  The ``(1, 0)`` entry gets id 0;
         the others get ids -1, -2, ... in listed order.
     events:
-        Iterable of immigrations (:class:`~clonepit.inputs.InputEvent` or
-        ``(time, slope)``), strictly increasing in time.  May be a lazy
-        generator; it is consumed as the clock advances.
+        Iterable of :class:`~clonepit.inputs.InputEvent` immigrations,
+        strictly increasing in time and index.  May be a lazy generator; it
+        is consumed as the clock advances.
     f0:
         Fitness of the initial resident.
 
     The state keeps per-type records with their parents and path
     breakpoints, the event log and the resident changes, and checks the exact
     bookkeeping identities at every resident change.  Runs that need only
-    the resident changes use :class:`FitnessSkeleton` instead.
+    the resident changes use :class:`FitnessRows` instead.
+
+    The feed holds one drawn, not yet applied arrival; it refuses a record
+    that is not an InputEvent, and times or indices that do not increase.
     """
 
     def __init__(self, start=None, events=(), f0: float = 0.0):
-        super().__init__(events, f0)
+        self.f0 = float(f0)
+        self.clock = 0.0
+        self.fitness = self.f0
+        #: compact (time, v_star, fitness_after, resident_id, solitary) tuples
+        self.resident_changes: list[tuple] = []
+        self._events = iter(events)
+        self._pending = None
+        self._last_time = -1.0
+        self._last_index = 0
         if start is None:
             start = (StartEntry(1.0, 0.0),)
         entries = [e if isinstance(e, StartEntry) else StartEntry(*e) for e in start]
@@ -382,6 +271,7 @@ class PitState(_Engine):
             else:
                 self.types[tid].status = "latent"
         self.types[0].status = "resident"
+        self._pull_event()
 
     # -- construction helpers --------------------------------------------
 
@@ -538,7 +428,6 @@ class PitState(_Engine):
             self.fitness_gain_bound += inc
         else:
             self.types[tid].status = "latent"
-        self._auto_id = tid + 1
         self._pull_event()
         self.log.append(PitEvent(t, "immigration", tid, slope, parent, self.fitness))
 
@@ -594,14 +483,81 @@ class PitState(_Engine):
     def advance(self, until: float = math.inf, *, stop_after_solitary: bool = False):
         """Process all events up to ``until``; the clock ends at ``until``.
 
-        With ``stop_after_solitary`` the run returns right after the first
+        Each step races the next boundary hit against the next arrival,
+        groups hits by offset within ``TIME_EPS`` and applies the stamp as
+        extinctions, then the resident change, then the arrival.  With
+        ``stop_after_solitary`` the run returns right after the first
         solitary resident change instead (and after an arrival carrying the
         same timestamp), with the clock at that change.  Every applied event
         is appended to :attr:`log`.
         """
+        until = float(until)
+        if not until >= self.clock:
+            raise ConfigurationError(
+                f"advance(until={until}) needs until >= the clock {self.clock} (and not NaN)"
+            )
         # only flat slots divide by zero, and inf is their intended offset
         with np.errstate(divide="ignore"):
-            super().advance(until, stop_after_solitary=stop_after_solitary)
+            while True:
+                off_min = self._next_offset()
+                t_hit = self.clock + off_min
+                t_imm = self._pending[0] if self._pending is not None else math.inf
+                t_next = min(t_hit, t_imm)
+                if t_next > until or t_next == math.inf:
+                    if until < math.inf:
+                        self._move(until - self.clock)
+                        self.clock = until
+                    return
+                # Group by offset, not by t_next - clock: at large clocks the
+                # absolute difference rounds below the true offset and can
+                # even collapse to zero, which would select nothing and stall.
+                group = None
+                if t_hit <= t_next + TIME_EPS:
+                    group = self._hit_group(off_min + TIME_EPS)
+                take_imm = t_imm <= t_next + TIME_EPS
+
+                self._move(t_next - self.clock)
+                self.clock = t_next
+                solitary = group is not None and self._apply_hits(group)
+                if take_imm:
+                    self._immigrate()
+                if stop_after_solitary and solitary:
+                    return
+
+    def _pull_event(self):
+        """Draw the next arrival as (time, slope, increment, id) into ``_pending``.
+
+        Times and increments become Python floats and indices Python ints,
+        whatever number types the record holds, so the state keeps no numpy
+        scalars.
+        """
+        ev = next(self._events, None)
+        if ev is None:
+            self._pending = None
+            return
+        if not isinstance(ev, InputEvent):
+            raise ConfigurationError(f"immigrations must be InputEvent records, got {ev!r}")
+        t, inc, idx = float(ev.time), float(ev.increment), operator.index(ev.index)
+        if not t > self._last_time:
+            raise ConfigurationError(
+                f"immigration times must be strictly increasing, got {t} after {self._last_time}"
+            )
+        if not idx > self._last_index:
+            raise ConfigurationError(f"immigration index {idx} reused or out of order")
+        self._last_time, self._last_index = t, idx
+        self._pending = (t, inc if ev.contender else 0.0, inc, idx)
+
+    @property
+    def pending_immigration(self):
+        """Next drawn but not yet applied arrival as (time, slope, increment, id).
+
+        ``None`` once the event stream is exhausted.
+        """
+        return self._pending
+
+    def resident_fitness_path(self) -> StepPath:
+        """Resident fitness as a right-continuous step function from time 0."""
+        return _fitness_path(self.f0, self.resident_changes)
 
     # -- derived views -------------------------------------------------------
 
@@ -659,14 +615,25 @@ class PitState(_Engine):
         return float(self._v[slot])
 
 
-class FitnessSkeleton(_Engine):
-    """Resident changes of the trajectory system started from one resident.
+def _fitness_path(f0: float, changes) -> StepPath:
+    """Resident fitness from ``f0`` through ``changes`` as a right-continuous step function."""
+    return StepPath([0.0] + [rc[0] for rc in changes], [f0] + [rc[2] for rc in changes])
 
-    Produces the ``resident_changes`` of a :class:`PitState` run on the same
-    arrivals, with the same winners and solitary flags, but keeps only the
-    trajectories that can still move the resident fitness.  Each slope is
-    the type's fitness minus the resident fitness, and the resident fitness
-    never falls, so:
+
+_FLOAT_MAX = sys.float_info.max
+#: most arrivals a row may pass in one step while its kept set stays as it is
+_RUN_MAX = 63
+#: rows the renewal mode runs at once
+_RENEWAL_ROWS = 1024
+
+
+class FitnessRows:
+    """Resident changes of independent trajectory systems, one per row, in lockstep.
+
+    Each row is a system started from one resident at fitness 0 and keeps
+    only the trajectories that can still move the resident fitness.  Each
+    slope is the type's fitness minus the resident fitness, and the
+    resident fitness never falls, so:
 
     * a non-resident trajectory whose slope is <= 0 never rises again;
     * a trajectory at least as high and at least as fit as another reaches
@@ -674,86 +641,369 @@ class FitnessSkeleton(_Engine):
     * so an arrival, which starts at height 0, is kept only if its fitness
       is strictly above that of every kept trajectory.
 
-    The kept trajectories are all rising and are held in arrival order,
-    which is also the order of increasing slope.  It runs the same event
-    loop as :class:`PitState` on its own storage, and heights move in the
-    same steps, except that the extinctions the skeleton never sees are not
-    steps here; times and fitness therefore agree with :class:`PitState` up
-    to rounding.
+    The kept trajectories of a row are all rising and sit in arrival order,
+    which is also the order of increasing slope, in the columns of padded
+    ``rows x columns`` arrays (a free cell has height -inf and slope 0, so
+    it never hits and is never kept).  One numpy step advances every
+    moving row by one stamp: the hit offsets, the race between the next
+    hit and the next arrival, the move, the hits within ``TIME_EPS`` of the
+    first, the crown (the steepest hitter, ties to the earlier arrival),
+    the kink, the domination prune as a reverse cumulative maximum (the
+    cells it frees are closed up only when a row runs out of columns) and
+    the join test of the arrival.  Before that, a
+    row passes the leading run of its next arrivals that cannot join and
+    come before any hit, moving its heights through each of them with
+    ``np.add.accumulate``, so every height takes the same float steps in
+    the same order as in a one-stamp-at-a-time loop; the run is at most
+    ``_RUN_MAX`` arrivals, and its limit grows while rows fill it.  So a
+    row's changes are those of :class:`PitState` on the same arrivals, with
+    the same winners and solitary flags, and times and fitness agree with
+    it up to rounding (the extinctions a row never sees are no steps here).
+
+    ``FitnessRows(streams)`` takes one :class:`~clonepit.inputs.InputEvent`
+    stream per row; :meth:`advance` moves all rows to a common ``until``.
+    :meth:`cycles` is the renewal mode: a row that makes a solitary change
+    records the cycle and starts the next one on its own clock.
     """
 
-    def __init__(self, events=()):
-        super().__init__(events, 0.0)
-        self._ids: list[int] = []
-        self._h: list[float] = []
-        self._v: list[float] = []
-        #: hit offsets of the last scan, read by _hit_group
-        self._offs: list[float] = []
+    #: per-row state, permuted together when rows leave the moving prefix
+    _ROW_STATE = ("_rows", "_clock", "_fit", "_n", "_ptr", "_H", "_V", "_ID", "_T", "_S", "_I")
 
-    def _next_offset(self):
-        self._offs = offs = [(1.0 - h) / v for h, v in zip(self._h, self._v)]
-        # not min(offs, default=inf): the keyword makes each call ~3x slower
-        return min(offs) if offs else math.inf
+    def __init__(self, streams):
+        streams = [list(evs) for evs in streams]
+        if not streams:
+            raise ConfigurationError("FitnessRows needs at least one stream")
+        width = max(map(len, streams)) + _RUN_MAX + 1
+        T = np.full((len(streams), width), math.inf)
+        S = np.zeros_like(T)
+        I = np.zeros(T.shape, dtype=np.int64)
+        for r, evs in enumerate(streams):
+            if not all(isinstance(ev, InputEvent) for ev in evs):
+                raise ConfigurationError("FitnessRows streams must hold InputEvent records")
+            m = len(evs)
+            if not m:
+                continue
+            T[r, :m], S[r, :m], I[r, :m] = np.array(
+                [(ev.time, ev.increment if ev.contender else 0.0, ev.index) for ev in evs]
+            ).T
+            t, idx = T[r, :m], I[r, :m]
+            if not (np.all(t[1:] > t[:-1]) and np.all(idx[1:] > idx[:-1]) and idx[0] >= 1):
+                raise ConfigurationError(
+                    f"stream {r}: immigration times and indices must be strictly increasing"
+                    " and indices at least 1"
+                )
+        self._setup(T, S, I, _RUN_MAX)
+        self._log: list | None = []
+        #: resident_changes as last built, with the log length it was built from
+        self._changes = (0, [[] for _ in streams])
 
-    def _hit_group(self, cut):
-        return [k for k, off in enumerate(self._offs) if off <= cut]
+    def _setup(self, T, S, I, k_max):
+        n_rows = T.shape[0]
+        self._rows = np.arange(n_rows)
+        self._clock = np.zeros(n_rows)
+        self._fit = np.zeros(n_rows)
+        #: per row, the column the next joining arrival takes
+        self._n = np.zeros(n_rows, dtype=np.int64)
+        #: per row, the column of its next arrival in _T, _S and _I
+        self._ptr = np.zeros(n_rows, dtype=np.int64)
+        self._at = np.arange(n_rows)
+        self._H = np.full((n_rows, 2), -math.inf)
+        self._V = np.zeros((n_rows, 2))
+        self._ID = np.zeros((n_rows, 2), dtype=np.int64)
+        self._T, self._S, self._I = T, S, I
+        self._k, self._k_max = 0, k_max
 
-    def _move(self, dt):
-        if dt > 0.0:
-            hs, vs = self._h, self._v
-            for k, v in enumerate(vs):
-                h = hs[k] + v * dt
-                hs[k] = h if h < 1.0 else 1.0
+    # -- stream mode ---------------------------------------------------------
 
-    def _apply_hits(self, hitters) -> bool:
-        """Crown the steepest hitter (smaller id on ties), kink and prune the rest.
+    def advance(self, until: float = math.inf):
+        """Process every row's events up to ``until``; each clock ends at ``until``.
 
-        ``hitters`` are positions in the kept lists; all of them rise, so
-        every group is a resident change.  Returns its solitary flag.
+        With ``until`` infinite each row runs out its stream, and its clock
+        stays at its last event.
         """
-        ids, hs, vs = self._ids, self._h, self._v
-        win = min(hitters, key=lambda k: (-vs[k], ids[k]))
-        v_star = vs[win]
-        winner = ids[win]
-        for k in hitters:
-            hs[k] = 1.0
-        self.fitness += v_star
+        until = float(until)
+        if not until >= self._clock.max():
+            raise ConfigurationError(
+                f"advance(until={until}) needs until >= the clock {self._clock.max()} (and not NaN)"
+            )
+        moving = self._rows.size
+        with np.errstate(invalid="ignore"):
+            while moving:
+                stop, _ = self._step(moving, until)
+                if np.count_nonzero(stop):
+                    moving = self._park(moving, stop)
 
-        # Kink every kept trajectory above height 0; the hitters and any
-        # other that stops rising drop out.  Scanning from the fittest, a
-        # trajectory no higher than a fitter kept one drops out as well.
-        solitary = True
-        top = -1.0
-        kept = []
-        for k in range(len(ids) - 1, -1, -1):
-            h, v = hs[k], vs[k]
-            if h > 0.0:
-                v -= v_star
-                if v <= 0.0:
+    def _by_row(self, values):
+        out = np.empty_like(values)
+        out[self._rows] = values
+        return out
+
+    @property
+    def clock(self) -> np.ndarray:
+        """Each row's clock, in row order."""
+        return self._by_row(self._clock)
+
+    @property
+    def fitness(self) -> np.ndarray:
+        """Each row's resident fitness, in row order."""
+        return self._by_row(self._fit)
+
+    @property
+    def resident_changes(self) -> list[list[tuple]]:
+        """Per row, compact (time, v_star, fitness_after, resident_id, solitary) tuples."""
+        if self._changes[0] != len(self._log):
+            out = [[] for _ in range(self._rows.size)]
+            if self._log:
+                hit, *cols = (np.concatenate(c) for c in zip(*self._log))
+                rows, *cols = (c[hit].tolist() for c in cols)
+                for r, change in zip(rows, zip(*cols)):
+                    out[r].append(change)
+            self._changes = (len(self._log), out)
+        return self._changes[1]
+
+    def resident_fitness_path(self, row: int) -> StepPath:
+        """Resident fitness of ``row`` as a right-continuous step function from time 0."""
+        return _fitness_path(0.0, self.resident_changes[row])
+
+    # -- renewal mode --------------------------------------------------------
+
+    @classmethod
+    def cycles(cls, arrivals, n_cycles: int, *, collect: bool = False):
+        """Run exactly ``n_cycles`` regeneration cycles on arrivals read from ``arrivals``.
+
+        ``min(n_cycles, 1024)`` rows start cycles 0, 1, ...; a row that makes a
+        solitary change records its cycle (after an arrival carrying the
+        same stamp), and while fewer than ``n_cycles`` have started it
+        starts the next one, rows finishing at one step taking numbers in
+        row order; otherwise it retires.  Every started cycle runs to its
+        solitary change, so long cycles are not cut short.  A new cycle
+        starts with one resident on a clock at zero and keeps the arrivals
+        its row has read but not applied, shifted to that clock (one that
+        would fall at or before zero is moved to ``TIME_EPS``).
+
+        Each row reads ``arrivals`` (an :class:`~clonepit.inputs.ArrivalBuffer`)
+        in chunks of a fixed size, a power of two between 4 and 64 set by
+        the contender rate, and sums the gaps of its chunk onto its last
+        arrival time.  A row reads a chunk when it has passed the one
+        before; rows reading at one step read in row order, and at the
+        start every row reads one chunk.
+
+        Returns ``(lengths, rewards, events)`` in cycle order, ``events``
+        being ``None`` or, with ``collect``, per cycle the ``(time,
+        increment)`` pairs it applied, on its own clock.
+        """
+        chunk = 1 << min(6, max(2, math.ceil(math.log2(0.25 * arrivals.law.rate + 1.0))))
+        n_rows = min(n_cycles, _RENEWAL_ROWS)
+        T = np.zeros((n_rows, 2 * chunk))
+        self = cls.__new__(cls)
+        self._setup(T, np.zeros_like(T), np.zeros(T.shape, dtype=np.int64), chunk - 1)
+        self._log = None
+        self._ptr[:] = 2 * chunk
+        # here _rows holds the cycle each row runs
+        started = n_rows
+        lengths, rewards = np.empty(n_cycles), np.empty(n_cycles)
+        applied = {c: [] for c in range(n_rows)} if collect else None
+        moving = n_rows
+        with np.errstate(invalid="ignore"):
+            while moving:
+                self._refill(moving, arrivals, chunk)
+                before = self._ptr[:moving].copy() if collect else None
+                _, done = self._step(moving, math.inf)
+                if collect:
+                    for w in np.flatnonzero(self._ptr[:moving] > before):
+                        b, a = before[w], self._ptr[w]
+                        applied[self._rows[w]].extend(
+                            zip(self._T[w, b:a].tolist(), self._S[w, b:a].tolist()))
+                if done is None or not done.any():
                     continue
-                if v > SLOPE_EPS:
-                    solitary = False
-            if h > top:
-                top = h
-                kept.append((ids[k], h, v))
-        kept.reverse()
-        ids[:] = [e[0] for e in kept]
-        hs[:] = [e[1] for e in kept]
-        vs[:] = [e[2] for e in kept]
+                done = done.nonzero()[0]
+                cyc = self._rows[done]
+                lengths[cyc] = self._clock[done]
+                rewards[cyc] = self._fit[done]
+                fresh = done[: max(0, n_cycles - started)]
+                self._rows[fresh] = np.arange(started, started + fresh.size)
+                if collect:
+                    applied.update((c, []) for c in range(started, started + fresh.size))
+                started += fresh.size
+                self._restart(fresh)
+                if fresh.size < done.size:
+                    leave = np.zeros(moving, dtype=bool)
+                    leave[done[fresh.size :]] = True
+                    moving = self._park(moving, leave)
+        events = [applied[c] for c in range(n_cycles)] if collect else None
+        return lengths, rewards, events
 
-        self.resident_changes.append((self.clock, v_star, self.fitness, winner, solitary))
-        return solitary
+    def _refill(self, moving, arrivals, chunk):
+        """Give every moving row that has passed into its second chunk a fresh one behind it."""
+        need = np.flatnonzero(self._ptr[:moving] > chunk)
+        if need.size:
+            gaps, incs = arrivals.take(need.size * chunk)
+            T, S = self._T[need], self._S[need]
+            T[:, :chunk], S[:, :chunk] = T[:, chunk:], S[:, chunk:]
+            T[:, chunk:] = np.add.accumulate(
+                np.concatenate((T[:, chunk - 1 : chunk], gaps.reshape(-1, chunk)), axis=1), axis=1
+            )[:, 1:]
+            S[:, chunk:] = incs.reshape(-1, chunk)
+            self._T[need], self._S[need] = T, S
+            self._ptr[need] -= chunk
 
-    def _immigrate(self):
-        _, slope, _, tid = self._pending
-        vs = self._v
-        # slopes increase along the kept list, so the last one is the largest
-        if slope > 0.0 and (not vs or slope > vs[-1]):
-            self._ids.append(tid)
-            self._h.append(0.0)
-            vs.append(slope)
-        self._auto_id = tid + 1
-        self._pull_event()
+    def _restart(self, rows):
+        """Start a new cycle on ``rows``: one resident at fitness 0, clock 0."""
+        T = self._T[rows] - self._clock[rows, None]
+        self._T[rows] = np.where(T > 0.0, T, TIME_EPS)
+        self._clock[rows] = 0.0
+        self._fit[rows] = 0.0
+        self._n[rows] = 0
+        self._H[rows] = -math.inf
+        self._V[rows] = 0.0
+
+    # -- the lockstep ----------------------------------------------------------
+
+    def _park(self, moving, leave):
+        """Move the rows flagged in ``leave`` behind the moving prefix; returns its new size."""
+        order = np.argsort(leave, kind="stable")
+        for name in self._ROW_STATE:
+            arr = getattr(self, name)
+            arr[:moving] = arr[:moving][order]
+        return moving - int(np.count_nonzero(leave))
+
+    def _step(self, moving, until):
+        """Advance each row of the moving prefix by one stamp.
+
+        Returns the rows' stop flags (their next stamp lies past ``until``;
+        they now sit at ``until``) and the flags of the rows that made a
+        solitary resident change, or None when no row made a change.
+        """
+        K = self._k
+        at = self._at[:moving]
+        H, V = self._H[:moving], self._V[:moving]
+        clock, fit, n, ptr = (self._clock[:moving], self._fit[:moving],
+                              self._n[:moving], self._ptr[:moving])
+
+        # the stamp after the run: the heights at the clock t0 and their offsets
+        h, t0 = H, clock
+        if K:
+            h, t0 = self._pass_run(moving, K, until)
+        off = np.subtract(1.0, h)
+        np.divide(off, V, out=off)
+        off_min = off.min(axis=1)
+        t_hit = t0 + off_min
+        t_imm = self._T[at, ptr]
+        t_next = np.minimum(t_hit, t_imm)
+        # past until, or nothing left to happen
+        stop = t_next > min(until, _FLOAT_MAX)
+        t_to = np.where(stop, until if until < math.inf else t0, t_next)
+        np.add(h, V * (t_to - t0)[:, None], out=H)
+        np.minimum(H, 1.0, out=H)
+        clock[:] = t_to
+        # what falls within TIME_EPS of the stamp; nothing for a stopped row
+        cut = np.where(stop, -math.inf, t_next + TIME_EPS)
+        hit = t_hit <= cut
+        take = t_imm <= cut
+
+        done = None
+        if np.count_nonzero(hit):
+            # The steepest hitter wins (ties to the earlier arrival) and every
+            # trajectory above height 0 is kinked by its slope.  A trajectory
+            # that stops rising leaves, and so does one no higher than a
+            # fitter one left: scanning from the fittest, a trajectory stays
+            # only if it is higher than every one that stayed before it.
+            # The cells left are freed in place; _make_room closes the gaps.
+            group = (off <= (off_min + TIME_EPS)[:, None]) & hit[:, None]
+            H[group] = 1.0
+            win = np.where(group, V, -math.inf).argmax(axis=1)
+            v_star = V[at, win] * hit
+            fit += v_star
+            up = H > 0.0
+            V -= up * v_star[:, None]
+            # a kept trajectory at height 0 keeps its positive slope
+            alive = V > 0.0
+            done = hit & (np.maximum.reduce(V * up, axis=1) <= SLOPE_EPS)
+            # the highest of the fitter ones alive, by a reverse running max
+            top = np.where(alive, H, -math.inf)
+            above = np.empty_like(top)
+            above[:, -1] = -math.inf
+            np.maximum.accumulate(top[:, :0:-1], axis=1, out=above[:, -2::-1])
+            free = hit[:, None] & ~(alive & (H > above))
+            H[free] = -math.inf
+            V[free] = 0.0
+            if self._log is not None:
+                self._log.append((hit, self._rows[:moving].copy(), t_to, v_star, fit.copy(),
+                                  self._ID[:moving][at, win], done))
+
+        plain = 0
+        if np.count_nonzero(take):
+            # an arrival joins when it is steeper than every kept trajectory
+            # of its row (free cells have slope 0)
+            s = self._S[at, ptr]
+            joins = take & (s > V.max(axis=1))
+            ptr += take
+            rows = joins.nonzero()[0]
+            if rows.size:
+                if n.max() == H.shape[1]:
+                    self._make_room(moving)
+                col = n[rows]
+                self._H[rows, col] = 0.0
+                self._V[rows, col] = s[rows]
+                self._ID[rows, col] = self._I[rows, ptr[rows] - 1]
+                n[rows] = col + 1
+            plain = np.count_nonzero(take & ~joins & ~hit)
+        # Widen the run limit while most rows stop at its end, narrow it
+        # while few do: a run pass costs about half a step per arrival it
+        # may pass, so it pays only where runs are long.
+        if 3 * plain > 2 * moving and K < self._k_max:
+            self._k = min(2 * K + 1, self._k_max)
+        elif 3 * plain < moving and K:
+            self._k = K // 2
+        return stop, done
+
+    def _pass_run(self, moving, K, until):
+        """Pass each row's leading run of at most ``K`` arrivals that cannot join.
+
+        The run ends before the first arrival that would join, lie past
+        ``until`` or come with or after a hit.  The heights at each of its
+        stamps are accumulated in order and then clamped; a height clamped
+        to 1 has offset 0, so the run ends there.  Advances the rows'
+        pointers and returns their heights and clocks after the run.
+        """
+        H, V = self._H[:moving], self._V[:moving]
+        clock, ptr = self._clock[:moving], self._ptr[:moving]
+        at = self._at[:moving]
+        cols = ptr[:, None] + np.arange(K)
+        tj = self._T[at[:, None], cols]
+        tprev = np.concatenate((clock[:, None], tj[:, :-1]), axis=1)
+        hs = np.empty((moving, K + 1, H.shape[1]))
+        hs[:, 0] = H
+        np.multiply(V[:, None, :], (tj - tprev)[:, :, None], out=hs[:, 1:])
+        np.add.accumulate(hs, axis=1, out=hs)
+        np.minimum(hs, 1.0, out=hs)
+        offs = np.subtract(1.0, hs[:, :K])
+        np.divide(offs, V[:, None, :], out=offs)
+        joins = self._S[at[:, None], cols] > V.max(axis=1)[:, None]
+        run = (tprev + np.minimum.reduce(offs, axis=2) > tj + TIME_EPS) & (tj <= until) & ~joins
+        J = np.argmin(np.concatenate((run, np.zeros((moving, 1), dtype=bool)), axis=1), axis=1)
+        ptr += J
+        return hs[at, J], np.where(J > 0, tj[at, J - 1], clock)
+
+    def _make_room(self, moving):
+        """Move the kept cells of the moving rows left, in order; widen if they fill half.
+
+        The cells of all rows are kept, and their order, so the columns stay
+        in arrival order; a free cell has height -inf and slope 0.
+        """
+        width = self._H.shape[1]
+        kept = self._H[:moving] > -math.inf
+        dest = np.cumsum(kept, axis=1) - 1
+        r, c = np.nonzero(kept)
+        d = dest[r, c]
+        self._n[:moving] = dest[:, -1] + 1
+        grow = 2 if 2 * self._n[:moving].max() > width else 1
+        for name, fill in (("_H", -math.inf), ("_V", 0.0), ("_ID", 0)):
+            old = getattr(self, name)
+            new = np.full((old.shape[0], grow * width), fill, dtype=old.dtype)
+            new[moving:, :width] = old[moving:]
+            new[r, d] = old[r, c]
+            setattr(self, name, new)
 
 
 def _fmt(x: float) -> str:

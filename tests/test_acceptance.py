@@ -15,7 +15,7 @@ import pytest
 from clonepit import (
     ContenderLaw,
     Exponential,
-    FitnessSkeleton,
+    FitnessRows,
     GwParams,
     InputEvent,
     Pareto,
@@ -126,11 +126,10 @@ def test_04_clt_variance(cycles_lam1_c1):
 
     law = contender_params(1.0, PointMass(1.0))
     scale = 1000.0
-    paths = []
-    for r in range(500):
-        st = FitnessSkeleton(events=sample_contender_stream(law, scale, replicate_rng(777, r)))
-        st.advance(until=scale)
-        paths.append(st.resident_fitness_path())
+    rows = FitnessRows([sample_contender_stream(law, scale, replicate_rng(777, r))
+                        for r in range(500)])
+    rows.advance(until=scale)
+    paths = [rows.resident_fitness_path(r) for r in range(500)]
     diag = fclt_diagnostic(
         paths, scale, [0.25, 0.5, 0.75, 1.0], 1.0 / 3.0, SIGMA2_POINTMASS
     )

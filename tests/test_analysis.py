@@ -7,7 +7,7 @@ import pytest
 from clonepit import (
     ContenderLaw,
     Exponential,
-    FitnessSkeleton,
+    FitnessRows,
     InputEvent,
     Mixture,
     Pareto,
@@ -74,16 +74,21 @@ class TestRenewalRecords:
         assert rec.reward == pytest.approx(2.6)
 
     def test_detect_from_skeleton_matches_state(self):
-        # both engines carry resident_changes and f0; on one seeded stream
-        # they give the same cycles (the skeleton's heights take fewer
-        # steps, so times and fitness agree to rounding)
+        # a FitnessRows row and a PitState on one seeded stream give the
+        # same cycles (the row's heights take fewer steps, so times and
+        # fitness agree to rounding); detect_renewals reads any record with
+        # resident_changes and f0
         law = contender_params(20.0, Exponential(1.0))
         evs = sample_contender_stream(law, 40.0, replicate_rng(2718, 0))
-        found = []
-        for engine in (FitnessSkeleton(events=evs), PitState(events=evs)):
-            engine.advance(until=40.0)
-            found.append(detect_renewals(engine))
-        (t_sk, rec_sk), (t_st, rec_st) = found
+        rows, st = FitnessRows([evs]), PitState(events=evs)
+        rows.advance(until=40.0)
+        st.advance(until=40.0)
+
+        class Row:
+            f0 = 0.0
+            resident_changes = rows.resident_changes[0]
+
+        (t_sk, rec_sk), (t_st, rec_st) = detect_renewals(Row), detect_renewals(st)
         assert len(rec_sk) == len(rec_st) >= 5
         np.testing.assert_allclose(t_sk, t_st, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(
@@ -119,10 +124,11 @@ HALF_POINTMASS_EXP = Mixture((0.5, 0.5), (PointMass(1.0), Exponential(1.0)))
 
 class TestRenewalSampling:
     def test_driver_matches_single_replay(self):
-        # the cycle driver restarts the clock each regeneration; replaying
-        # the same arrivals through one long run must give the same cycles,
-        # also where a cycle's arrivals straddle the edge of an arrival block
-        cases = [  # lam, gamma, cycles, arrival blocks consumed at least
+        # each cycle runs on its own clock from a fresh resident; replaying
+        # the arrivals it applied through a PitState that stops at its first
+        # solitary change must give that cycle's record, also where the
+        # cycle's row read a new chunk of arrivals mid-cycle
+        cases = [  # lam, gamma, cycles, arrival blocks applied at least
             (1.0, PointMass(1.0), 200, 1),
             (20.0, Exponential(1.0), 150, 4),
             (1.0, HALF_POINTMASS_EXP, 800, 4),
@@ -131,50 +137,55 @@ class TestRenewalSampling:
             law = contender_params(lam, gamma)
             rng = replicate_rng(314, 0)
             records, events = sample_renewal_cycles(law, n_cycles, rng, collect_events=True)
-            assert len(events) > blocks * ARRIVAL_BLOCK
-            st = PitState(events=[(t, a) for t, a in events])
-            st.advance()
-            times, replay = detect_renewals(st)
-            assert len(replay) >= len(records)
-            lengths = np.cumsum([r.length for r in records])
-            np.testing.assert_allclose(times[: len(records)], lengths, atol=1e-9)
-            for mine, theirs in zip(records, replay):
-                assert mine.length == pytest.approx(theirs.length, abs=1e-9)
-                assert mine.reward == pytest.approx(theirs.reward, abs=1e-9)
+            assert len(records) == len(events) == n_cycles
+            assert sum(map(len, events)) > blocks * ARRIVAL_BLOCK
+            for rec, evs in zip(records, events):
+                st = PitState(events=_events(*evs))
+                st.advance(stop_after_solitary=True)
+                assert st.resident_changes[-1][4] and st.pending_immigration is None
+                assert st.clock == pytest.approx(rec.length, rel=1e-12, abs=1e-12)
+                assert st.fitness == pytest.approx(rec.reward, rel=1e-12, abs=1e-12)
 
     def test_arrivals_follow_block_draw_order(self):
         # documented order: ARRIVAL_BLOCK gaps, then ARRIVAL_BLOCK increments,
-        # block after block, read across cycles with nothing skipped
-        law = contender_params(1.0, HALF_POINTMASS_EXP)
-        _, first = sample_renewal_cycles(law, 1, replicate_rng(5, 0), collect_events=True)
+        # block after block.  Each row reads runs of consecutive pairs of
+        # that stream and sums their gaps onto its last arrival time, so a
+        # cycle's arrivals are stream pairs in stream order, each one's time
+        # its predecessor's plus its own gap, and no pair serves twice.
+        # (Exponential increments, so a pair is known by its increment.)
+        law = contender_params(1.0, Exponential(1.0))
         _, events = sample_renewal_cycles(law, 400, replicate_rng(5, 0), collect_events=True)
+        applied = sum(map(len, events))
+        assert applied > 2 * ARRIVAL_BLOCK
         twin = replicate_rng(5, 0)
         gaps, incs = [], []
-        while len(gaps) < len(events):
+        while len(gaps) < 4 * applied:
             gaps.extend(twin.exponential(1.0 / law.rate, ARRIVAL_BLOCK))
             incs.extend(law.sample(twin, ARRIVAL_BLOCK))
+        where = {a: k for k, a in enumerate(incs)}
+        assert len(where) == len(incs)
+        used = set()
+        for evs in events:
+            pos = [where[a] for _, a in evs]
+            assert pos == sorted(set(pos)) and not used.intersection(pos)
+            used.update(pos)
+            for (t0, _), (t1, _), k in zip(evs, evs[1:], pos[1:]):
+                assert t1 - t0 == pytest.approx(gaps[k], rel=1e-9, abs=1e-12)
+        # the horizon-cut stream reads the arrivals in stream order, summed
+        # one by one, so it equals the twin's cumsum cut at the horizon exactly
         times = np.cumsum(gaps)
-        # the first cycle's arrivals, the one drawn past its end included
-        assert first == list(zip(times[: len(first)].tolist(), incs[: len(first)]))
-        assert len(events) > 2 * ARRIVAL_BLOCK
-        assert [a for _, a in events] == incs[: len(events)]
-        np.testing.assert_allclose([t for t, _ in events], times[: len(events)],
-                                   rtol=1e-12)
-        # the horizon-cut stream reads the same arrivals, summed in the same
-        # order, so it equals the twin's cumsum cut at the horizon exactly
-        horizon = float(times[-1])
+        horizon = float(times[applied])
         cut = [(e.time, e.increment) for e in
                sample_contender_stream(law, horizon, replicate_rng(5, 0))]
-        assert len(cut) == len(times) - 1 > 2 * ARRIVAL_BLOCK
-        assert cut == list(zip(times[:-1].tolist(), incs[:-1]))
-        assert cut[: len(first)] == first
+        assert len(cut) == applied > 2 * ARRIVAL_BLOCK
+        assert cut == list(zip(times[:applied].tolist(), incs[:applied]))
 
     def test_frozen_speeds_2000_cycles(self):
         # seeded end-to-end regression of the sampler and the estimator
         cases = {
-            (1.0, 1.0): (0.3397947501228962, 0.1479729801011183),
-            (2.0, 2.0): (1.5990506184332118, 1.0956186876501088),
-            (0.5, 1.0): (0.19928534800264566, 0.12224983934545613),
+            (1.0, 1.0): (0.33636671156862713, 0.14644628950324662),
+            (2.0, 2.0): (1.6028861462150332, 1.1291423437453176),
+            (0.5, 1.0): (0.2065180812441572, 0.12503778762251153),
         }
         for (lam, c), (v_want, s2_want) in cases.items():
             law = contender_params(lam, PointMass(c))
@@ -198,6 +209,23 @@ class TestRenewalSampling:
         law = contender_params(1.0, PointMass(1.0))
         with pytest.raises(ConfigurationError):
             sample_renewal_cycles(law, 0, replicate_rng(1, 0))
+
+    def test_fractional_cycle_count_is_refused(self):
+        # 2.5 used to run 3 cycles
+        law = contender_params(1.0, PointMass(1.0))
+        with pytest.raises(ConfigurationError, match="n_cycles"):
+            sample_renewal_cycles(law, 2.5, replicate_rng(1, 0))
+        assert len(sample_renewal_cycles(law, 3.0, replicate_rng(1, 0))) == 3
+
+    def test_more_cycles_than_rows(self):
+        # rows start new cycles as they finish: exactly n_cycles records, each
+        # with the arrivals it applied, the same on a rerun
+        law = contender_params(1.0, HALF_POINTMASS_EXP)
+        records, events = sample_renewal_cycles(law, 1200, replicate_rng(8, 0),
+                                                collect_events=True)
+        assert len(records) == 1200 and all(evs for evs in events)
+        again = sample_renewal_cycles(law, 1200, replicate_rng(8, 0))
+        assert again == records
 
 
 class TestHeuristics:
@@ -334,6 +362,13 @@ class TestHighMutationProbe:
         assert 0.0 <= res.fraction_within[50.0] <= 1.0
         assert res.median_error[50.0] >= 0.0
 
+    @pytest.mark.parametrize("replicates", [0, -1, 2.5])
+    def test_replicate_count_is_checked(self, replicates):
+        # 0 used to give NaN fractions and a RuntimeWarning, -1 numpy's
+        # "negative dimensions" ValueError
+        with pytest.raises(ConfigurationError, match="replicates"):
+            high_mutation_probe(Uniform(1.0, 2.0), 1.0, [50.0], replicates, replicate_rng(5, 0))
+
 
 class TestInfiniteMeanProbe:
     def test_warns_on_finite_mean_law(self):
@@ -348,6 +383,12 @@ class TestInfiniteMeanProbe:
             )
         assert set(out) == {20.0, 160.0}
         assert out[160.0] > out[20.0] > 0.0
+
+    @pytest.mark.parametrize("replicates", [0, -1, 2.5])
+    def test_replicate_count_is_checked(self, replicates):
+        # 0 used to give NaN medians and a RuntimeWarning
+        with pytest.raises(ConfigurationError, match="replicates"):
+            infinite_mean_probe(1.0, Pareto(1.0, 0.5), [5.0], replicates, replicate_rng(6, 0))
 
 
 class TestCoupledRun:

@@ -297,6 +297,16 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("step", ["0.3", "0.7", "3"])
+    def test_fclt_grid_step_must_be_one_over_an_integer(self, tmp_path, capsys, step):
+        # 0.3 used to write a grid of step 1/3, 0.7 a single row at t=1, and
+        # 3 an error that did not name the key
+        cfg = write_cfg(tmp_path, "command = fclt\nlambda = 1\ngamma = pointmass(1)\n"
+                                  f"scale = 100\nreplicates = 2\ngrid_step = {step}\n")
+        assert main(["fclt", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'grid_step'" in err
+
     @pytest.mark.parametrize("command, text, flags, key", [
         # a NaN start slope used to hang the replay
         ("pit-replay", "start = 0.5, nan\nevent = 0.1, 1\n", [], "start"),
@@ -349,8 +359,8 @@ FROZEN_ARTIFACTS = {
     "speed": (
         "command = speed\nlambda = 1\ngamma = pointmass(1)\nhorizon = 50\n"
         "replicates = 2\nseed = 11\n", {
-            "cycles_r000.csv": "51df4eb6c4d9652e47a97512112f0a79c06bfc112345f98ea76ef1a07814d0b7",
-            "cycles_r001.csv": "727e6c27c36732b960b67319d11ad826e169f57e10b58dd69ce704cd52b087c1",
+            "cycles_r000.csv": "102e60db71a0d87402334acaa27045b82509c57b2544659b1fc78f0079d7bae5",
+            "cycles_r001.csv": "d58a851e9aace112e53cbef2d733e9e88e63cac76409cae8cdffa002505ef5a4",
         }),
     "moran-run": (
         "command = moran-run\nn = 200\ncounts = 150, 50\nfitness = 0, 1\n"
@@ -370,7 +380,7 @@ FROZEN_ARTIFACTS = {
     "fclt": (
         "command = fclt\nlambda = 1\ngamma = pointmass(1)\nscale = 100\n"
         "replicates = 3\nseed = 7\ngrid_step = 0.25\n", {
-            "fclt.csv": "8942886e72224ba1d0f6264a078a27efa14fc912f6721320042b8043c403f909",
+            "fclt.csv": "ba2a428782783d10e33d64586712c680f6969dc8d68904306ec5662385183e10",
         }),
     # the dense regime of criteria 10/12: hundreds of active trajectories
     "pit-run-dense": (

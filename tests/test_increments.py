@@ -199,9 +199,12 @@ class TestArrivalBuffer:
         # and the rejection step in every block
         law = contender_params(1.0, Mixture((0.5, 0.5), (Exponential(1.0), Uniform(1.0, 2.0))))
         buf = ArrivalBuffer(law, np.random.default_rng(21))
-        pairs = [buf.next() for _ in range(4 * ARRIVAL_BLOCK + 100)]
-        assert all(type(g) is float and type(a) is float for g, a in pairs)
-        gaps, incs = (np.array(col) for col in zip(*pairs))
+        # reads of every size, across block edges, give one stream
+        parts = [buf.take(k) for k in (1, 300, 0, 511, 256, 56)]
+        gaps, incs = (np.concatenate(col) for col in zip(*parts))
+        assert gaps.size == incs.size == 4 * ARRIVAL_BLOCK + 100
+        twin = ArrivalBuffer(law, np.random.default_rng(21)).take(gaps.size)
+        assert np.array_equal(twin[0], gaps) and np.array_equal(twin[1], incs)
         cdf = np.vectorize(lambda a: 1.0 - law.tail(a))
         assert kstest(incs, cdf).pvalue > 1e-3
         assert kstest(gaps, "expon", args=(0.0, 1.0 / law.rate)).pvalue > 1e-3

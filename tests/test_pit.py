@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from clonepit import (
-    FitnessSkeleton,
+    FitnessRows,
     InputEvent,
     PiecewisePath,
     PitState,
@@ -33,6 +34,11 @@ SIX_EVENTS = (
     InputEvent(5, 2.9, 1.0, False),
     InputEvent(6, 3.2, 1.6, True),
 )
+
+
+def _ev(*pairs):
+    """Contender events from ``(time, increment)`` pairs, indexed from 1."""
+    return [InputEvent(i + 1, t, a, True) for i, (t, a) in enumerate(pairs)]
 
 
 def run_six_events():
@@ -95,13 +101,6 @@ class TestSixEventReplay:
         st = run_six_events()
         st.check_invariants()
 
-    def test_plain_tuple_events_accepted(self):
-        # (time, slope) pairs are treated as contenders with that increment
-        st = PitState(events=[(1.2, 0.2), (1.6, 1.0), (2.5, 2.0), (3.2, 1.6)])
-        st.advance()
-        times = [rc[0] for rc in st.resident_changes]
-        np.testing.assert_allclose(times, [2.6, 3.4, 68.0 / 15.0], atol=1e-9)
-
 
 class TestStartConfigurationReplay:
     def test_two_changes_at_quarter_and_one(self):
@@ -143,7 +142,7 @@ class TestValidation:
             PitState(start=[(1.5, 1.0), (1.0, 0.0)])
 
     def test_event_times_must_increase(self):
-        st = PitState(events=[(2.0, 1.0), (1.0, 1.0)])
+        st = PitState(events=_ev((2.0, 1.0), (1.0, 1.0)))
         with pytest.raises(ConfigurationError):
             st.advance()
 
@@ -161,6 +160,13 @@ class TestValidation:
             InputEvent(1, time, increment, True)
 
 
+def _build(engine, events):
+    """A PitState on ``events``, or FitnessRows with them as its one row."""
+    return engine(events=events) if engine is PitState else FitnessRows([events])
+
+
+# Bare (time, slope) pairs are refused by both engines; these five once got
+# through the pair branch of the feed, which is gone.
 @pytest.mark.parametrize("events", [
     # an infinite slope used to make the skeleton's advance spin forever
     [(0.1, math.inf), (0.5, 1.0)],
@@ -171,10 +177,22 @@ class TestValidation:
     # a negative time used to run the clock back
     [(-1.0, 1.0), (0.5, 2.0)],
 ])
-@pytest.mark.parametrize("engine", [PitState, FitnessSkeleton])
+@pytest.mark.parametrize("engine", [PitState, FitnessRows])
 def test_bare_pairs_are_checked_like_input_events(engine, events):
     with pytest.raises(ConfigurationError):
-        engine(events=events).advance(until=1.0)
+        _build(engine, events).advance(until=1.0)
+
+
+@pytest.mark.parametrize("events", [
+    _ev((2.0, 1.0), (1.0, 1.0)),
+    _ev((1.0, 1.0), (1.0, 2.0)),
+    [InputEvent(2, 1.0, 1.0, True), InputEvent(2, 1.5, 1.0, True)],
+    [InputEvent(0, 1.0, 1.0, True)],
+], ids=["decreasing", "tied", "reused-index", "index-0"])
+@pytest.mark.parametrize("engine", [PitState, FitnessRows])
+def test_event_streams_must_increase(engine, events):
+    with pytest.raises(ConfigurationError):
+        _build(engine, events).advance()
 
 
 class TestChecksSeeNaN:
@@ -219,36 +237,39 @@ class TestChecksSeeNaN:
         st.types[0].fitness = math.nan
         with pytest.raises(InvariantViolation, match="at \\(1, 0\\)"):
             st._check_top(1e-9)
-        st = PitState(events=[(0.1, 1.0)])
+        st = PitState(events=_ev((0.1, 1.0)))
         st.advance(until=0.5)
         st.types[1].fitness = math.nan
         with pytest.raises(InvariantViolation, match="parent \\+ increment"):
             st.check_invariants()
 
 
-@pytest.mark.parametrize("engine", [PitState, FitnessSkeleton])
+@pytest.mark.parametrize("engine", [PitState, FitnessRows])
 class TestAdvanceRunsForward:
     def test_until_below_clock_is_refused(self, engine):
-        st = engine(events=[(0.1, 1.0), (0.5, 2.0)])
+        st = _build(engine, _ev((0.1, 1.0), (0.5, 2.0)))
         st.advance(until=0.3)
         with pytest.raises(ConfigurationError, match="until"):
             st.advance(until=0.2)
-        assert st.clock == 0.3
+        assert np.all(st.clock == 0.3)
         st.advance(until=0.3)
         st.advance(until=0.6)
-        assert st.clock == 0.6
+        assert np.all(st.clock == 0.6)
         if engine is PitState:
             # rewinding the clock without the heights used to leave 0.6 here
             assert st.height(1) == pytest.approx(0.5)
             assert st.height(2) == pytest.approx(0.2)
 
     def test_nan_until_is_refused(self, engine):
-        st = engine(events=[(0.1, 1.0), (0.5, 2.0)])
+        st = _build(engine, _ev((0.1, 1.0), (0.5, 2.0)))
         with pytest.raises(ConfigurationError, match="nan"):
             st.advance(until=math.nan)
         # nothing ran: a NaN bound used to let every event through
-        assert st.clock == 0.0
-        assert st.pending_immigration[0] == 0.1
+        assert np.all(st.clock == 0.0)
+        if engine is PitState:
+            assert st.pending_immigration[0] == 0.1
+        else:
+            assert st.resident_changes == [[]]
 
 
 class TestEventOrdering:
@@ -277,7 +298,7 @@ class TestFarClockProgress:
         # absolute hit time rounds onto the current clock.  Selection by
         # offset keeps the engine moving; this run used to spin forever.
         t0 = 32767.326758867104
-        st = PitState(events=[(t0, 1.0)])
+        st = PitState(events=_ev((t0, 1.0)))
         st.advance(until=t0 + 5.0)
         (t, _, fit, _, sol), = st.resident_changes
         assert t == pytest.approx(t0 + 1.0, abs=1e-6)
@@ -290,7 +311,7 @@ class TestFarClockProgress:
         for _ in range(400):
             t += rng.exponential(2.0)
             evs.append((t, float(rng.uniform(0.5, 2.0))))
-        st = PitState(events=evs)
+        st = PitState(events=_ev(*evs))
         st.advance()
         st.check_invariants()
         assert st.vstar_sum == pytest.approx(st.fitness - st.f0, abs=1e-9)
@@ -472,7 +493,7 @@ def test_hit_offsets_match_masked_formula_on_random_runs(seed):
 def test_negative_zero_slope_is_flat():
     # (2 - h)/-0.0 is -inf: a flat slot stored with that sign would be
     # picked as the next hit at clock -inf and stall advance
-    st = PitState(start=[(1.0, 0.0), (0.5, -0.0)], events=[(0.4, 1.0)])
+    st = PitState(start=[(1.0, 0.0), (0.5, -0.0)], events=_ev((0.4, 1.0)))
     st.advance(until=3.0)
     assert st.clock == 3.0
     assert st.height(-1) == 0.0
@@ -487,7 +508,7 @@ def _random_events(seed, count, lam=1.0):
     for _ in range(count):
         t += rng.exponential(1.0 / lam)
         evs.append((t, float(rng.uniform(0.2, 2.5))))
-    return evs
+    return _ev(*evs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -529,9 +550,8 @@ def test_deterministic_given_same_events():
     assert runs[0] == runs[1]
 
 
-def _assert_same_changes(skel, ref):
+def _assert_same_changes(got, want):
     """Same counts, winners and solitary flags; times, v* and fitness to 1e-12 relative."""
-    got, want = skel.resident_changes, ref.resident_changes
     assert len(got) == len(want)
     assert [rc[3:] for rc in got] == [rc[3:] for rc in want]
     if want:
@@ -540,62 +560,142 @@ def _assert_same_changes(skel, ref):
         )
 
 
-class TestFitnessSkeleton:
+# sha256 of each fixture's resident changes and fitness after every
+# ``until`` piece (see _digest), frozen from the one-system-at-a-time
+# skeleton engine that FitnessRows replaced, on the same streams; the rows
+# must give them bit for bit.
+FROZEN_ROWS = {
+    "six":
+        "324613be503c368fe7fdc906b84c67cf454d959d45e97278329727573bbe6c85",
+    "equal_slope":
+        "cff2f367cfb0aa7e97977a3f92f526080022759f44c0f63b49ad573ea959fea7",
+    "stamp_tol":
+        "662165ba46efa95fcffa70edd707eea9b177d04791ef53c9938647eb868cd786",
+    "arrival_on_hit":
+        "def12c7fc18c749a8d1268d3c621d45df0b5d5e063849f7eecad851ce84b42a9",
+    "riser":
+        "74d80bbaae7cc042a1beb3541ff3109fb125f64e4e8c54f2b1e5292a1db68b7c",
+    "far_clock":
+        "9d1f06d349593801d8f6fa77e73611dbbc109c2109a65f93353444ce6d7d9fab",
+    "streams pointmass(1) 1.0":
+        "203dfa702576d30f86c232454171d23cf073ba768f920bb1b41bfee8da8c9232",
+    "streams pointmass(1) 20.0":
+        "8188565461bd4620fb1f1ca737be12e2fcc94eb0e2c2abdf04a17d260c534b97",
+    "streams pointmass(1) 1000.0":
+        "7101ca823c11211877de1d6183f5aa59ad492dc4e01ddc2e1e918b00f5fd273c",
+    "streams uniform(1,2) 1.0":
+        "0bbdf50232e9188292d061c8cdfc357453aaffceb9b2470049d9103c3a541c9f",
+    "streams uniform(1,2) 20.0":
+        "7fd0353c943f3993d8c1a2389bd2bfdfb2322730e6ce236e1023d7d0c3c7c892",
+    "streams uniform(1,2) 1000.0":
+        "c3f45eed1d107e8c8116b73e7f9d74e694a98e397054ab5bc9117fecd2a6ab8a",
+    "streams exponential(1) 1.0":
+        "0ccf68686a2d5f6645b009669b2420da9ddccec0c0d11e8cacd5723482383d28",
+    "streams exponential(1) 20.0":
+        "d1e81d2e5e283e4141a0d4fc622ebe4d231465013de3ffded49b767e19d9aeef",
+    "streams exponential(1) 1000.0":
+        "886058b79bf602fb661e6ca27dc527f30b59e4f5736ccfa17b9104761cb680a6",
+    "streams pareto(1,0.5) 1.0":
+        "b2c5efd52ee09260f4b71a3cc5b3b9fc2ad453fa6c9d545a7c9c04f36ed9cf5b",
+    "streams pareto(1,0.5) 20.0":
+        "d364ca16c54baa42903a4ed137a4b08a9960715d243cd0d067f591b367608b00",
+    "streams pareto(1,0.5) 1000.0":
+        "bcc557165f7e7f4bbd9c55b14d8d11223a954fde0c0f1fc3d23c05b1f66172ac",
+    "streams mixture(0.5:pointmass(1),0.5:exponential(2)) 1.0":
+        "ee4d77dac9198adf90f8893bea07e996e1a0c4b1b02b50bcd9c2b4b6f8375b27",
+    "streams mixture(0.5:pointmass(1),0.5:exponential(2)) 20.0":
+        "b5199ea94cf488d8e24f6cff0ff02d6af74345854922f8d143be9286bb39c2b1",
+    "streams mixture(0.5:pointmass(1),0.5:exponential(2)) 1000.0":
+        "9eaa55d8f75aab801492297856cc88ea4ea4b0935ec97648b5cc3978123466a8",
+    "probe pareto":
+        "70474ef29e68f42f9892a8a4fcd09b15beee3415eeb9057664cf5e2f0ccb91ac",
+    "probe uniform50":
+        "66feea62574e62ef0d43c51825cf85fa5ff5eca9f3dab2f3c553812daac6f05f",
+    "probe fclt":
+        "5f4d943a5cd1ef67e8c9cc86e82e60246556c9724101458ef924030c518b2ed0",
+    "probe exp20":
+        "a9fd5ae59bd11c96ecf6cc75a3bf922f14e9bddb5901c71aaef931009be0eb00",
+    "probe uniform1000":
+        "07c8f1dd78e7b030da78940950a2643b6289fec24777e2dd928c40443a704d94",
+}
+
+
+def _run_pieces(streams, pieces, check=True):
+    """FitnessRows on ``streams`` through ``pieces``: per row, (changes, fitness) after each.
+
+    With ``check`` every row is compared with a PitState on its stream after
+    every piece.
+    """
+    rows = FitnessRows(streams)
+    refs = [PitState(events=evs) for evs in streams] if check else []
+    seen = [[] for _ in streams]
+    for until in pieces:
+        rows.advance(until=until)
+        changes, fitness = rows.resident_changes, rows.fitness.tolist()
+        for r, ref in enumerate(refs):
+            ref.advance(until=until)
+            _assert_same_changes(changes[r], ref.resident_changes)
+            np.testing.assert_allclose(fitness[r], ref.fitness, rtol=1e-12, atol=0.0)
+        for r in range(len(streams)):
+            seen[r].append((changes[r], fitness[r]))
+    if math.isfinite(pieces[-1]):
+        assert np.all(rows.clock == pieces[-1])
+    return rows, seen
+
+
+def _digest(seen):
+    h = hashlib.sha256()
+    for pieces in seen:
+        for changes, fit in pieces:
+            for t, v, f, w, s in changes:
+                h.update(f"{float(t)!r},{float(v)!r},{float(f)!r},{int(w)},{bool(s)}\n".encode())
+            h.update(f"={float(fit)!r};\n".encode())
+    return h.hexdigest()
+
+
+class TestFitnessRows:
     def test_six_event_replay(self):
-        sk = FitnessSkeleton(events=SIX_EVENTS)
-        sk.advance()
-        times = [rc[0] for rc in sk.resident_changes]
-        np.testing.assert_allclose(times, [2.6, 3.4, 68.0 / 15.0], atol=1e-9)
-        np.testing.assert_allclose([rc[2] for rc in sk.resident_changes], [1.0, 2.0, 2.6],
-                                   atol=1e-9)
-        assert [rc[3] for rc in sk.resident_changes] == [3, 4, 6]
-        assert [rc[4] for rc in sk.resident_changes] == [False, False, True]
-        assert sk.fitness == pytest.approx(2.6)
-        assert sk.resident_fitness_path()(4.0) == pytest.approx(2.0)
-        _assert_same_changes(sk, run_six_events())
+        rows, seen = _run_pieces([SIX_EVENTS], [math.inf])
+        (changes,) = rows.resident_changes
+        np.testing.assert_allclose([rc[0] for rc in changes], [2.6, 3.4, 68.0 / 15.0], atol=1e-9)
+        np.testing.assert_allclose([rc[2] for rc in changes], [1.0, 2.0, 2.6], atol=1e-9)
+        assert [rc[3] for rc in changes] == [3, 4, 6]
+        assert [rc[4] for rc in changes] == [False, False, True]
+        assert rows.fitness[0] == pytest.approx(2.6)
+        assert rows.resident_fitness_path(0)(4.0) == pytest.approx(2.0)
+        assert _digest(seen) == FROZEN_ROWS["six"]
 
     def test_equal_slope_hitters_smaller_id_wins(self):
         # two unit slopes born 5e-13 apart hit within the stamp tolerance
         evs = [InputEvent(1, 1.0, 1.0, True), InputEvent(2, 1.0 + 5e-13, 1.0, True)]
-        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs)
-        sk.advance(until=5.0)
-        ref.advance(until=5.0)
-        (t, v_star, fit, winner, solitary), = sk.resident_changes
+        rows, seen = _run_pieces([evs], [5.0])
+        (t, v_star, fit, winner, solitary), = rows.resident_changes[0]
         assert winner == 1 and solitary
         assert t == pytest.approx(2.0) and v_star == 1.0 and fit == 1.0
-        _assert_same_changes(sk, ref)
+        assert _digest(seen) == FROZEN_ROWS["equal_slope"]
         # the tied loser stays at (1, 0) beside the resident, with its fitness
+        ref = PitState(events=evs)
+        ref.advance(until=5.0)
         assert ref.height(2) == 1.0 and ref.slope(2) == 0.0
         ref.check_invariants()
 
     def test_hits_within_stamp_tolerance_form_one_change(self):
         # arrival 2 is fitter and reaches the top 5e-13 after arrival 1: one
         # change, won by the steeper hitter, which kinks arrival 1 to -1
-        evs = [(1.0, 1.0), (1.5 + 5e-13, 2.0)]
-        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs)
-        sk.advance(until=5.0)
-        ref.advance(until=5.0)
-        (t, v_star, fit, winner, solitary), = sk.resident_changes
+        rows, seen = _run_pieces([_ev((1.0, 1.0), (1.5 + 5e-13, 2.0))], [5.0])
+        (t, v_star, fit, winner, solitary), = rows.resident_changes[0]
         assert (v_star, fit, winner, solitary) == (2.0, 2.0, 2, True)
         assert t == pytest.approx(2.0)
-        _assert_same_changes(sk, ref)
+        assert _digest(seen) == FROZEN_ROWS["stamp_tol"]
 
     def test_arrival_on_hit_timestamp_keeps_full_slope(self):
         # the change at t=2 comes first, so the arrival stamped t=2 rises at
         # its full slope 0.5 and takes over at t=4; kinked, it would never rise
-        evs = [(1.0, 1.0), (2.0, 0.5), (10.0, 3.0)]
-        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs)
-        sk.advance(until=5.0)
-        ref.advance(until=5.0)
-        assert [(rc[0], rc[2], rc[3]) for rc in sk.resident_changes] == [
+        rows, seen = _run_pieces([_ev((1.0, 1.0), (2.0, 0.5), (10.0, 3.0))], [5.0])
+        assert [(rc[0], rc[2], rc[3]) for rc in rows.resident_changes[0]] == [
             (2.0, 1.0, 1), (4.0, 1.5, 2)
         ]
-        _assert_same_changes(sk, ref)
-
-        stop = FitnessSkeleton(events=evs)
-        stop.advance(stop_after_solitary=True)
-        assert stop.clock == 2.0 and len(stop.resident_changes) == 1
-        assert stop.pending_immigration == (10.0, 3.0, 3.0, 3)
+        assert _digest(seen) == FROZEN_ROWS["arrival_on_hit"]
 
     def test_riser_rounded_to_the_top_hits_next(self):
         # After the change at t=1, arrivals 2 and 3 rise at slopes ~1e-5 and
@@ -603,35 +703,40 @@ class TestFitnessSkeleton:
         # to join its hit, but the step to that hit rounds its height up to
         # exactly 1.  Still rising after the kink, it must take over next,
         # at the same clock.  (Found by bisection on arrival 3's time.)
-        evs = [(0.0, 1.0), (0.001, 1.0000100000000132), (0.0019999799977576363, 1.00002)]
-        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs)
-        sk.advance(until=300.0)
-        ref.advance(until=300.0)
-        assert [(rc[3], rc[4]) for rc in sk.resident_changes] == [
-            (1, False), (2, False), (3, True)
-        ]
-        assert sk.resident_changes[1][0] == sk.resident_changes[2][0]
-        assert sk.fitness == pytest.approx(1.00002, rel=1e-12)
-        _assert_same_changes(sk, ref)
+        evs = _ev((0.0, 1.0), (0.001, 1.0000100000000132), (0.0019999799977576363, 1.00002))
+        rows, seen = _run_pieces([evs], [300.0])
+        changes = rows.resident_changes[0]
+        assert [(rc[3], rc[4]) for rc in changes] == [(1, False), (2, False), (3, True)]
+        assert changes[1][0] == changes[2][0]
+        assert rows.fitness[0] == pytest.approx(1.00002, rel=1e-12)
+        assert _digest(seen) == FROZEN_ROWS["riser"]
 
     def test_far_clock_hit_rounded_onto_the_clock(self):
         # At clock 4e4 one ulp exceeds the stamp tolerance: the second
         # arrival's hit, ~5e-12 after the first's, lands on the same clock
         t0 = 40000.0
-        evs = [(t0, 1.0), (t0 + 0.5, 2.0 - 5.5e-12)]
-        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs)
-        sk.advance(until=t0 + 3.0)
-        ref.advance(until=t0 + 3.0)
-        first, second = sk.resident_changes
+        rows, seen = _run_pieces([_ev((t0, 1.0), (t0 + 0.5, 2.0 - 5.5e-12))], [t0 + 3.0])
+        first, second = rows.resident_changes[0]
         assert first[0] == second[0] == t0 + 1.0
         assert (first[1], first[3], first[4]) == (1.0, 1, False)
         assert (second[3], second[4]) == (2, True)
-        _assert_same_changes(sk, ref)
+        assert _digest(seen) == FROZEN_ROWS["far_clock"]
 
     def test_event_times_must_increase(self):
-        sk = FitnessSkeleton(events=[(2.0, 1.0), (1.0, 1.0)])
         with pytest.raises(ConfigurationError):
-            sk.advance()
+            FitnessRows([_ev((2.0, 1.0), (1.0, 1.0))]).advance()
+
+    def test_rows_do_not_interact(self):
+        # rows of every length, an empty one included, in one lockstep give
+        # what each gives alone
+        law = contender_params(20.0, parse_distribution("exponential(1)"))
+        streams = [sample_contender_stream(law, h, replicate_rng(31, r))
+                   for r, h in enumerate((0.3, 6.0, 2.0))]
+        streams.insert(1, [])
+        _, together = _run_pieces(streams, [1.0, 6.0], check=False)
+        alone = [_run_pieces([evs], [1.0, 6.0], check=False)[1][0] for evs in streams]
+        assert together == alone
+        assert together[1] == [([], 0.0), ([], 0.0)]
 
 
 _LAWS = (
@@ -648,20 +753,35 @@ _RATES = ((1.0, 60.0, 16), (20.0, 6.0, 16), (1000.0, 1.5, 8))
 @pytest.mark.parametrize("lam,horizon,n_seeds", _RATES)
 @pytest.mark.parametrize("gamma", _LAWS)
 def test_skeleton_matches_pit_state(gamma, lam, horizon, n_seeds):
+    # the seeds' streams run as the rows of one FitnessRows
     law = contender_params(lam, parse_distribution(gamma))
-    for seed in range(n_seeds):
-        evs = sample_contender_stream(law, horizon, replicate_rng(4242, seed))
-        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs)
-        for until in (horizon / 3, horizon):
-            sk.advance(until=until)
-            ref.advance(until=until)
-            assert sk.clock == ref.clock == until
-            np.testing.assert_allclose(sk.fitness, ref.fitness, rtol=1e-12, atol=0.0)
-            _assert_same_changes(sk, ref)
+    streams = [sample_contender_stream(law, horizon, replicate_rng(4242, seed))
+               for seed in range(n_seeds)]
+    _, seen = _run_pieces(streams, [horizon / 3, horizon])
+    assert _digest(seen) == FROZEN_ROWS[f"streams {gamma} {lam}"]
 
-        sk, ref = FitnessSkeleton(events=evs), PitState(events=evs)
-        sk.advance(stop_after_solitary=True)
-        ref.advance(stop_after_solitary=True)
-        _assert_same_changes(sk, ref)
-        np.testing.assert_allclose(sk.clock, ref.clock, rtol=1e-12, atol=0.0)
-        assert sk.pending_immigration == ref.pending_immigration
+
+def _one_rng_streams(lam, gamma, horizon, n, rng):
+    """``n`` contender streams drawn one after another from ``rng``, as the probes draw them."""
+    law = contender_params(lam, parse_distribution(gamma))
+    return [sample_contender_stream(law, horizon, rng) for _ in range(n)]
+
+
+@pytest.mark.parametrize("label, streams, pieces", [
+    ("probe pareto", lambda: _one_rng_streams(1.0, "pareto(1,0.5)", 160.0, 40,
+                                              replicate_rng(6, 1)), [20.0, 160.0]),
+    ("probe uniform50", lambda: _one_rng_streams(50.0, "uniform(1,2)", 1.0, 20,
+                                                 replicate_rng(5, 0)), [0.25, 0.5, 1.0]),
+    ("probe fclt", lambda: [
+        sample_contender_stream(contender_params(1.0, parse_distribution("pointmass(1)")),
+                                100.0, replicate_rng(7, r)) for r in range(6)],
+     [25.0, 50.0, 75.0, 100.0]),
+    ("probe exp20", lambda: _one_rng_streams(20.0, "exponential(1)", 6.0, 10,
+                                             replicate_rng(9, 0)), [1.0, 2.0, 3.0, 6.0]),
+    ("probe uniform1000", lambda: _one_rng_streams(1000.0, "uniform(1,2)", 1.5, 4,
+                                                   replicate_rng(10, 0)), [0.5, 1.0, 1.5]),
+], ids=["pareto", "uniform50", "fclt", "exp20", "uniform1000"])
+def test_probe_rows_in_pieces_are_frozen(label, streams, pieces):
+    # rows shaped like those of the probes and fclt, advanced in pieces
+    _, seen = _run_pieces(streams(), pieces)
+    assert _digest(seen) == FROZEN_ROWS[label]
