@@ -179,7 +179,7 @@ def sample_renewal_cycles(law: ContenderLaw, n_cycles: int, rng, *, collect_even
     lengths, rewards, events = FitnessRows.cycles(
         ArrivalBuffer(law, rng), n_cycles, collect=collect_events
     )
-    records = [RenewalRecord(t, f) for t, f in zip(lengths.tolist(), rewards.tolist())]
+    records = list(map(RenewalRecord, lengths.tolist(), rewards.tolist()))
     if collect_events:
         return records, events
     return records

@@ -782,7 +782,7 @@ class FitnessRows:
         would fall at or before zero is moved to ``TIME_EPS``).
 
         Each row reads ``arrivals`` (an :class:`~clonepit.inputs.ArrivalBuffer`)
-        in chunks of a fixed size, a power of two between 4 and 64 set by
+        in chunks of a fixed size, a power of two between 2 and 64 set by
         the contender rate, and sums the gaps of its chunk onto its last
         arrival time.  A row reads a chunk when it has passed the one
         before; rows reading at one step read in row order, and at the
@@ -792,7 +792,7 @@ class FitnessRows:
         being ``None`` or, with ``collect``, per cycle the ``(time,
         increment)`` pairs it applied, on its own clock.
         """
-        chunk = 1 << min(6, max(2, math.ceil(math.log2(0.25 * arrivals.law.rate + 1.0))))
+        chunk = 1 << min(6, max(1, math.ceil(math.log2(0.25 * arrivals.law.rate + 1.0))))
         n_rows = min(n_cycles, _RENEWAL_ROWS)
         T = np.zeros((n_rows, 2 * chunk))
         self = cls.__new__(cls)

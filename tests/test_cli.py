@@ -359,8 +359,8 @@ FROZEN_ARTIFACTS = {
     "speed": (
         "command = speed\nlambda = 1\ngamma = pointmass(1)\nhorizon = 50\n"
         "replicates = 2\nseed = 11\n", {
-            "cycles_r000.csv": "102e60db71a0d87402334acaa27045b82509c57b2544659b1fc78f0079d7bae5",
-            "cycles_r001.csv": "d58a851e9aace112e53cbef2d733e9e88e63cac76409cae8cdffa002505ef5a4",
+            "cycles_r000.csv": "188c9d528568c4280d49b6fe5e924f9deaba33bb6690c65a36af01a30ca60de0",
+            "cycles_r001.csv": "0719ceb1d8f48f457367320083615fb590eb552682832b72653fa58db6a6d431",
         }),
     "moran-run": (
         "command = moran-run\nn = 200\ncounts = 150, 50\nfitness = 0, 1\n"
@@ -380,7 +380,7 @@ FROZEN_ARTIFACTS = {
     "fclt": (
         "command = fclt\nlambda = 1\ngamma = pointmass(1)\nscale = 100\n"
         "replicates = 3\nseed = 7\ngrid_step = 0.25\n", {
-            "fclt.csv": "ba2a428782783d10e33d64586712c680f6969dc8d68904306ec5662385183e10",
+            "fclt.csv": "757392f60f7e2d107bb2f5dcdfbec2338937d1594836463ea1bf1d983fe2acfb",
         }),
     # the dense regime of criteria 10/12: hundreds of active trajectories
     "pit-run-dense": (
