@@ -653,7 +653,9 @@ def _digest(seen):
     return h.hexdigest()
 
 
-class TestFitnessRows:
+class TestFitnessSkeleton:
+    """The fitness skeleton (resident changes only), as `FitnessRows` computes it."""
+
     def test_six_event_replay(self):
         rows, seen = _run_pieces([SIX_EVENTS], [math.inf])
         (changes,) = rows.resident_changes
