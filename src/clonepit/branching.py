@@ -169,7 +169,7 @@ def gw_run(
     ``levels`` requests first-passage times; each level must not exceed the
     cap or the run could stop before reaching it.
     """
-    if horizon <= 0:
+    if not horizon > 0:
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
     if cap <= params.initial:
         raise ConfigurationError(f"cap {cap} must exceed the initial size {params.initial}")

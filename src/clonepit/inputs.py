@@ -100,7 +100,8 @@ class IncrementDistribution:
 
     kind: str = ""
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size: int) -> np.ndarray:
+        """Draw an array of ``size`` increments."""
         raise NotImplementedError
 
     def mean(self) -> float:
@@ -142,9 +143,7 @@ class PointMass(IncrementDistribution):
         if not self.c > 0:
             raise ValueError(f"pointmass location must be positive, got {self.c}")
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.c
+    def sample(self, rng, size):
         return np.full(size, self.c)
 
     def mean(self):
@@ -176,7 +175,7 @@ class Uniform(IncrementDistribution):
                 f"uniform bounds must satisfy 0 < lo < hi, got lo={self.lo}, hi={self.hi}"
             )
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return as_generator(rng).uniform(self.lo, self.hi, size)
 
     def mean(self):
@@ -207,7 +206,7 @@ class Exponential(IncrementDistribution):
         if not self.mean_value > 0:
             raise ValueError(f"exponential mean must be positive, got {self.mean_value}")
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return as_generator(rng).exponential(self.mean_value, size)
 
     def mean(self):
@@ -259,7 +258,7 @@ class Pareto(IncrementDistribution):
                 f"draw, scale * 2**(53/alpha), overflows a float"
             )
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         u = as_generator(rng).random(size)
         # 1 - u lies in [2**-53, 1], and __post_init__ refused any law whose
         # quantile at 2**-53 overflows, so no draw is inf.
@@ -308,11 +307,9 @@ class Mixture(IncrementDistribution):
         if any(not isinstance(c, IncrementDistribution) for c in self.components):
             raise ValueError("mixture components must be increment distributions")
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         rng = as_generator(rng)
         idx = rng.choice(len(self.components), size=size, p=np.asarray(self.weights))
-        if size is None:
-            return self.components[int(idx)].sample(rng)
         out = np.empty(size)
         for k, comp in enumerate(self.components):
             mask = idx == k

@@ -34,10 +34,12 @@ probability ``(1 + s) / (2 + s)`` for the fitness gap ``s``, after an
 exponential holding time of rate ``(2 + s) * z * (N - z) * log(N) / N``.
 :func:`moran_run` simulates such a stretch exactly (Gillespie 1977) with
 the numpy block walker that also drives :func:`clonepit.branching.gw_run`,
-until absorption, the horizon, the next scheduled mutation or, under a free
-mutation rate, an ``Exp(lam)`` mutation time drawn when the stretch starts;
-indicator checks and trace grid points inside it read the count off the
-block with ``searchsorted``.
+until absorption, the horizon or the next mutation; indicator checks and
+trace grid points inside it read the count off the block with
+``searchsorted``.  Mutations always follow a schedule: the mutation clock
+is independent of resampling, so a free rate ``lam`` has its whole stream
+on ``[0, horizon)`` drawn when the run starts (the horizon cut of
+:class:`~clonepit.inputs.ArrivalBuffer`), and each parent at its mutation.
 
 With three or more live types the loop is plain Python over scalar
 floats, one event at a time: it maintains the aggregates
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branching import _jump_chain
-from .inputs import IncrementDistribution
+from .inputs import ContenderLaw, IncrementDistribution, InputEvent, _horizon_cut
 from .pit import ConfigurationError, _fmt, _write_csv
 from .rng import UniformBuffer, as_generator
 
@@ -93,7 +95,8 @@ class MoranState:
     ``gamma``) or a *coupled* schedule of
     :class:`~clonepit.inputs.InputEvent` records with fixed times and
     increments; a schedule makes runs comparable to a trajectory-system
-    replay driven by the same input.
+    replay driven by the same input.  :func:`moran_run` turns a free source
+    into a schedule, indexed from ``len(counts)``, when it starts.
     """
 
     def __init__(self, n, counts, fitness, lam, gamma, schedule):
@@ -114,7 +117,6 @@ class MoranState:
             i: m for i, m in zip(self.ids, self.fitness)
         }
         self.type_birth: dict[int, float] = {i: 0.0 for i in self.ids}
-        self._next_id = len(self.ids)
         self._aggr: list[float] = []
         self._rebuild()
 
@@ -160,8 +162,8 @@ def moran_init(n, counts, fitness, *, lam=0.0, gamma=None, schedule=None) -> Mor
         Per-type initial counts (positive, summing to ``n``) and fitness
         values.  Types get ids 0, 1, ... in listed order.
     lam, gamma:
-        Free-mutation configuration: rescaled arrival rate and increment
-        law.  ``lam > 0`` requires ``gamma``.
+        Free-mutation configuration: finite rescaled arrival rate and
+        increment law.  ``lam > 0`` requires ``gamma`` and a finite horizon.
     schedule:
         Coupled mutation schedule, an iterable of
         :class:`~clonepit.inputs.InputEvent` (contender flags are ignored;
@@ -181,6 +183,8 @@ def moran_init(n, counts, fitness, *, lam=0.0, gamma=None, schedule=None) -> Mor
         raise ConfigurationError(
             f"initial counts must sum to the population size {n}, got {sum(counts)}"
         )
+    if not 0.0 <= lam < math.inf:
+        raise ConfigurationError(f"lambda must be finite and >= 0, got {lam}")
     if schedule is not None:
         if lam:
             raise ConfigurationError("a mutation schedule excludes a free mutation rate")
@@ -188,6 +192,8 @@ def moran_init(n, counts, fitness, *, lam=0.0, gamma=None, schedule=None) -> Mor
         prev = -math.inf
         seen = set()
         for ev in schedule:
+            if not isinstance(ev, InputEvent):
+                raise ConfigurationError(f"schedule entries must be InputEvents, got {ev!r}")
             if ev.time <= prev:
                 raise ConfigurationError("schedule times must be strictly increasing")
             prev = ev.time
@@ -196,12 +202,9 @@ def moran_init(n, counts, fitness, *, lam=0.0, gamma=None, schedule=None) -> Mor
                     f"schedule index {ev.index} collides with another type id"
                 )
             seen.add(ev.index)
-    elif lam:
-        if lam < 0:
-            raise ConfigurationError(f"lambda must be >= 0, got {lam}")
-        if not isinstance(gamma, IncrementDistribution):
-            raise ConfigurationError("a free mutation rate needs an increment distribution")
-    return MoranState(n, counts, fitness, lam, gamma, schedule)
+    elif lam and not isinstance(gamma, IncrementDistribution):
+        raise ConfigurationError("a free mutation rate needs an increment distribution")
+    return MoranState(n, counts, fitness, lam, gamma, schedule or [])
 
 
 def mean_fitness(state: MoranState) -> float:
@@ -279,9 +282,17 @@ def moran_run(
 
     The state is consumed: run each fresh state exactly once.
     """
-    if horizon <= 0:
+    if not horizon > 0:
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
     rng = as_generator(rng)
+    if state.lam > 0.0:
+        if horizon == math.inf:
+            raise ConfigurationError("a free mutation rate needs a finite horizon, got inf")
+        # free mutants take the ids after the initial types
+        pairs = _horizon_cut(ContenderLaw.direct(state.lam, state.gamma), horizon, rng)
+        state.schedule += [
+            InputEvent(i, t, a, True) for i, (t, a) in enumerate(pairs, len(state.ids))
+        ]
     n = state.n
     log_n = state.log_n
     c_resc = log_n / n
@@ -292,7 +303,6 @@ def moran_run(
     x = state.counts
     m = state.fitness
     aggr = state._aggr
-    lam = state.lam
     sched = state.schedule
     buf = UniformBuffer(rng)
     nextu = buf.next
@@ -392,19 +402,15 @@ def moran_run(
     while True:
         k = len(ids)
         t_mut = math.inf
-        if sched is not None and state.sched_pos < len(sched):
+        if state.sched_pos < len(sched):
             t_mut = sched[state.sched_pos].time
 
         if k == 2:
             # -- two-type stretch: the fitter type a replaces the other at
             #    rate z (N - z) (1 + s) c and loses to it at z (N - z) c, a
             #    +-1 walk run in blocks until absorption, the horizon or the
-            #    next mutation; the free-mutation clock is independent of
-            #    the walk, so one Exp(lam) time drawn here is exact
-            t_free = math.inf
-            if sched is None and lam > 0.0:
-                t_free = state.clock + rng.exponential() / lam
-            t_stop = min(horizon, t_mut, t_free)
+            #    next mutation
+            t_stop = min(horizon, t_mut)
             a = 0 if m[0] >= m[1] else 1
             s = m[a] - m[1 - a]
             rate = (2.0 + s) * c_resc
@@ -439,8 +445,6 @@ def moran_run(
                 ev = sched[state.sched_pos]
                 state.sched_pos += 1
                 mutate(t_mut, ev.index, ev.increment)
-            elif t_stop == t_free:
-                mutate(t_free, state._next_id, float(state.gamma.sample(rng)))
             else:
                 break
             continue
@@ -452,9 +456,8 @@ def moran_run(
             total += x[a] * (aggr[a] - x[a])
         total *= c_resc
 
-        rate_all = total + (lam if sched is None else 0.0)
-        if rate_all > 0.0:
-            t_new = state.clock - log(1.0 - nextu()) / rate_all
+        if total > 0.0:
+            t_new = state.clock - log(1.0 - nextu()) / total
         else:
             t_new = math.inf
 
@@ -473,10 +476,6 @@ def moran_run(
         if t_new >= next_due:
             settle(t_new)
         state.clock = t_new
-
-        if sched is None and lam > 0.0 and nextu() * rate_all < lam:
-            mutate(t_new, state._next_id, float(state.gamma.sample(rng)))
-            continue
 
         # -- resampling: pick reproducer a with weight x_a (T_a - x_a), then
         #    victim b != a with weight x_b (1 + (m_a - m_b)^+)
@@ -559,7 +558,6 @@ def _apply_mutation(state, idx, inc, nextu, pending, t_off, want_indicator):
     state.type_fitness[idx] = fit
     state.type_birth[idx] = state.clock
     state.mutations += 1
-    state._next_id = max(state._next_id, idx) + 1
     state.sum_xm += inc
     state._rebuild()
     if want_indicator:

@@ -130,6 +130,11 @@ class TestRuns:
         assert run.clock <= 0.01 + 1e-12
         assert not run.escaped
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+    def test_horizon_must_be_positive(self, horizon):
+        with pytest.raises(ConfigurationError, match="horizon"):
+            gw_run(GwParams(2.0, 1.0), np.random.default_rng(3), horizon=horizon)
+
     def test_level_times_increase(self):
         run = gw_run(
             GwParams(2.0, 1.0), np.random.default_rng(4), cap=2000, levels=(10, 100, 1000)

@@ -10,6 +10,7 @@ from scipy.stats import kstest
 from clonepit import (
     ContenderLaw,
     Exponential,
+    IncrementDistribution,
     Mixture,
     Pareto,
     PointMass,
@@ -111,6 +112,23 @@ class TestParseDistribution:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             parse_distribution("uniform(1,)")
+
+
+_ONE_OF_EACH = (
+    PointMass(3.0),
+    Uniform(1.0, 2.0),
+    Exponential(1.0),
+    Pareto(1.0, 2.0),
+    Mixture((0.5, 0.5), (PointMass(1.0), Exponential(2.0))),
+)
+
+
+@pytest.mark.parametrize("dist", _ONE_OF_EACH, ids=lambda d: d.kind)
+def test_increment_sample_needs_size(dist):
+    # every draw is an array draw; there is no scalar mode
+    assert {type(d) for d in _ONE_OF_EACH} == set(IncrementDistribution.__subclasses__())
+    with pytest.raises(TypeError):
+        dist.sample(np.random.default_rng(6))
 
 
 class TestContenderLaw:
@@ -250,5 +268,4 @@ class TestStreams:
 
     def test_sample_increment_pointmass(self):
         rng = np.random.default_rng(6)
-        assert PointMass(3.0).sample(rng) == 3.0
-        assert PointMass(3.0).sample(rng, 4).shape == (4,)
+        assert PointMass(3.0).sample(rng, 4).tolist() == [3.0] * 4

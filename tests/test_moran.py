@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.stats import kstest
 
 from clonepit import (
+    ContenderLaw,
     Exponential,
     LogFrequencyTrace,
     MoranResult,
@@ -18,6 +20,7 @@ from clonepit import (
     moran_run,
     write_trace_csv,
 )
+from clonepit.inputs import _horizon_cut
 from clonepit.pit import ConfigurationError, _fmt
 from clonepit.rng import UNIFORM_BLOCK, UniformBuffer, replicate_rng
 
@@ -49,6 +52,15 @@ class TestInit:
                 10, [10], [0.0],
                 schedule=[InputEvent(1, 0.5, 1.0, True), InputEvent(1, 0.7, 1.0, True)],
             )
+
+    @pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan])
+    def test_lambda_must_be_finite_and_non_negative(self, lam):
+        with pytest.raises(ConfigurationError, match="lambda"):
+            moran_init(10, [10], [0.0], lam=lam, gamma=Exponential(1.0))
+
+    def test_schedule_holds_input_events(self):
+        with pytest.raises(ConfigurationError, match="InputEvent"):
+            moran_init(10, [10], [0.0], schedule=[(0.5, 1.0)])
 
     def test_mean_fitness(self):
         st = moran_init(10, [5, 5], [0.0, 1.0])
@@ -89,6 +101,17 @@ class TestRuns:
         st = moran_init(50, [50], [0.0])
         with pytest.raises(ConfigurationError):
             moran_run(st, 0.0, np.random.default_rng(3))
+        for horizon in (-1.0, math.nan):
+            with pytest.raises(ConfigurationError, match="horizon"):
+                moran_run(st, horizon, np.random.default_rng(3))
+
+    def test_free_mutation_needs_a_finite_horizon(self):
+        st = moran_init(50, [50], [0.0], lam=1.0, gamma=Exponential(1.0))
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="horizon"):
+            moran_run(st, math.inf, rng)
+        assert rng.bit_generator.state == before
 
 
 class TestSchedule:
@@ -334,9 +357,9 @@ class TestTwoTypeWalk:
         assert abs(np.mean(steps) - mean) < 4.0 * math.sqrt(mean / reps)
 
     def test_free_mutation_cuts_a_stretch(self):
-        # the mutation clock runs at rate lam whatever the walk does, so the
-        # number of mutations by t = 1 is Poisson(2): the first one ends a
-        # two-type stretch, later ones come from the event loop
+        # the free mutations are a rate-lam schedule drawn before the walk
+        # starts, so their number by t = 1 is Poisson(2); the first one
+        # cuts the two-type stretch short
         reps, lam = 400, 2.0
         muts = []
         for r in range(reps):
@@ -349,6 +372,52 @@ class TestTwoTypeWalk:
             muts.append(st.mutations)
         assert abs(np.mean(muts) - lam) < 4.0 * math.sqrt(lam / reps)
         assert abs(np.mean(np.equal(muts, 0)) - math.exp(-lam)) < 0.05
+
+
+class TestFreeMutation:
+    @pytest.mark.parametrize("counts, fitness", [
+        ([200, 100], [0.0, 0.5]),
+        ([300], [0.0]),
+        ([100, 100, 100], [0.0, 0.3, 0.6]),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_free_run_is_the_scheduled_run(self, counts, fitness, seed):
+        # a free rate draws its schedule first, with the horizon cut of the
+        # arrival sampler, then runs exactly as that schedule would
+        lam, gamma, horizon = 3.0, Exponential(1.0), 2.0
+        free = moran_init(300, counts, fitness, lam=lam, gamma=gamma)
+        res = moran_run(free, horizon, np.random.default_rng(seed), grid_step=0.05)
+        twin = np.random.default_rng(seed)
+        pairs = _horizon_cut(ContenderLaw.direct(lam, gamma), horizon, twin)
+        events = [InputEvent(i, t, a, True) for i, (t, a) in enumerate(pairs, len(counts))]
+        ref = moran_run(moran_init(300, counts, fitness, schedule=events), horizon, twin,
+                        grid_step=0.05)
+        assert free.schedule == events and free.mutations == len(events) > 0
+        assert res.n_events == ref.n_events
+        assert res.indicators == ref.indicators
+        assert free.type_birth == ref.state.type_birth
+        assert free.type_fitness == ref.state.type_fitness
+        assert np.array_equal(res.trace.times, ref.trace.times)
+        assert np.array_equal(res.trace.mean_fitness, ref.trace.mean_fitness)
+        assert res.trace.counts.keys() == ref.trace.counts.keys()
+        for tid, c in res.trace.counts.items():
+            assert np.array_equal(c, ref.trace.counts[tid])
+
+    def test_births_are_uniform_and_increments_follow_gamma(self):
+        # given their number, the mutation times on [0, horizon) are i.i.d.
+        # uniform, and each mutant's increment is a draw of gamma
+        births, incs = [], []
+        for r in range(300):
+            st = moran_init(50, [25, 25], [0.0, 1.0], lam=2.0, gamma=Exponential(1.0))
+            moran_run(st, 1.5, replicate_rng(77, r), trace=False, indicators=False)
+            assert st.mutations == len(st.schedule)
+            for ev in st.schedule:
+                assert st.type_birth[ev.index] == ev.time
+                births.append(ev.time / 1.5)
+                incs.append(ev.increment)
+        assert len(births) > 700
+        assert kstest(births, "uniform").pvalue > 1e-3
+        assert kstest(incs, "expon").pvalue > 1e-3
 
 
 def test_uniform_buffer_draws_lazily():
