@@ -469,6 +469,7 @@ def _cmd_moran_run(scn: Scenario, shash: str, out: str) -> dict:
     # scheduled mutants take the ids after the initial types
     schedule = _replay_events(scn, len(counts)) or None
     reps = []
+    time_texts = None  # replicates on one grid format its times once
     for r in range(scn.replicates):
         state = moran_init(
             scn.n, counts, fitness,
@@ -476,7 +477,8 @@ def _cmd_moran_run(scn: Scenario, shash: str, out: str) -> dict:
         )
         res = moran_run(state, scn.horizon, replicate_rng(scn.seed, r),
                         grid_step=scn.grid_step)
-        write_trace_csv(res, os.path.join(out, f"trace_r{r:03d}.csv"), shash)
+        time_texts = write_trace_csv(res, os.path.join(out, f"trace_r{r:03d}.csv"), shash,
+                                     time_texts)
         reps.append({
             "replicate": r,
             "n_events": res.n_events,

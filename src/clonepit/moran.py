@@ -278,12 +278,16 @@ def moran_run(
     except the largest one (useful for single-mutant survival experiments).
     The check time offset defaults to ``1/sqrt(log N)`` after birth and the
     count threshold to ``log N``; a type is flagged when its count at the
-    check time (not its running maximum) meets the threshold.
+    check time (not its running maximum) meets the threshold.  The trace
+    samples a grid of finite positive ``grid_step`` plus the mutation and
+    check times.
 
     The state is consumed: run each fresh state exactly once.
     """
     if not horizon > 0:
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
+    if not 0.0 < grid_step < math.inf:
+        raise ConfigurationError(f"grid_step must be finite and positive, got {grid_step}")
     rng = as_generator(rng)
     if state.lam > 0.0:
         if horizon == math.inf:
@@ -564,33 +568,48 @@ def _apply_mutation(state, idx, inc, nextu, pending, t_off, want_indicator):
         heapq.heappush(pending, (state.clock + t_off, idx))
 
 
-def write_trace_csv(result: MoranResult, path, scenario_hash: str | None = None):
-    """Trace CSV: time, type_id, count, H, mean_fitness (one row per live type)."""
+def write_trace_csv(result: MoranResult, path, scenario_hash: str | None = None,
+                    time_texts=None):
+    """Trace CSV: time, type_id, count, H, mean_fitness (one row per live type).
+
+    Every cell is the text ``_fmt`` gives for its number, so the bytes are
+    those of formatting each row on its own.  The rows come in runs: a run
+    starts wherever a count or the bits of the mean fitness change, its
+    row tails are formatted once and joined onto the texts of its sample
+    times.  Returns those time texts keyed on the bits of ``times``; handing
+    them back as ``time_texts`` for the next trace of the same command skips
+    formatting its times again when they have the same bits (a command's
+    replicates on one grid without mutations), and is ignored otherwise.
+    """
     tr = result.trace
-    order = sorted(tr.heights)
-    cols = [(tid, tr.counts[tid].tolist(), tr.heights[tid].tolist()) for tid in order]
-    # a row equal to the one before it (same counts, same mean-fitness bits)
-    # reuses its formatted columns; only the time is formatted again
-    repeat = np.zeros(tr.times.size, dtype=bool)
-    if tr.times.size:
-        fbits = tr.mean_fitness.view(np.int64)
-        repeat[1:] = fbits[1:] == fbits[:-1]
-        for tid in order:
-            c = tr.counts[tid]
-            repeat[1:] &= c[1:] == c[:-1]
-    rows: list[str] = []
-    tails: list[str] = []
-    for row, (t, fb, again) in enumerate(
-        zip(tr.times.tolist(), tr.mean_fitness.tolist(), repeat.tolist())
-    ):
-        if not again:
-            fb_text = _fmt(fb)
-            tails = [
-                f",{tid},{int(counts[row])},{_fmt(heights[row])},{fb_text}"
-                for tid, counts, heights in cols
-                if counts[row] > 0.0
-            ]
-        head = _fmt(t)
-        for tail in tails:
-            rows.append(head + tail)
-    _write_csv(path, "time,type_id,count,H,mean_fitness", rows, scenario_hash)
+    if tr is None:
+        raise ConfigurationError("the run kept no trace: it was run with trace=False")
+    size = tr.times.size
+    key = tr.times.tobytes()
+    if time_texts is None or time_texts[0] != key:
+        time_texts = (key, [_fmt(t) for t in tr.times.tolist()])
+    texts = time_texts[1]
+    order = sorted(tr.counts)
+    new = np.ones(size, dtype=bool)
+    fbits = tr.mean_fitness.view(np.int64)
+    new[1:] = fbits[1:] != fbits[:-1]
+    for tid in order:
+        c = tr.counts[tid]
+        new[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(new)
+    # each type's count and height at the start of every run
+    cols = [(tid, tr.counts[tid][starts].tolist(), tr.heights[tid][starts].tolist())
+            for tid in order]
+    chunks: list[str] = []
+    bounds = starts.tolist() + [size]
+    for j, fb in enumerate(tr.mean_fitness[starts].tolist()):
+        fb_text = _fmt(fb)
+        tails = [f",{tid},{int(counts[j])},{_fmt(heights[j])},{fb_text}"
+                 for tid, counts, heights in cols if counts[j] > 0.0]
+        run = texts[bounds[j]:bounds[j + 1]]
+        if len(tails) == 1:  # the whole run in one join
+            chunks.append((tails[0] + "\n").join(run) + tails[0])
+        else:
+            chunks += [t + tail for t in run for tail in tails]
+    _write_csv(path, "time,type_id,count,H,mean_fitness", chunks, scenario_hash)
+    return time_texts

@@ -368,6 +368,15 @@ FROZEN_ARTIFACTS = {
             "trace_r000.csv": "ba2715f579bdd320244b835bf58e6cb1a9a955f6caf8f5ec2791395d88b283d4",
             "trace_r001.csv": "48e15874320e029dca5c89010e9929b3d2ba83d375479e23501a09e8556333a7",
         }),
+    # free mutations: each replicate samples at its own mutation and check times
+    "moran-run-free": (
+        "command = moran-run\nn = 200\ncounts = 150, 50\nfitness = 0, 1\n"
+        "lambda = 2\ngamma = exponential(1)\nhorizon = 2\ngrid_step = 0.05\n"
+        "replicates = 3\nseed = 8\n", {
+            "trace_r000.csv": "623663947a53ccae20713ac60c2997eba39ed5a0774780c286cb7df50cc4d3eb",
+            "trace_r001.csv": "2a72218a1b9db619063ba2dcbeafa50e9968aa51b83538ad34d101951a8a8ae5",
+            "trace_r002.csv": "b939017d91c5f20889ff7ce37bf88611fd8ff4a0aa3007fe1dac39593f7268ad",
+        }),
     "couple": (
         "command = couple\nn = 200\nhorizon = 1.5\nreplicates = 2\nseed = 6\n"
         "event = 0.4, 1.0\nevent = 0.9, 1.5\n", {

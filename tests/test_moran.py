@@ -105,6 +105,12 @@ class TestRuns:
             with pytest.raises(ConfigurationError, match="horizon"):
                 moran_run(st, horizon, np.random.default_rng(3))
 
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+    def test_grid_step_must_be_finite_and_positive(self, step):
+        st = moran_init(50, [50], [0.0])
+        with pytest.raises(ConfigurationError, match="grid_step"):
+            moran_run(st, 1.0, np.random.default_rng(3), grid_step=step)
+
     def test_free_mutation_needs_a_finite_horizon(self):
         st = moran_init(50, [50], [0.0], lam=1.0, gamma=Exponential(1.0))
         rng = np.random.default_rng(3)
@@ -495,14 +501,36 @@ def test_write_trace_csv_exact_bytes(tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_write_trace_csv_matches_reference(tmp_path, seed):
-    st = moran_init(300, [200, 100], [0.0, 0.5], lam=3.0, gamma=Exponential(1.0))
-    res = moran_run(st, 2.0, np.random.default_rng(seed), grid_step=0.05)
-    assert len(res.trace.heights) > 2
-    # both kinds of event happened: mutations and resamplings
-    assert 0 < res.state.mutations < res.n_events
-    write_trace_csv(res, tmp_path / "new.csv", "ab")
-    _reference_trace_csv(res, tmp_path / "ref.csv", "ab")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # one command's writes: two runs without mutations share their sample
+    # times, two free-mutation runs sample at their own mutation and check
+    # times, and a last run is back on the bare grid
+    rng = np.random.default_rng(seed)
+    free = [moran_init(300, [200, 100], [0.0, 0.5], lam=3.0, gamma=Exponential(1.0))
+            for _ in range(2)]
+    bare = [moran_init(300, [200, 100], [0.0, 0.5]) for _ in range(3)]
+    results = [moran_run(st, 2.0, rng, grid_step=0.05)
+               for st in (bare[0], bare[1], *free, bare[2])]
+    for res in results[2:4]:
+        assert len(res.trace.heights) > 2
+        # both kinds of event happened: mutations and resamplings
+        assert 0 < res.state.mutations < res.n_events
+    texts = None
+    for r, res in enumerate(results):
+        earlier = texts
+        texts = write_trace_csv(res, tmp_path / f"new{r}.csv", "ab", texts)
+        # the time texts are handed on exactly when the times have the same bits
+        same = earlier is not None and earlier[0] == res.trace.times.tobytes()
+        assert (texts is earlier) == same == (r == 1)
+        _reference_trace_csv(res, tmp_path / f"ref{r}.csv", "ab")
+        assert (tmp_path / f"new{r}.csv").read_bytes() == (tmp_path / f"ref{r}.csv").read_bytes()
+
+
+def test_write_trace_csv_needs_a_trace(tmp_path):
+    st = moran_init(50, [40, 10], [0.0, 1.0])
+    res = moran_run(st, 1.0, np.random.default_rng(4), trace=False)
+    with pytest.raises(ConfigurationError, match="no trace"):
+        write_trace_csv(res, tmp_path / "trace.csv")
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_write_trace_csv(tmp_path):
