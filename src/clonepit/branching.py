@@ -55,8 +55,10 @@ class GwParams:
             )
         if self.birth == 0 and self.death == 0:
             raise ConfigurationError("at least one of birth and death must be positive")
-        if self.initial < 1 or self.initial != int(self.initial):
+        if not (self.initial >= 1 and float(self.initial).is_integer()):
             raise ConfigurationError(f"initial size must be a positive integer, got {self.initial}")
+        # an integral float such as 2.0 is stored as the int it equals
+        object.__setattr__(self, "initial", int(self.initial))
 
     @property
     def drift(self) -> float:
@@ -217,34 +219,56 @@ def _jump_chain(z, t, rng, p_up, hold_rate, top, t_stop):
     step times, cut at the absorbing step or before the first step past
     ``t_stop``; the last state yielded is the final one.  Blocks grow from
     64 by a factor 4 up to 16384, each drawing ``rng.random(block)`` and then
-    ``rng.exponential(size=block)``, so a seeded stream gives the same path
-    whoever the caller is.
+    ``rng.standard_exponential(block)``, so a seeded stream gives the same
+    path whoever the caller is.
+
+    Besides the two draws and the two running sums, a block makes only
+    cheap in-place passes.  ``walk`` holds the state before the block and
+    then the path, so its first ``block`` entries are the states the holds
+    are taken from.  Holds become times in their own buffer, and only up to
+    the absorbing step.  An absorbing end is looked for only when the block
+    is long enough to reach it, and the horizon only when the block's last
+    time passes it (times never decrease, so a binary search finds the cut).
     """
     block = _BLOCK0
     while True:
-        steps = np.where(rng.random(block) < p_up, 1, -1)
-        path = z + np.cumsum(steps)
-        holds = rng.exponential(size=block)
-        prev = np.empty(block, dtype=np.int64)
-        prev[0] = z
-        prev[1:] = path[:-1]
-        # entries past an absorption are garbage (the rate at an absorbing
-        # state is 0); they are cut off below before anything reads them
-        with np.errstate(divide="ignore", invalid="ignore"):
-            times = t + np.cumsum(holds / hold_rate(prev))
+        walk = np.empty(block + 1, dtype=np.int64)
+        walk[0] = z
+        path = walk[1:]
+        path[:] = rng.random(block) < p_up
+        holds = rng.standard_exponential(block)
+        path += path
+        path -= 1
+        np.add.accumulate(walk, out=walk)
 
         stop = block
-        hit = np.flatnonzero((path == 0) | (path >= top))
-        if hit.size:
-            stop = hit[0] + 1
-        over = np.flatnonzero(times[:stop] > t_stop)
-        if over.size:
-            h = over[0]
+        absorbed = False
+        low, high = z <= block, z + block >= top
+        if low or high:
+            if low:
+                hit = path == 0
+                if high:
+                    hit |= path >= top
+            else:
+                hit = path >= top
+            first = int(hit.argmax())
+            absorbed = bool(hit[first])
+            if absorbed:
+                stop = first + 1
+        times = holds[:stop]
+        # a rate of 0 or inf gives an inf or 0 hold, not a RuntimeWarning
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(times, hold_rate(walk[:stop]), out=times)
+        np.add.accumulate(times, out=times)
+        times += t
+
+        if times[-1] > t_stop:
+            h = int(times.searchsorted(t_stop, "right"))
             if h:
                 yield path[:h], times[:h]
             return
-        yield path[:stop], times[:stop]
-        if hit.size:
+        yield path[:stop], times
+        if absorbed:
             return
         z = int(path[-1])
         t = float(times[-1])

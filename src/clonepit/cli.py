@@ -67,7 +67,7 @@ from .inputs import (
     parse_distribution,
     sample_contender_stream,
 )
-from .moran import moran_init, moran_run, write_trace_csv
+from .moran import MAX_GRID_SAMPLES, moran_init, moran_run, write_trace_csv
 from .pit import (
     ConfigurationError,
     FitnessRows,
@@ -354,8 +354,14 @@ def _validate(scn: Scenario):
     elif cmd == "fclt":
         _require(scn.scale > 0, "scale", "must be positive")
         _require(scn.replicates >= 2, "replicates", "an ensemble needs at least 2 paths")
+        _require(1.0 / scn.grid_step <= MAX_GRID_SAMPLES, "grid_step",
+                 f"gives more than {MAX_GRID_SAMPLES} grid points")
         _require(_grid_count(scn.grid_step) >= 1, "grid_step",
                  "must be 1/k for a positive integer k (the grid is k/k, 2/k, ..., 1)")
+    if cmd in ("moran-run", "couple"):
+        # moran_run's trace grid has ceil(horizon / grid_step + 1/2) points
+        _require(scn.horizon / scn.grid_step + 0.5 <= MAX_GRID_SAMPLES, "grid_step",
+                 f"gives more than {MAX_GRID_SAMPLES} trace samples up to the horizon")
 
 
 # -- artifact plumbing --------------------------------------------------------

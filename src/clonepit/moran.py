@@ -67,6 +67,7 @@ __all__ = [
     "ContenderIndicator",
     "LogFrequencyTrace",
     "MoranResult",
+    "MAX_GRID_SAMPLES",
     "moran_init",
     "moran_run",
     "mean_fitness",
@@ -74,6 +75,10 @@ __all__ = [
 ]
 
 _REBUILD_EVERY = 8192
+
+# the most points a sample grid may have (80 MB of float64); a larger grid
+# is refused before anything is allocated
+MAX_GRID_SAMPLES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -280,7 +285,8 @@ def moran_run(
     count threshold to ``log N``; a type is flagged when its count at the
     check time (not its running maximum) meets the threshold.  The trace
     samples a grid of finite positive ``grid_step`` plus the mutation and
-    check times.
+    check times; a grid of more than :data:`MAX_GRID_SAMPLES` points is
+    refused.
 
     The state is consumed: run each fresh state exactly once.
     """
@@ -288,6 +294,12 @@ def moran_run(
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
     if not 0.0 < grid_step < math.inf:
         raise ConfigurationError(f"grid_step must be finite and positive, got {grid_step}")
+    # the grid below has ceil(horizon / grid_step + 1/2) points
+    if trace and math.isfinite(horizon) and horizon / grid_step + 0.5 > MAX_GRID_SAMPLES:
+        raise ConfigurationError(
+            f"grid_step {grid_step} gives more than {MAX_GRID_SAMPLES} trace samples "
+            f"up to horizon {horizon}"
+        )
     rng = as_generator(rng)
     if state.lam > 0.0:
         if horizon == math.inf:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from clonepit import (
     gw_run,
     gw_survival_formula,
 )
+from clonepit.branching import _jump_chain
 from clonepit.pit import ConfigurationError
 
 
@@ -106,6 +108,17 @@ class TestParams:
             GwParams(0.0, 0.0)
         with pytest.raises(ConfigurationError):
             GwParams(1.0, 1.0, initial=0)
+
+    @pytest.mark.parametrize("initial", [math.nan, math.inf, 1.5, -2.0])
+    def test_rejects_non_integer_initial(self, initial):
+        with pytest.raises(ConfigurationError, match="initial"):
+            GwParams(2.0, 1.0, initial)
+
+    def test_integral_float_initial_is_an_int(self):
+        params = GwParams(2.0, 1.0, 2.0)
+        assert type(params.initial) is int and params == GwParams(2.0, 1.0, 2)
+        options = {"cap": 3000, "levels": (5, 50)}
+        assert gw_run(params, 31, **options) == gw_run(GwParams(2.0, 1.0, 2), 31, **options)
 
     def test_drift(self):
         assert GwParams(2.0, 0.5).drift == 1.5
@@ -234,3 +247,95 @@ def test_gw_run_matches_frozen_records(rates, seed, options, expected):
     got = (run.extinct, run.escaped, run.extinction_time, run.final_value,
            run.max_level, run.clock, run.level_times)
     assert got == expected
+
+
+def _reference_jump_chain(z, t, rng, p_up, hold_rate, top, t_stop):
+    """The block walker as it was before its passes were cut down, kept as
+    the reference for :func:`_jump_chain`: steps as ``np.where`` of +-1,
+    holds from ``rng.exponential``, times over the whole block, and a full
+    scan for absorption and for the horizon in every block."""
+    block = 64
+    while True:
+        steps = np.where(rng.random(block) < p_up, 1, -1)
+        path = z + np.cumsum(steps)
+        holds = rng.exponential(size=block)
+        prev = np.empty(block, dtype=np.int64)
+        prev[0] = z
+        prev[1:] = path[:-1]
+        # entries past an absorption are garbage (the rate at an absorbing
+        # state is 0); they are cut off below before anything reads them
+        with np.errstate(divide="ignore", invalid="ignore"):
+            times = t + np.cumsum(holds / hold_rate(prev))
+
+        stop = block
+        hit = np.flatnonzero((path == 0) | (path >= top))
+        if hit.size:
+            stop = hit[0] + 1
+        over = np.flatnonzero(times[:stop] > t_stop)
+        if over.size:
+            h = over[0]
+            if h:
+                yield path[:h], times[:h]
+            return
+        yield path[:stop], times[:stop]
+        if hit.size:
+            return
+        z = int(path[-1])
+        t = float(times[-1])
+        block = min(block * 4, 16384)
+
+
+class TestJumpChainReference:
+    """Every block of the walker equals the reference's, bit for bit."""
+
+    # (z, top, p_up): next to 0, next to the top, and far from both so that
+    # the 16384-step blocks skip the absorption scan; the last two are
+    # absorbed on the last step of the first block
+    STARTS = [
+        (1, 100_000, 2 / 3),
+        (2, 50, 0.45),
+        (48, 50, 0.55),
+        (20_000, 200_000, 2 / 3),
+        (25_000, 60_000, 0.9),
+        (64, 1000, 0.0),
+        (936, 1000, 1.0),
+    ]
+
+    @staticmethod
+    def _walks(walker, seed, z, top, p_up, kind, t_stop):
+        rate = 3.0
+        if kind == "gw":
+            hold_rate = lambda prev: rate * prev
+        else:
+            hold_rate = lambda prev: rate * prev * (top - prev)
+        rng = np.random.default_rng(seed)
+        # every walk here ends within 40 blocks; a walker that misses its
+        # absorption would run forever
+        blocks = [(p.copy(), tm.copy()) for p, tm in itertools.islice(
+            walker(z, 0.25, rng, p_up, hold_rate, top, t_stop), 100)]
+        return blocks, rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["gw", "moran"])
+    @pytest.mark.parametrize("z, top, p_up", STARTS)
+    def test_blocks_equal_the_reference(self, kind, z, top, p_up):
+        for seed in range(3):
+            # the last t_stop lands inside a block, which is then cut
+            for t_stop in (math.inf, 0.25 + 1e-9, 1.0 if kind == "gw" else 1e-4):
+                got, got_state = self._walks(_jump_chain, seed, z, top, p_up, kind, t_stop)
+                ref, ref_state = self._walks(_reference_jump_chain, seed, z, top, p_up,
+                                             kind, t_stop)
+                assert len(got) == len(ref)
+                for (path, times), (ref_path, ref_times) in zip(got, ref):
+                    assert path.dtype == ref_path.dtype
+                    assert np.array_equal(path, ref_path)
+                    assert np.array_equal(times, ref_times)
+                assert got_state == ref_state
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096, 16384])
+    def test_standard_exponential_is_exponential(self, n):
+        # the walker draws holds with standard_exponential; the reference
+        # with exponential(size=n), which scales the same draws by 1.0
+        for seed in range(3):
+            a = np.random.default_rng(seed).standard_exponential(n)
+            b = np.random.default_rng(seed).exponential(size=n)
+            assert np.array_equal(a, b)

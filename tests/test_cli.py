@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import clonepit
-from clonepit import glh_speed, PointMass, rglh_speed
+from clonepit import MAX_GRID_SAMPLES, glh_speed, PointMass, rglh_speed
 from clonepit.cli import Scenario, main, parse_scenario, scenario_hash
 from clonepit.pit import ConfigurationError
 
@@ -306,6 +306,24 @@ class TestExitCodes:
         assert main(["fclt", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'grid_step'" in err
+
+    @pytest.mark.parametrize("command, text", [
+        # each grid has 1e15 points or more; such an allocation used to fail
+        # with a MemoryError traceback, exit 1, or fill the memory
+        ("moran-run", "n = 200\nhorizon = 1\ncounts = 150, 50\nfitness = 0, 1\n"
+                      "grid_step = 1e-15\n"),
+        ("moran-run", "n = 200\nhorizon = 1\ncounts = 150, 50\nfitness = 0, 1\n"
+                      "grid_step = 5e-324\n"),
+        ("couple", "n = 200\nhorizon = 1\nevent = 0.5, 1\ngrid_step = 1e-15\n"),
+        ("fclt", "lambda = 1\ngamma = pointmass(1)\nscale = 100\nreplicates = 2\n"
+                 "grid_step = 1e-15\n"),
+    ])
+    def test_oversized_grid_exits_2(self, tmp_path, capsys, command, text):
+        cfg = write_cfg(tmp_path, f"command = {command}\n{text}")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'grid_step'" in err
+        assert f"more than {MAX_GRID_SAMPLES}" in err
 
     @pytest.mark.parametrize("command, text, flags, key", [
         # a NaN start slope used to hang the replay

@@ -9,6 +9,7 @@ from clonepit import (
     ContenderLaw,
     Exponential,
     LogFrequencyTrace,
+    MAX_GRID_SAMPLES,
     MoranResult,
     InputEvent,
     PointMass,
@@ -110,6 +111,17 @@ class TestRuns:
         st = moran_init(50, [50], [0.0])
         with pytest.raises(ConfigurationError, match="grid_step"):
             moran_run(st, 1.0, np.random.default_rng(3), grid_step=step)
+
+    @pytest.mark.parametrize("horizon, step", [(1.0, 1e-15), (1e10, 1e-5), (1.0, 5e-324)])
+    def test_grid_is_bounded(self, horizon, step):
+        # 1e15 points or more; the grid was allocated unchecked
+        st = moran_init(50, [40, 10], [0.0, 1.0])
+        with pytest.raises(ConfigurationError, match=f"more than {MAX_GRID_SAMPLES}"):
+            moran_run(st, horizon, np.random.default_rng(3), grid_step=step)
+        # without a trace no grid is built
+        st = moran_init(50, [40, 10], [0.0, 1.0])
+        res = moran_run(st, 1.0, np.random.default_rng(3), grid_step=step, trace=False)
+        assert res.trace is None
 
     def test_free_mutation_needs_a_finite_horizon(self):
         st = moran_init(50, [50], [0.0], lam=1.0, gamma=Exponential(1.0))
