@@ -11,10 +11,11 @@ chain is a biased random walk (up with probability ``birth / (birth +
 death)``), and the holding time in state ``Z`` is exponential with rate
 ``(birth + death) * Z``; both are drawn in numpy blocks so a run costs a
 handful of array operations rather than one Python iteration per event.
-The block walker, :func:`_jump_chain`, takes the up-probability, the
-holding-rate function and the absorbing top as parameters; the Moran engine
-runs its two-type stretches on it too (there the holding rate is
-``c * Z * (N - Z)``).
+Each block draws ``rng.random(block)`` for the steps and then
+``rng.standard_exponential(block)`` for the holds.  The block walker,
+:func:`_jump_chain`, takes the up-probability, the holding-rate function and
+the absorbing top as parameters; the Moran engine runs its two-type
+stretches on it too (there the holding rate is ``c * Z * (N - Z)``).
 """
 
 from __future__ import annotations
@@ -225,10 +226,11 @@ def _jump_chain(z, t, rng, p_up, hold_rate, top, t_stop):
     Besides the two draws and the two running sums, a block makes only
     cheap in-place passes.  ``walk`` holds the state before the block and
     then the path, so its first ``block`` entries are the states the holds
-    are taken from.  Holds become times in their own buffer, and only up to
-    the absorbing step.  An absorbing end is looked for only when the block
-    is long enough to reach it, and the horizon only when the block's last
-    time passes it (times never decrease, so a binary search finds the cut).
+    are taken from.  The holds are turned into step times in place, up to
+    the absorbing step only.  An absorbing end is looked for only when the
+    block is long enough to reach it, and the horizon only when the block's
+    last time passes it (times never decrease, so a binary search finds the
+    cut).
     """
     block = _BLOCK0
     while True:
