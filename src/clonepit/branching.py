@@ -245,14 +245,8 @@ def _jump_chain(z, t, rng, p_up, hold_rate, top, t_stop):
 
         stop = block
         absorbed = False
-        low, high = z <= block, z + block >= top
-        if low or high:
-            if low:
-                hit = path == 0
-                if high:
-                    hit |= path >= top
-            else:
-                hit = path >= top
+        if z <= block or z + block >= top:
+            hit = (path == 0) | (path >= top)
             first = int(hit.argmax())
             absorbed = bool(hit[first])
             if absorbed:

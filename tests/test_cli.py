@@ -317,6 +317,9 @@ class TestExitCodes:
         ("couple", "n = 200\nhorizon = 1\nevent = 0.5, 1\ngrid_step = 1e-15\n"),
         ("fclt", "lambda = 1\ngamma = pointmass(1)\nscale = 100\nreplicates = 2\n"
                  "grid_step = 1e-15\n"),
+        # 1 / 5e-324 is inf; this one used to end in an OverflowError traceback
+        ("fclt", "lambda = 1\ngamma = pointmass(1)\nscale = 100\nreplicates = 2\n"
+                 "grid_step = 5e-324\n"),
     ])
     def test_oversized_grid_exits_2(self, tmp_path, capsys, command, text):
         cfg = write_cfg(tmp_path, f"command = {command}\n{text}")
