@@ -15,10 +15,13 @@ keys build lists in file order:
 
 Scalar keys: ``lambda`` (arrival rate), ``gamma`` (increment distribution
 descriptor, e.g. ``uniform(1,2)``), ``n`` (population size), ``horizon``
-(end time; for ``speed`` the number of renewal cycles), ``replicates``,
-``seed``, ``grid_step``, ``out`` (output directory), ``f0``, ``counts`` and
+(end time, never negative; for ``speed`` the number of renewal cycles, for
+``pit-replay`` and ``gw`` 0 means none), ``replicates``, ``seed``,
+``grid_step``, ``out`` (output directory), ``f0``, ``counts`` and
 ``fitness`` (comma lists for the initial Moran population), ``birth``,
 ``death``, ``initial``, ``cap`` (branching), ``scale`` (fclt time scale).
+``COMMANDS`` lists the keys each command takes beyond the common ones
+(``seed``, ``replicates``, ``horizon``, ``out``, ``grid_step``).
 
 Artifacts land in ``out`` (default: ``$CLONEPIT_OUT`` or the working
 directory): per-replicate CSV / JSON-lines files plus one ``summary.json``
@@ -45,6 +48,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -67,7 +71,7 @@ from .inputs import (
     parse_distribution,
     sample_contender_stream,
 )
-from .moran import MAX_GRID_SAMPLES, moran_init, moran_run, write_trace_csv
+from .moran import MAX_GRID_SAMPLES, MAX_POPULATION, moran_init, moran_run, write_trace_csv
 from .pit import (
     ConfigurationError,
     FitnessRows,
@@ -79,18 +83,6 @@ from .pit import (
     write_trajectories_jsonl,
 )
 from .rng import replicate_rng
-
-COMMANDS = (
-    "pit-run",
-    "pit-replay",
-    "moran-run",
-    "couple",
-    "speed",
-    "heuristics",
-    "gw",
-    "fclt",
-)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -166,25 +158,11 @@ _SCALARS = {
     "scale": ("scale", float),
 }
 
-_LISTS = {"counts", "fitness", "start", "event"}
+# repeatable keys and the Scenario field each one fills
+_LISTS = {"counts": "counts", "fitness": "fitness", "start": "starts", "event": "events"}
 
 # keys every command accepts (the common flags must never be rejected)
 _COMMON = {"command", "seed", "replicates", "horizon", "out", "grid_step"}
-_ALLOWED = {
-    "pit-run": {"lambda", "gamma", "f0"},
-    "pit-replay": {"f0", "start", "event"},
-    "moran-run": {"n", "lambda", "gamma", "counts", "fitness", "event"},
-    "couple": {"n", "event"},
-    "speed": {"lambda", "gamma"},
-    "heuristics": {"lambda", "gamma"},
-    "gw": {"birth", "death", "initial", "cap"},
-    "fclt": {"lambda", "gamma", "scale"},
-}
-
-
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
 
 
 def _unquote(text: str) -> str:
@@ -203,7 +181,7 @@ def _cast(key: str, conv, raw: str):
 
 def _parse_pairs(text: str):
     for raw_line in text.splitlines():
-        line = _strip_comment(raw_line).strip()
+        line = raw_line.partition("#")[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -215,7 +193,7 @@ def _parse_pairs(text: str):
 def parse_scenario(text: str, overrides: dict | None = None) -> Scenario:
     """Build a validated scenario from config text plus flag overrides."""
     values: dict = {}
-    rows: dict = {"counts": [], "fitness": [], "start": [], "event": []}
+    rows: dict = {key: [] for key in _LISTS}
     for key, raw in _parse_pairs(text):
         if key in _SCALARS:
             attr, conv = _SCALARS[key]
@@ -234,14 +212,8 @@ def parse_scenario(text: str, overrides: dict | None = None) -> Scenario:
     if command not in COMMANDS:
         raise ConfigurationError(f"unknown command {command!r}, expected one of {', '.join(COMMANDS)}")
 
-    if rows["counts"]:
-        values["counts"] = tuple(
-            _cast("counts", int, p) for r in rows["counts"] for p in r.split(",")
-        )
-    if rows["fitness"]:
-        values["fitness"] = tuple(
-            _cast("fitness", float, p) for r in rows["fitness"] for p in r.split(",")
-        )
+    for key, conv in (("counts", int), ("fitness", float)):
+        values[key] = tuple(_cast(key, conv, p) for r in rows[key] for p in r.split(","))
     starts = []
     for r in rows["start"]:
         parts = r.split(",")
@@ -271,20 +243,10 @@ def parse_scenario(text: str, overrides: dict | None = None) -> Scenario:
 
 
 def _used_keys(scn: Scenario):
-    used = set()
     defaults = Scenario(command=scn.command)
-    for key, (attr, _) in _SCALARS.items():
-        if getattr(scn, attr) != getattr(defaults, attr):
-            used.add(key)
-    if scn.counts:
-        used.add("counts")
-    if scn.fitness:
-        used.add("fitness")
-    if scn.starts:
-        used.add("start")
-    if scn.events:
-        used.add("event")
-    return used
+    used = {key for key, (attr, _) in _SCALARS.items()
+            if getattr(scn, attr) != getattr(defaults, attr)}
+    return used | {key for key, attr in _LISTS.items() if getattr(scn, attr)}
 
 
 def _require(cond: bool, key: str, message: str):
@@ -299,8 +261,8 @@ def _grid_count(step: float) -> int:
 
 
 def _validate(scn: Scenario):
-    allowed = _COMMON | _ALLOWED[scn.command]
-    stray = _used_keys(scn) - allowed
+    command = COMMANDS[scn.command]
+    stray = _used_keys(scn) - _COMMON - set(command.keys)
     if stray:
         raise ConfigurationError(
             f"key '{sorted(stray)[0]}' does not apply to command {scn.command!r}"
@@ -313,55 +275,33 @@ def _validate(scn: Scenario):
         _require(all(map(math.isfinite, values)), key, "must be finite")
     _require(scn.replicates >= 1, "replicates", "must be at least 1")
     _require(scn.seed >= 0, "seed", "must be nonnegative")
+    _require(scn.horizon >= 0, "horizon", "must be nonnegative")
     _require(scn.grid_step > 0, "grid_step", "must be positive")
-    cmd = scn.command
     _require(all(t >= 0 for t, _, _ in scn.events), "event", "event times must be >= 0")
     _require(all(a > 0 for _, a, _ in scn.events), "event", "increments must be positive")
-
-    if cmd in ("pit-run", "speed", "fclt", "heuristics"):
-        _require(scn.lam > 0, "lambda", "must be positive")
-        _require(bool(scn.gamma), "gamma", "an increment distribution is required")
     if scn.gamma:
         try:
             parse_distribution(scn.gamma)
         except ValueError as exc:
             raise ConfigurationError(f"bad value for 'gamma': {exc}") from None
+    command.check(scn)
 
-    if cmd == "pit-run":
-        _require(scn.horizon > 0, "horizon", "must be positive")
-    elif cmd == "pit-replay":
-        _require(bool(scn.events), "event", "a replay needs at least one event row")
-        _require(scn.replicates == 1, "replicates", "a replay is deterministic; use 1")
-    elif cmd == "moran-run":
-        _require(scn.n >= 2, "n", "population size must be at least 2")
-        _require(scn.horizon > 0, "horizon", "must be positive")
-        free = scn.lam > 0
-        _require(not (free and scn.events), "event", "a schedule excludes a free mutation rate")
-        if free:
-            _require(bool(scn.gamma), "gamma", "a free mutation rate needs a distribution")
-    elif cmd == "couple":
-        _require(scn.n >= 2, "n", "population size must be at least 2")
-        _require(scn.horizon > 0, "horizon", "must be positive")
-        _require(bool(scn.events), "event", "a coupling needs the shared mutation schedule")
-    elif cmd == "speed":
-        _require(scn.horizon >= 2 and scn.horizon == int(scn.horizon), "horizon",
-                 "must be an integer cycle count of at least 2")
-    elif cmd == "gw":
-        _require(scn.birth >= 0 and scn.death >= 0, "birth", "rates must be nonnegative")
-        _require(scn.birth + scn.death > 0, "birth", "birth and death cannot both be zero")
-        _require(scn.initial >= 1, "initial", "must be a positive integer")
-        _require(scn.cap >= 1, "cap", "must be a positive integer")
-    elif cmd == "fclt":
-        _require(scn.scale > 0, "scale", "must be positive")
-        _require(scn.replicates >= 2, "replicates", "an ensemble needs at least 2 paths")
-        _require(1.0 / scn.grid_step <= MAX_GRID_SAMPLES, "grid_step",
-                 f"gives more than {MAX_GRID_SAMPLES} grid points")
-        _require(_grid_count(scn.grid_step) >= 1, "grid_step",
-                 "must be 1/k for a positive integer k (the grid is k/k, 2/k, ..., 1)")
-    if cmd in ("moran-run", "couple"):
-        # moran_run's trace grid has ceil(horizon / grid_step + 1/2) points
-        _require(scn.horizon / scn.grid_step + 0.5 <= MAX_GRID_SAMPLES, "grid_step",
-                 f"gives more than {MAX_GRID_SAMPLES} trace samples up to the horizon")
+
+def _check_rate(scn: Scenario):
+    """The arrival rate and increment law of the commands that sample arrivals."""
+    _require(scn.lam > 0, "lambda", "must be positive")
+    _require(bool(scn.gamma), "gamma", "an increment distribution is required")
+
+
+def _check_population(scn: Scenario):
+    """The population size, horizon and trace grid of a Moran run."""
+    _require(scn.n >= 2, "n", "population size must be at least 2")
+    _require(scn.n <= MAX_POPULATION, "n",
+             f"population size must be at most {MAX_POPULATION} (2**53)")
+    _require(scn.horizon > 0, "horizon", "must be positive")
+    # moran_run's trace grid has ceil(horizon / grid_step + 1/2) points
+    _require(scn.horizon / scn.grid_step + 0.5 <= MAX_GRID_SAMPLES, "grid_step",
+             f"gives more than {MAX_GRID_SAMPLES} trace samples up to the horizon")
 
 
 # -- artifact plumbing --------------------------------------------------------
@@ -421,6 +361,11 @@ def _replay_events(scn: Scenario, first: int):
 # -- commands ------------------------------------------------------------------
 
 
+def _check_pit_run(scn: Scenario):
+    _check_rate(scn)
+    _require(scn.horizon > 0, "horizon", "must be positive")
+
+
 def _cmd_pit_run(scn: Scenario, shash: str, out: str) -> dict:
     law = contender_params(scn.lam, scn.gamma_dist())
     reps = []
@@ -450,6 +395,11 @@ def _cmd_pit_run(scn: Scenario, shash: str, out: str) -> dict:
     return {"contender_rate": law.rate, "replicates": reps}
 
 
+def _check_pit_replay(scn: Scenario):
+    _require(bool(scn.events), "event", "a replay needs at least one event row")
+    _require(scn.replicates == 1, "replicates", "a replay is deterministic; use 1")
+
+
 def _cmd_pit_replay(scn: Scenario, shash: str, out: str) -> dict:
     start = [(1.0, 0.0)] + list(scn.starts)
     horizon = scn.horizon if scn.horizon > 0 else math.inf
@@ -466,6 +416,14 @@ def _cmd_pit_replay(scn: Scenario, shash: str, out: str) -> dict:
             for (t, v, f, w, sol) in st.resident_changes
         ],
     }
+
+
+def _check_moran_run(scn: Scenario):
+    _check_population(scn)
+    free = scn.lam > 0
+    _require(not (free and scn.events), "event", "a schedule excludes a free mutation rate")
+    if free:
+        _require(bool(scn.gamma), "gamma", "a free mutation rate needs a distribution")
 
 
 def _cmd_moran_run(scn: Scenario, shash: str, out: str) -> dict:
@@ -493,6 +451,11 @@ def _cmd_moran_run(scn: Scenario, shash: str, out: str) -> dict:
             "indicators": [[i.index, bool(i.flag)] for i in res.indicators],
         })
     return {"n": scn.n, "replicates": reps}
+
+
+def _check_couple(scn: Scenario):
+    _check_population(scn)
+    _require(bool(scn.events), "event", "a coupling needs the shared mutation schedule")
 
 
 def _cmd_couple(scn: Scenario, shash: str, out: str) -> dict:
@@ -523,6 +486,12 @@ def _finite_mean(dist) -> bool:
     print(f"warning: increment law {dist.describe()} has an infinite mean; the speed "
           "of adaptation is infinite and v_hat has no finite limit", file=sys.stderr)
     return False
+
+
+def _check_speed(scn: Scenario):
+    _check_rate(scn)
+    _require(scn.horizon >= 2 and scn.horizon == int(scn.horizon), "horizon",
+             "must be an integer cycle count of at least 2")
 
 
 def _cmd_speed(scn: Scenario, shash: str, out: str) -> dict:
@@ -568,6 +537,13 @@ def _cmd_heuristics(scn: Scenario, shash: str, out: str) -> dict:
     }
 
 
+def _check_gw(scn: Scenario):
+    _require(scn.birth >= 0 and scn.death >= 0, "birth", "rates must be nonnegative")
+    _require(scn.birth + scn.death > 0, "birth", "birth and death cannot both be zero")
+    _require(scn.initial >= 1, "initial", "must be a positive integer")
+    _require(scn.cap >= 1, "cap", "must be a positive integer")
+
+
 def _cmd_gw(scn: Scenario, shash: str, out: str) -> dict:
     params = GwParams(scn.birth, scn.death, scn.initial)
     horizon = scn.horizon if scn.horizon > 0 else math.inf
@@ -595,6 +571,16 @@ def _cmd_gw(scn: Scenario, shash: str, out: str) -> dict:
             params.birth, params.death, params.initial
         )
     return results
+
+
+def _check_fclt(scn: Scenario):
+    _check_rate(scn)
+    _require(scn.scale > 0, "scale", "must be positive")
+    _require(scn.replicates >= 2, "replicates", "an ensemble needs at least 2 paths")
+    _require(1.0 / scn.grid_step <= MAX_GRID_SAMPLES, "grid_step",
+             f"gives more than {MAX_GRID_SAMPLES} grid points")
+    _require(_grid_count(scn.grid_step) >= 1, "grid_step",
+             "must be 1/k for a positive integer k (the grid is k/k, 2/k, ..., 1)")
 
 
 def _cmd_fclt(scn: Scenario, shash: str, out: str) -> dict:
@@ -625,15 +611,26 @@ def _cmd_fclt(scn: Scenario, shash: str, out: str) -> dict:
     }
 
 
-_RUNNERS = {
-    "pit-run": _cmd_pit_run,
-    "pit-replay": _cmd_pit_replay,
-    "moran-run": _cmd_moran_run,
-    "couple": _cmd_couple,
-    "speed": _cmd_speed,
-    "heuristics": _cmd_heuristics,
-    "gw": _cmd_gw,
-    "fclt": _cmd_fclt,
+@dataclass(frozen=True)
+class _Command:
+    """What one command takes beyond ``_COMMON``, how it is checked and run."""
+
+    keys: tuple[str, ...]
+    check: Callable[[Scenario], None]
+    run: Callable[[Scenario, str, str], dict]
+
+
+# the one list of commands, in the order the usage and errors name them
+COMMANDS = {
+    "pit-run": _Command(("lambda", "gamma", "f0"), _check_pit_run, _cmd_pit_run),
+    "pit-replay": _Command(("f0", "start", "event"), _check_pit_replay, _cmd_pit_replay),
+    "moran-run": _Command(("n", "lambda", "gamma", "counts", "fitness", "event"),
+                          _check_moran_run, _cmd_moran_run),
+    "couple": _Command(("n", "event"), _check_couple, _cmd_couple),
+    "speed": _Command(("lambda", "gamma"), _check_speed, _cmd_speed),
+    "heuristics": _Command(("lambda", "gamma"), _check_rate, _cmd_heuristics),
+    "gw": _Command(("birth", "death", "initial", "cap"), _check_gw, _cmd_gw),
+    "fclt": _Command(("lambda", "gamma", "scale"), _check_fclt, _cmd_fclt),
 }
 
 
@@ -642,57 +639,48 @@ def run(scn: Scenario) -> str:
     started = time.time()
     shash = scenario_hash(scn)
     out = _out_dir(scn)
-    results = _RUNNERS[scn.command](scn, shash, out)
+    results = COMMANDS[scn.command].run(scn, shash, out)
     return _write_summary(scn, shash, results, started)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built at the first ``main`` call of a process."""
     parser = argparse.ArgumentParser(
         prog="clonepit",
         description="Clonal interference simulations: trajectory system, "
         "Moran prelimit, renewal speed estimates.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="scenario file (key = value lines)")
-        p.add_argument("--seed", type=int, help="top-level seed (default: 0)")
-        p.add_argument("--replicates", type=int, help="replicate count (default: 1)")
-        p.add_argument("--horizon", type=float,
-                       help="end time; cycle count for the speed command")
-        p.add_argument("--out", help="output directory (default: $CLONEPIT_OUT or .)")
-        p.add_argument("--grid-step", type=float, dest="grid_step",
-                       help="sampling step for traces and grids (default: 0.01)")
-    args = parser.parse_args(argv)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="scenario file (key = value lines)")
+    parser.add_argument("--seed", type=int, help="top-level seed (default: 0)")
+    parser.add_argument("--replicates", type=int, help="replicate count (default: 1)")
+    parser.add_argument("--horizon", type=float,
+                        help="end time; cycle count for the speed command")
+    parser.add_argument("--out", help="output directory (default: $CLONEPIT_OUT or .)")
+    parser.add_argument("--grid-step", type=float, dest="grid_step",
+                        help="sampling step for traces and grids (default: 0.01)")
+    return parser
 
+
+def main(argv=None) -> int:
+    overrides = vars(_parser().parse_args(argv))
+    config = overrides.pop("config")
     text = ""
-    if args.config:
+    if config:
         try:
-            with open(args.config) as fh:
+            with open(config, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 1
-    overrides = {
-        "command": args.command,
-        "seed": args.seed,
-        "replicates": args.replicates,
-        "horizon": args.horizon,
-        "out": args.out,
-        "grid_step": args.grid_step,
-    }
     try:
-        scn = parse_scenario(text, overrides)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        summary = run(scn)
+        summary = run(parse_scenario(text, overrides))
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvariantViolation, OSError) as exc:
-        print(f"error [{scn.command}]: {exc}", file=sys.stderr)
+        print(f"error [{overrides['command']}]: {exc}", file=sys.stderr)
         return 1
     print(summary)
     return 0

@@ -68,6 +68,7 @@ __all__ = [
     "LogFrequencyTrace",
     "MoranResult",
     "MAX_GRID_SAMPLES",
+    "MAX_POPULATION",
     "moran_init",
     "moran_run",
     "mean_fitness",
@@ -79,6 +80,10 @@ _REBUILD_EVERY = 8192
 # the most points a sample grid may have (80 MB of float64); a larger grid
 # is refused before anything is allocated
 MAX_GRID_SAMPLES = 10_000_000
+
+# the largest population size: counts are floats, and above 2**53 a +-1 step
+# can round away
+MAX_POPULATION = 2**53
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,7 @@ def moran_init(n, counts, fitness, *, lam=0.0, gamma=None, schedule=None) -> Mor
     Parameters
     ----------
     n:
-        Population size, at least 2.
+        Population size, at least 2 and at most :data:`MAX_POPULATION`.
     counts, fitness:
         Per-type initial counts (positive, summing to ``n``) and fitness
         values.  Types get ids 0, 1, ... in listed order.
@@ -178,6 +183,8 @@ def moran_init(n, counts, fitness, *, lam=0.0, gamma=None, schedule=None) -> Mor
     """
     if n < 2:
         raise ConfigurationError(f"population size must be >= 2, got {n}")
+    if n > MAX_POPULATION:
+        raise ConfigurationError(f"population size must be at most 2**53, got {n}")
     counts = list(counts)
     fitness = list(fitness)
     if not counts or len(counts) != len(fitness):

@@ -9,7 +9,16 @@ import pytest
 
 import clonepit
 from clonepit import MAX_GRID_SAMPLES, glh_speed, PointMass, rglh_speed
-from clonepit.cli import Scenario, main, parse_scenario, scenario_hash
+from clonepit.cli import (
+    _COMMON,
+    _LISTS,
+    _SCALARS,
+    COMMANDS,
+    Scenario,
+    main,
+    parse_scenario,
+    scenario_hash,
+)
 from clonepit.pit import ConfigurationError
 
 REPLAY_CFG = """\
@@ -291,11 +300,38 @@ class TestExitCodes:
         ("moran-run", "n = 200\nhorizon = 1\nevent = 0.5, -1.0\n"),
         # a law that can draw inf used to end in an OverflowError traceback, exit 1
         ("moran-run", "n = 200\nhorizon = 1\nlambda = 5\ngamma = pareto(1,0.001)\n"),
+        # a negative horizon used to mean "no horizon": exit 0 with clock 2.5,
+        # and every gw replicate run to extinction
+        ("pit-replay", "horizon = -1\nevent = 0.5, 1\nevent = 2.0, 1\n"),
+        ("gw", "birth = 1\ndeath = 2\nreplicates = 3\nhorizon = -1\n"),
+        # 2**63 used to end in an OverflowError traceback, exit 1
+        ("couple", "n = 9223372036854775808\nhorizon = 1\nevent = 0.5, 1\n"),
+        ("moran-run", "n = 9223372036854775808\nhorizon = 1\ncounts = 9223372036854775807, 1\n"
+                      "fitness = 0, 1\n"),
     ])
     def test_malformed_row_exits_2(self, tmp_path, capsys, command, text):
         cfg = write_cfg(tmp_path, f"command = {command}\n{text}")
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_negative_horizon_is_named(self, command):
+        # one common check, ahead of every command's own
+        with pytest.raises(ConfigurationError, match="'horizon': must be nonnegative"):
+            parse_scenario(f"command = {command}\nhorizon = -1\n", {})
+
+    @pytest.mark.parametrize("command", ["moran-run", "couple"])
+    def test_population_above_2_to_the_53_is_named(self, command):
+        with pytest.raises(ConfigurationError, match="'n': population size must be at most"):
+            parse_scenario(f"command = {command}\nn = {2**53 + 1}\nhorizon = 1\n", {})
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        # used to end in a UnicodeDecodeError traceback
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe\x00")
+        assert main(["speed", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("step", ["0.3", "0.7", "3"])
     def test_fclt_grid_step_must_be_one_over_an_integer(self, tmp_path, capsys, step):
@@ -356,6 +392,45 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"'{key}': must be finite" in err
+
+
+class TestCommandTable:
+    def test_command_keys_are_scenario_keys(self):
+        known = set(_SCALARS) | set(_LISTS) | _COMMON
+        for name, command in COMMANDS.items():
+            assert set(command.keys) <= known, name
+            assert not set(command.keys) & _COMMON, name
+
+    def test_every_key_is_taken_by_some_command(self):
+        taken = _COMMON.union(*(command.keys for command in COMMANDS.values()))
+        assert set(_SCALARS) | set(_LISTS) <= taken
+
+    def test_unknown_command_lists_the_table_in_order(self):
+        with pytest.raises(ConfigurationError, match="expected one of pit-run, pit-replay, "
+                           "moran-run, couple, speed, heuristics, gw, fclt$"):
+            parse_scenario("command = bogus\n", {})
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--grid-step" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["bogus"], []], ids=["bogus", "none"])
+    def test_bad_command_line_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "command" in capsys.readouterr().err
+
+    def test_parser_serves_two_calls(self, tmp_path):
+        cfg = write_cfg(tmp_path, "command = heuristics\nlambda = 1\ngamma = pointmass(1)\n")
+        summaries = []
+        for sub in ("a", "b"):
+            assert main(["heuristics", "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+            summaries.append(json.loads((tmp_path / sub / "summary.json").read_text()))
+        assert summaries[0]["results"] == summaries[1]["results"]
 
 
 # One small seeded scenario per command that writes CSV or JSONL (two for

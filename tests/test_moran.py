@@ -10,6 +10,7 @@ from clonepit import (
     Exponential,
     LogFrequencyTrace,
     MAX_GRID_SAMPLES,
+    MAX_POPULATION,
     MoranResult,
     InputEvent,
     PointMass,
@@ -58,6 +59,14 @@ class TestInit:
     def test_lambda_must_be_finite_and_non_negative(self, lam):
         with pytest.raises(ConfigurationError, match="lambda"):
             moran_init(10, [10], [0.0], lam=lam, gamma=Exponential(1.0))
+
+    def test_population_is_bounded_at_2_to_the_53(self):
+        # counts are floats: above 2**53 a +-1 step can round away unseen
+        assert MAX_POPULATION == 2**53
+        st = moran_init(2**53, [2**53 - 1, 1], [0.0, 1.0])
+        assert st.live_types() == {0: 2**53 - 1, 1: 1}
+        with pytest.raises(ConfigurationError, match=r"at most 2\*\*53"):
+            moran_init(2**53 + 1, [2**53, 1], [0.0, 1.0])
 
     def test_schedule_holds_input_events(self):
         with pytest.raises(ConfigurationError, match="InputEvent"):
