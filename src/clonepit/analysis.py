@@ -33,13 +33,13 @@ from .pit import (
     FitnessRows,
     PitState,
     StepPath,
-    _fmt,
     _write_csv,
 )
 from .rng import as_generator
 
 __all__ = [
-    "RenewalRecord",
+    "MAX_CYCLES",
+    "RenewalCycles",
     "SpeedEstimate",
     "FcltDiagnostic",
     "FixationFlags",
@@ -68,18 +68,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class RenewalRecord:
-    """One regeneration cycle: its duration and the fitness gained in it."""
+# the most renewal cycles one call may run (two float64 columns of 80 MB
+# each); more are refused before anything is allocated
+MAX_CYCLES = 10_000_000
 
-    length: float
-    reward: float
+
+@dataclass(frozen=True, slots=True, eq=False)
+class RenewalCycles:
+    """Regeneration cycles as two columns: each one's duration and the fitness gained in it.
+
+    Both are read-only float64 copies of what was given, checked once: one
+    dimension each, one length, every value finite, lengths positive and
+    rewards nonnegative.  ``len()`` is the number of cycles.
+    """
+
+    lengths: np.ndarray
+    rewards: np.ndarray
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise ConfigurationError(f"cycle length must be positive, got {self.length}")
-        if self.reward < 0:
-            raise ConfigurationError(f"cycle reward must be >= 0, got {self.reward}")
+        lengths = np.array(self.lengths, dtype=np.float64)
+        rewards = np.array(self.rewards, dtype=np.float64)
+        if lengths.ndim != 1 or lengths.shape != rewards.shape:
+            raise ConfigurationError(
+                f"cycle lengths and rewards must be two 1-D arrays of one length, "
+                f"got shapes {lengths.shape} and {rewards.shape}"
+            )
+        bad = ~(np.isfinite(lengths) & (lengths > 0.0))
+        if bad.any():
+            raise ConfigurationError(
+                f"cycle length must be finite and positive, got {lengths[bad][0]}")
+        bad = ~(np.isfinite(rewards) & (rewards >= 0.0))
+        if bad.any():
+            raise ConfigurationError(f"cycle reward must be finite and >= 0, got {rewards[bad][0]}")
+        lengths.flags.writeable = rewards.flags.writeable = False
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "rewards", rewards)
+
+    def __len__(self) -> int:
+        return self.lengths.size
 
 
 @dataclass(frozen=True)
@@ -106,40 +132,39 @@ def pointmass_speed(lam: float, c: float) -> float:
 
 
 def detect_renewals(engine):
-    """Extract regeneration times and cycle records from a completed run.
+    """Extract regeneration times and cycles from a completed run.
 
     ``engine`` is a :class:`~clonepit.pit.PitState`, or anything else with
     its ``resident_changes`` and ``f0``; those two are read.  A resident
     change counts as a regeneration when every trajectory left at positive
     height has nonpositive slope (up to the engine's slope tolerance); the
     engine stamps that flag on each change.
-    Returns ``(times, records)``; anything after the last regeneration is an
-    incomplete cycle and produces no record.
+    Returns ``(times, cycles)``: the regeneration times as a list and the
+    :class:`RenewalCycles` between them, the first one starting at time 0
+    and fitness ``f0``.  Anything after the last regeneration is an
+    incomplete cycle and is left out.
     """
     times: list[float] = []
-    records: list[RenewalRecord] = []
-    prev_t, prev_f = 0.0, engine.f0
+    fits: list[float] = []
     for t, _, f, _, solitary in engine.resident_changes:
         if solitary:
             times.append(t)
-            records.append(RenewalRecord(t - prev_t, f - prev_f))
-            prev_t, prev_f = t, f
-    return times, records
+            fits.append(f)
+    cycles = RenewalCycles(np.diff(times, prepend=0.0), np.diff(fits, prepend=engine.f0))
+    return times, cycles
 
 
-def speed_estimate(records) -> SpeedEstimate:
-    """Combine i.i.d. cycle records into a speed estimate with a CLT error bar."""
-    records = list(records)
-    if len(records) < 2:
-        raise ConfigurationError(f"need at least 2 cycles, got {len(records)}")
-    lengths = np.array([r.length for r in records])
-    rewards = np.array([r.reward for r in records])
+def speed_estimate(cycles: RenewalCycles) -> SpeedEstimate:
+    """Combine i.i.d. :class:`RenewalCycles` into a speed estimate with a CLT error bar."""
+    if len(cycles) < 2:
+        raise ConfigurationError(f"need at least 2 cycles, got {len(cycles)}")
+    lengths, rewards = cycles.lengths, cycles.rewards
     total_len = float(lengths.sum())
     v_hat = float(rewards.sum()) / total_len
     resid = rewards - v_hat * lengths
     sigma2 = float(np.mean(resid * resid) / np.mean(lengths))
     stderr = math.sqrt(sigma2 / total_len)
-    return SpeedEstimate(v_hat, stderr, len(records), sigma2)
+    return SpeedEstimate(v_hat, stderr, len(cycles), sigma2)
 
 
 def _require_count(name: str, value, least: int) -> int:
@@ -161,28 +186,31 @@ def sample_renewal_cycles(law: ContenderLaw, n_cycles: int, rng, *, collect_even
     (keeping the time resolution independent of how many cycles have
     elapsed), runs to its first solitary change, records the cycle and
     starts the next, carrying over the arrivals it has read but not used.
-    Records come in the order the cycles started; exactly ``n_cycles``
-    start, and each one runs to its end.
+    Exactly ``n_cycles`` start, each one runs to its end, and they are
+    returned as one :class:`RenewalCycles` in the order they started; more
+    than :data:`MAX_CYCLES` are refused before anything is allocated.
 
     The rows read their arrivals from one :class:`~clonepit.inputs.ArrivalBuffer`,
     which draws gaps and increments in blocks of
     :data:`~clonepit.inputs.ARRIVAL_BLOCK`, a chunk per row at a time in row
     order (see :meth:`~clonepit.pit.FitnessRows.cycles`).  With
-    ``collect_events`` it also returns, per cycle, the ``(time, increment)``
-    arrivals that cycle applied, on its own clock, so each cycle can be
-    replayed.
+    ``collect_events`` it returns ``(cycles, events)``, ``events`` holding
+    per cycle the ``(time, increment)`` arrivals that cycle applied, on its
+    own clock, so each cycle can be replayed.
 
     Cycle lengths must have finite mean (finite mean of the contender
     increment law) or this will effectively not terminate.
     """
     n_cycles = _require_count("n_cycles", n_cycles, 1)
+    if n_cycles > MAX_CYCLES:
+        raise ConfigurationError(f"n_cycles must be at most {MAX_CYCLES}, got {n_cycles}")
     lengths, rewards, events = FitnessRows.cycles(
         ArrivalBuffer(law, rng), n_cycles, collect=collect_events
     )
-    records = list(map(RenewalRecord, lengths.tolist(), rewards.tolist()))
+    cycles = RenewalCycles(lengths, rewards)
     if collect_events:
-        return records, events
-    return records
+        return cycles, events
+    return cycles
 
 
 @dataclass(frozen=True)
@@ -595,11 +623,11 @@ def high_mutation_probe(
     return HighMutationResult(limit, tolerance, values, fraction, med_err)
 
 
-def write_cycles_csv(records, path, scenario_hash: str | None = None):
-    """Per-cycle CSV: length, reward."""
+def write_cycles_csv(cycles: RenewalCycles, path, scenario_hash: str | None = None):
+    """Per-cycle CSV: length, reward, each in ``_fmt``'s ``.17g`` text."""
     _write_csv(
         path,
         "length,reward",
-        (f"{_fmt(r.length)},{_fmt(r.reward)}" for r in records),
+        map("%.17g,%.17g".__mod__, zip(cycles.lengths.tolist(), cycles.rewards.tolist())),
         scenario_hash,
     )

@@ -21,7 +21,7 @@ descriptor, e.g. ``uniform(1,2)``), ``n`` (population size), ``horizon``
 ``fitness`` (comma lists for the initial Moran population), ``birth``,
 ``death``, ``initial``, ``cap`` (branching), ``scale`` (fclt time scale).
 ``COMMANDS`` lists the keys each command takes beyond the common ones
-(``seed``, ``replicates``, ``horizon``, ``out``, ``grid_step``).
+(``seed`` and ``out``); a key the command does not read is refused.
 
 Artifacts land in ``out`` (default: ``$CLONEPIT_OUT`` or the working
 directory): per-replicate CSV / JSON-lines files plus one ``summary.json``
@@ -53,6 +53,8 @@ from typing import Callable
 import numpy as np
 
 from .analysis import (
+    MAX_CYCLES,
+    RenewalCycles,
     coupled_run,
     detect_renewals,
     fclt_diagnostic,
@@ -161,8 +163,8 @@ _SCALARS = {
 # repeatable keys and the Scenario field each one fills
 _LISTS = {"counts": "counts", "fitness": "fitness", "start": "starts", "event": "events"}
 
-# keys every command accepts (the common flags must never be rejected)
-_COMMON = {"command", "seed", "replicates", "horizon", "out", "grid_step"}
+# keys every command accepts: what it is, its seed and where its files go
+_COMMON = {"command", "seed", "out"}
 
 
 def _unquote(text: str) -> str:
@@ -261,12 +263,7 @@ def _grid_count(step: float) -> int:
 
 
 def _validate(scn: Scenario):
-    command = COMMANDS[scn.command]
-    stray = _used_keys(scn) - _COMMON - set(command.keys)
-    if stray:
-        raise ConfigurationError(
-            f"key '{sorted(stray)[0]}' does not apply to command {scn.command!r}"
-        )
+    # the values first: a malformed value is named whichever command it is given to
     floats = {key: [getattr(scn, attr)] for key, (attr, conv) in _SCALARS.items() if conv is float}
     floats["fitness"] = scn.fitness
     floats["start"] = [x for row in scn.starts for x in row]
@@ -284,6 +281,12 @@ def _validate(scn: Scenario):
             parse_distribution(scn.gamma)
         except ValueError as exc:
             raise ConfigurationError(f"bad value for 'gamma': {exc}") from None
+    command = COMMANDS[scn.command]
+    stray = _used_keys(scn) - _COMMON - set(command.keys)
+    if stray:
+        raise ConfigurationError(
+            f"key '{sorted(stray)[0]}' does not apply to command {scn.command!r}"
+        )
     command.check(scn)
 
 
@@ -379,16 +382,16 @@ def _cmd_pit_run(scn: Scenario, shash: str, out: str) -> dict:
         write_trajectories_jsonl(
             st, os.path.join(out, f"trajectories_r{r:03d}.jsonl"), shash
         )
-        _, records = detect_renewals(st)
+        _, cycles = detect_renewals(st)
         rep = {
             "replicate": r,
             "final_fitness": st.fitness,
             "n_events": len(st.log),
             "n_resident_changes": len(st.resident_changes),
-            "n_cycles": len(records),
+            "n_cycles": len(cycles),
         }
-        if len(records) >= 2:
-            est = speed_estimate(records)
+        if len(cycles) >= 2:
+            est = speed_estimate(cycles)
             rep["v_hat"] = est.v_hat
             rep["stderr"] = est.stderr
         reps.append(rep)
@@ -397,7 +400,6 @@ def _cmd_pit_run(scn: Scenario, shash: str, out: str) -> dict:
 
 def _check_pit_replay(scn: Scenario):
     _require(bool(scn.events), "event", "a replay needs at least one event row")
-    _require(scn.replicates == 1, "replicates", "a replay is deterministic; use 1")
 
 
 def _cmd_pit_replay(scn: Scenario, shash: str, out: str) -> dict:
@@ -492,22 +494,24 @@ def _check_speed(scn: Scenario):
     _check_rate(scn)
     _require(scn.horizon >= 2 and scn.horizon == int(scn.horizon), "horizon",
              "must be an integer cycle count of at least 2")
+    _require(scn.horizon <= MAX_CYCLES, "horizon", f"must be at most {MAX_CYCLES} cycles")
 
 
 def _cmd_speed(scn: Scenario, shash: str, out: str) -> dict:
     dist = scn.gamma_dist()
     finite_mean = _finite_mean(dist)
     law = contender_params(scn.lam, dist)
-    cycles = int(scn.horizon)
-    pooled = []
+    parts = []
     reps = []
     for r in range(scn.replicates):
-        records = sample_renewal_cycles(law, cycles, replicate_rng(scn.seed, r))
-        write_cycles_csv(records, os.path.join(out, f"cycles_r{r:03d}.csv"), shash)
-        est = speed_estimate(records)
+        cycles = sample_renewal_cycles(law, int(scn.horizon), replicate_rng(scn.seed, r))
+        write_cycles_csv(cycles, os.path.join(out, f"cycles_r{r:03d}.csv"), shash)
+        est = speed_estimate(cycles)
         reps.append({"replicate": r, "v_hat": est.v_hat, "stderr": est.stderr,
                      "sigma2_hat": est.sigma2_hat})
-        pooled.extend(records)
+        parts.append(cycles)
+    pooled = RenewalCycles(np.concatenate([c.lengths for c in parts]),
+                           np.concatenate([c.rewards for c in parts]))
     est = speed_estimate(pooled)
     results = {
         "n_cycles": len(pooled),
@@ -622,15 +626,20 @@ class _Command:
 
 # the one list of commands, in the order the usage and errors name them
 COMMANDS = {
-    "pit-run": _Command(("lambda", "gamma", "f0"), _check_pit_run, _cmd_pit_run),
-    "pit-replay": _Command(("f0", "start", "event"), _check_pit_replay, _cmd_pit_replay),
-    "moran-run": _Command(("n", "lambda", "gamma", "counts", "fitness", "event"),
-                          _check_moran_run, _cmd_moran_run),
-    "couple": _Command(("n", "event"), _check_couple, _cmd_couple),
-    "speed": _Command(("lambda", "gamma"), _check_speed, _cmd_speed),
+    "pit-run": _Command(("replicates", "horizon", "lambda", "gamma", "f0"),
+                        _check_pit_run, _cmd_pit_run),
+    "pit-replay": _Command(("horizon", "f0", "start", "event"),
+                           _check_pit_replay, _cmd_pit_replay),
+    "moran-run": _Command(("replicates", "horizon", "grid_step", "n", "lambda", "gamma",
+                           "counts", "fitness", "event"), _check_moran_run, _cmd_moran_run),
+    "couple": _Command(("replicates", "horizon", "grid_step", "n", "event"),
+                       _check_couple, _cmd_couple),
+    "speed": _Command(("replicates", "horizon", "lambda", "gamma"), _check_speed, _cmd_speed),
     "heuristics": _Command(("lambda", "gamma"), _check_rate, _cmd_heuristics),
-    "gw": _Command(("birth", "death", "initial", "cap"), _check_gw, _cmd_gw),
-    "fclt": _Command(("lambda", "gamma", "scale"), _check_fclt, _cmd_fclt),
+    "gw": _Command(("replicates", "horizon", "birth", "death", "initial", "cap"),
+                   _check_gw, _cmd_gw),
+    "fclt": _Command(("replicates", "grid_step", "lambda", "gamma", "scale"),
+                     _check_fclt, _cmd_fclt),
 }
 
 

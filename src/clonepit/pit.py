@@ -825,7 +825,8 @@ class FitnessRows:
                 if collect:
                     applied.update((c, []) for c in range(started, started + fresh.size))
                 started += fresh.size
-                self._restart(fresh)
+                if fresh.size:
+                    self._restart(fresh)
                 if fresh.size < done.size:
                     leave = np.zeros(moving, dtype=bool)
                     leave[done[fresh.size :]] = True

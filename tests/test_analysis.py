@@ -13,7 +13,7 @@ from clonepit import (
     Pareto,
     PitState,
     PointMass,
-    RenewalRecord,
+    RenewalCycles,
     StepPath,
     Uniform,
     classify_fixation,
@@ -37,8 +37,9 @@ from clonepit import (
     sup_distance,
     write_cycles_csv,
 )
+from clonepit.analysis import MAX_CYCLES
 from clonepit.inputs import ARRIVAL_BLOCK
-from clonepit.pit import ConfigurationError
+from clonepit.pit import ConfigurationError, _fmt
 from clonepit.rng import replicate_rng
 
 SIX_EVENTS = (
@@ -56,22 +57,40 @@ def _events(*pairs):
     return [InputEvent(i + 1, t, a, True) for i, (t, a) in enumerate(pairs)]
 
 
-class TestRenewalRecords:
+class TestRenewalCycles:
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RenewalRecord(0.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            RenewalRecord(1.0, -0.1)
+        # a NaN reward passed `reward < 0` and an infinite length `length > 0`
+        refused = [
+            ([0.0], [1.0]), ([1.0], [-0.1]),
+            ([1.0], [math.nan]), ([math.inf], [1.0]),
+            ([math.nan], [1.0]), ([1.0], [math.inf]), ([1.0], [-math.inf]),
+            ([2.0, -1.0], [1.0, 1.0]), ([1.0, 1.0], [0.5]), ([[1.0]], [[1.0]]),
+        ]
+        for lengths, rewards in refused:
+            with pytest.raises(ConfigurationError):
+                RenewalCycles(lengths, rewards)
+        # -0.0 >= 0, and a run without a regeneration has no cycles
+        assert len(RenewalCycles([1.0], [-0.0])) == 1
+        assert len(RenewalCycles([], [])) == 0
+
+    def test_columns_are_read_only_copies(self):
+        lengths, rewards = np.array([1.0, 2.0]), np.array([0.5, 1])
+        cycles = RenewalCycles(lengths, rewards)
+        lengths[0] = -1.0
+        assert cycles.lengths.tolist() == [1.0, 2.0]
+        assert cycles.rewards.dtype == np.float64 and cycles.rewards.tolist() == [0.5, 1.0]
+        with pytest.raises(ValueError):
+            cycles.lengths[0] = 3.0
 
     def test_detect_on_deterministic_run(self):
         st = PitState(events=SIX_EVENTS)
         st.advance()
-        times, records = detect_renewals(st)
+        times, cycles = detect_renewals(st)
         # only the third change regenerates
         np.testing.assert_allclose(times, [68.0 / 15.0], atol=1e-9)
-        (rec,) = records
-        assert rec.length == pytest.approx(68.0 / 15.0)
-        assert rec.reward == pytest.approx(2.6)
+        (length,), (reward,) = cycles.lengths, cycles.rewards
+        assert length == pytest.approx(68.0 / 15.0)
+        assert reward == pytest.approx(2.6)
 
     def test_detect_from_skeleton_matches_state(self):
         # a FitnessRows row and a PitState on one seeded stream give the
@@ -92,15 +111,15 @@ class TestRenewalRecords:
         assert len(rec_sk) == len(rec_st) >= 5
         np.testing.assert_allclose(t_sk, t_st, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(
-            [(r.length, r.reward) for r in rec_sk],
-            [(r.length, r.reward) for r in rec_st],
+            np.column_stack((rec_sk.lengths, rec_sk.rewards)),
+            np.column_stack((rec_st.lengths, rec_st.rewards)),
             rtol=1e-12, atol=1e-12,
         )
 
 
 class TestSpeedEstimate:
     def test_hand_computed(self):
-        est = speed_estimate([RenewalRecord(1.0, 1.0), RenewalRecord(2.0, 1.0)])
+        est = speed_estimate(RenewalCycles([1.0, 2.0], [1.0, 1.0]))
         assert est.v_hat == pytest.approx(2.0 / 3.0)
         assert est.n_cycles == 2
         # residuals are +-1/3, mean square 1/9, mean length 3/2
@@ -109,7 +128,7 @@ class TestSpeedEstimate:
 
     def test_needs_two_cycles(self):
         with pytest.raises(ConfigurationError):
-            speed_estimate([RenewalRecord(1.0, 1.0)])
+            speed_estimate(RenewalCycles([1.0], [1.0]))
 
     def test_closed_form_values(self):
         assert pointmass_speed(1.0, 1.0) == pytest.approx(1.0 / 3.0)
@@ -136,15 +155,15 @@ class TestRenewalSampling:
         for lam, gamma, n_cycles, blocks in cases:
             law = contender_params(lam, gamma)
             rng = replicate_rng(314, 0)
-            records, events = sample_renewal_cycles(law, n_cycles, rng, collect_events=True)
-            assert len(records) == len(events) == n_cycles
+            cycles, events = sample_renewal_cycles(law, n_cycles, rng, collect_events=True)
+            assert len(cycles) == len(events) == n_cycles
             assert sum(map(len, events)) > blocks * ARRIVAL_BLOCK
-            for rec, evs in zip(records, events):
+            for length, reward, evs in zip(cycles.lengths, cycles.rewards, events):
                 st = PitState(events=_events(*evs))
                 st.advance(stop_after_solitary=True)
                 assert st.resident_changes[-1][4] and st.pending_immigration is None
-                assert st.clock == pytest.approx(rec.length, rel=1e-12, abs=1e-12)
-                assert st.fitness == pytest.approx(rec.reward, rel=1e-12, abs=1e-12)
+                assert st.clock == pytest.approx(length, rel=1e-12, abs=1e-12)
+                assert st.fitness == pytest.approx(reward, rel=1e-12, abs=1e-12)
 
     def test_arrivals_follow_block_draw_order(self):
         # documented order: ARRIVAL_BLOCK gaps, then ARRIVAL_BLOCK increments,
@@ -200,15 +219,22 @@ class TestRenewalSampling:
         # cycle 10^4 sits at clock ~3e4 where one ulp exceeds the stamp
         # tolerance; this used to stall (see the offset grouping in advance)
         law = contender_params(1.0, PointMass(1.0))
-        records = sample_renewal_cycles(law, 12000, replicate_rng(1, 11))
-        assert len(records) == 12000
-        v = sum(r.reward for r in records) / sum(r.length for r in records)
+        cycles = sample_renewal_cycles(law, 12000, replicate_rng(1, 11))
+        assert len(cycles) == 12000
+        v = sum(cycles.rewards.tolist()) / sum(cycles.lengths.tolist())
         assert v == pytest.approx(1.0 / 3.0, rel=0.02)
 
     def test_cycle_count_validation(self):
         law = contender_params(1.0, PointMass(1.0))
         with pytest.raises(ConfigurationError):
             sample_renewal_cycles(law, 0, replicate_rng(1, 0))
+
+    @pytest.mark.parametrize("n_cycles", [MAX_CYCLES + 1, 1e12, 1e20])
+    def test_cycle_count_is_bounded(self, n_cycles):
+        # 1e20 used to end in a ValueError from np.empty, 1e12 in a 7 TiB allocation
+        law = contender_params(1.0, PointMass(1.0))
+        with pytest.raises(ConfigurationError, match=f"at most {MAX_CYCLES}"):
+            sample_renewal_cycles(law, n_cycles, replicate_rng(1, 0))
 
     def test_fractional_cycle_count_is_refused(self):
         # 2.5 used to run 3 cycles
@@ -221,11 +247,12 @@ class TestRenewalSampling:
         # rows start new cycles as they finish: exactly n_cycles records, each
         # with the arrivals it applied, the same on a rerun
         law = contender_params(1.0, HALF_POINTMASS_EXP)
-        records, events = sample_renewal_cycles(law, 1200, replicate_rng(8, 0),
-                                                collect_events=True)
-        assert len(records) == 1200 and all(evs for evs in events)
+        cycles, events = sample_renewal_cycles(law, 1200, replicate_rng(8, 0),
+                                               collect_events=True)
+        assert len(cycles) == 1200 and all(evs for evs in events)
         again = sample_renewal_cycles(law, 1200, replicate_rng(8, 0))
-        assert again == records
+        np.testing.assert_array_equal(again.lengths, cycles.lengths, strict=True)
+        np.testing.assert_array_equal(again.rewards, cycles.rewards, strict=True)
 
 
 class TestHeuristics:
@@ -401,11 +428,28 @@ class TestCoupledRun:
 
 
 def test_write_cycles_csv(tmp_path):
-    recs = [RenewalRecord(1.0, 0.5), RenewalRecord(2.0, 1.5)]
+    cycles = RenewalCycles([1.0, 2.0], [0.5, 1.5])
     out = tmp_path / "cycles.csv"
-    write_cycles_csv(recs, out, "deadbeef00000000")
+    write_cycles_csv(cycles, out, "deadbeef00000000")
     lines = out.read_text().strip().splitlines()
     assert "deadbeef00000000" in lines[0]
     assert len(lines) == 4
     assert lines[1] == "length,reward"
     assert lines[2] == "1,0.5"
+
+
+def test_write_cycles_csv_cells_are_fmt_text(tmp_path):
+    # every cell is _fmt's .17g text of its value, which reads back exactly
+    lengths = [0.1, 1e16, 1e-7, 5e-324, 2.0**53 + 2, 3.0, 1.0 / 3.0]
+    rewards = [2.0, 0.0, 7.0, -0.0, 1e-7, 2.0**53 + 2, 0.1]
+    out = tmp_path / "cycles.csv"
+    write_cycles_csv(RenewalCycles(lengths, rewards), out)
+    header, *rows = out.read_text().splitlines()
+    assert header == "length,reward"
+    assert rows == [f"{_fmt(a)},{_fmt(b)}" for a, b in zip(lengths, rewards)]
+    assert rows[3] == "4.9406564584124654e-324,-0"
+    assert rows[4] == "9007199254740994,9.9999999999999995e-08"
+    back = [tuple(map(float, row.split(","))) for row in rows]
+    assert back == list(zip(lengths, rewards))
+    write_cycles_csv(RenewalCycles([], []), out, "deadbeef00000000")
+    assert out.read_text() == "# scenario=deadbeef00000000\nlength,reward\n"

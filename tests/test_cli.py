@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import clonepit
-from clonepit import MAX_GRID_SAMPLES, glh_speed, PointMass, rglh_speed
+from clonepit import MAX_CYCLES, MAX_GRID_SAMPLES, glh_speed, PointMass, rglh_speed
 from clonepit.cli import (
     _COMMON,
     _LISTS,
@@ -363,6 +363,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'grid_step'" in err
         assert f"more than {MAX_GRID_SAMPLES}" in err
+
+    @pytest.mark.parametrize("command, text, key", [
+        # each used to exit 0, changing only the scenario hash
+        ("heuristics", "lambda = 1\ngamma = pointmass(1)\nhorizon = 7\nreplicates = 5\n",
+         "horizon"),
+        ("fclt", "lambda = 1\ngamma = pointmass(1)\nscale = 100\nreplicates = 2\n"
+                 "grid_step = 0.25\nhorizon = 50\n", "horizon"),
+        ("speed", "lambda = 1\ngamma = pointmass(1)\nhorizon = 10\ngrid_step = 0.5\n",
+         "grid_step"),
+        ("pit-replay", "event = 0.5, 1\nreplicates = 2\n", "replicates"),
+    ])
+    def test_unread_key_exits_2(self, tmp_path, capsys, command, text, key):
+        cfg = write_cfg(tmp_path, f"command = {command}\n{text}")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: key '{key}' does not apply to command '{command}'\n"
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("horizon", [MAX_CYCLES + 1, 1e12, 1e20])
+    def test_speed_cycle_count_is_bounded(self, horizon):
+        # 1e20 used to end in a ValueError traceback from np.empty, exit 1,
+        # and 1e12 to ask for 7 TiB; checked here without running
+        with pytest.raises(ConfigurationError, match=f"'horizon': must be at most {MAX_CYCLES}"):
+            parse_scenario(f"command = speed\nlambda = 1\ngamma = pointmass(1)\n"
+                           f"horizon = {horizon!r}\n", {})
+        parse_scenario(f"command = speed\nlambda = 1\ngamma = pointmass(1)\n"
+                       f"horizon = {MAX_CYCLES}\n", {})
 
     @pytest.mark.parametrize("command, text, flags, key", [
         # a NaN start slope used to hang the replay
