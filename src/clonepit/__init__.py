@@ -3,176 +3,23 @@
 Event-driven simulation of a system of interacting fitness trajectories,
 its finite-population Moran counterpart, linear birth-death oracles, and
 renewal-based estimators of the speed of adaptation.
+
+Each module's ``__all__`` is the one list of its public names; the package
+republishes them all.
 """
 
-from .analysis import (
-    CouplingResult,
-    FcltDiagnostic,
-    FixationFlags,
-    FixationReport,
-    HighMutationResult,
-    MAX_CYCLES,
-    MispredictionFixture,
-    RenewalCycles,
-    SpeedEstimate,
-    classify_fixation,
-    coupled_run,
-    detect_renewals,
-    fclt_diagnostic,
-    glh_speed,
-    graph_distance,
-    heuristic_speed,
-    high_mutation_limit,
-    high_mutation_probe,
-    infinite_mean_probe,
-    pointmass_speed,
-    rgl_retention,
-    rglh_misprediction_fixture,
-    rglh_speed,
-    sample_renewal_cycles,
-    speed_estimate,
-    sup_distance,
-    write_cycles_csv,
-)
-from .branching import (
-    GwParams,
-    GwRun,
-    gamblers_ruin,
-    gw_level_probability,
-    gw_run,
-    gw_survival_formula,
-)
-from .inputs import (
-    ARRIVAL_BLOCK,
-    ArrivalBuffer,
-    ContenderLaw,
-    Exponential,
-    IncrementDistribution,
-    InputEvent,
-    Mixture,
-    Pareto,
-    PointMass,
-    Uniform,
-    contender_params,
-    parse_distribution,
-    sample_contender_stream,
-    sample_input_stream,
-    survival_prob,
-)
-from .moran import (
-    MAX_GRID_SAMPLES,
-    MAX_POPULATION,
-    ContenderIndicator,
-    LogFrequencyTrace,
-    MoranResult,
-    MoranState,
-    mean_fitness,
-    moran_init,
-    moran_run,
-    write_trace_csv,
-)
-from .pit import (
-    CHECK_TOL,
-    SLOPE_EPS,
-    TIME_EPS,
-    ConfigurationError,
-    FitnessRows,
-    InvariantViolation,
-    PiecewisePath,
-    PitEvent,
-    PitState,
-    StartEntry,
-    StepPath,
-    Trajectory,
-    write_event_csv,
-    write_trajectories_jsonl,
-)
-from .rng import UNIFORM_BLOCK, UniformBuffer, as_generator, replicate_rng
+from . import analysis, branching, inputs, moran, pit, rng
+from .analysis import *  # noqa: F401,F403
+from .branching import *  # noqa: F401,F403
+from .inputs import *  # noqa: F401,F403
+from .moran import *  # noqa: F401,F403
+from .pit import *  # noqa: F401,F403
+from .rng import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # input process
-    "IncrementDistribution",
-    "PointMass",
-    "Uniform",
-    "Exponential",
-    "Pareto",
-    "Mixture",
-    "parse_distribution",
-    "survival_prob",
-    "InputEvent",
-    "ContenderLaw",
-    "ARRIVAL_BLOCK",
-    "ArrivalBuffer",
-    "contender_params",
-    "sample_input_stream",
-    "sample_contender_stream",
-    # trajectory system
-    "TIME_EPS",
-    "SLOPE_EPS",
-    "CHECK_TOL",
-    "ConfigurationError",
-    "InvariantViolation",
-    "StartEntry",
-    "Trajectory",
-    "PitEvent",
-    "StepPath",
-    "PiecewisePath",
-    "PitState",
-    "FitnessRows",
-    "write_event_csv",
-    "write_trajectories_jsonl",
-    # finite population
-    "MoranState",
-    "ContenderIndicator",
-    "LogFrequencyTrace",
-    "MoranResult",
-    "MAX_GRID_SAMPLES",
-    "MAX_POPULATION",
-    "moran_init",
-    "moran_run",
-    "mean_fitness",
-    "write_trace_csv",
-    # branching oracle
-    "GwParams",
-    "GwRun",
-    "gw_survival_formula",
-    "gw_level_probability",
-    "gamblers_ruin",
-    "gw_run",
-    # analysis
-    "MAX_CYCLES",
-    "RenewalCycles",
-    "SpeedEstimate",
-    "FcltDiagnostic",
-    "FixationFlags",
-    "FixationReport",
-    "MispredictionFixture",
-    "HighMutationResult",
-    "CouplingResult",
-    "pointmass_speed",
-    "detect_renewals",
-    "speed_estimate",
-    "sample_renewal_cycles",
-    "fclt_diagnostic",
-    "heuristic_speed",
-    "glh_speed",
-    "rglh_speed",
-    "rgl_retention",
-    "rglh_misprediction_fixture",
-    "classify_fixation",
-    "sup_distance",
-    "coupled_run",
-    "graph_distance",
-    "infinite_mean_probe",
-    "high_mutation_limit",
-    "high_mutation_probe",
-    "write_cycles_csv",
-    # reproducibility
-    "as_generator",
-    "replicate_rng",
-    "UNIFORM_BLOCK",
-    "UniformBuffer",
-]
+# input process, trajectory system, finite population, branching oracle,
+# analysis, reproducibility; a name two modules export is listed once
+__all__ = ["__version__", *dict.fromkeys(
+    name for mod in (inputs, pit, moran, branching, analysis, rng) for name in mod.__all__
+)]

@@ -8,8 +8,8 @@ such changes, paired with the fitness gained across them, are i.i.d.  This
 module detects those cycles, estimates the speed of adaptation and its
 fluctuation coefficient from them, and provides the classical
 Gerrish-Lenski style speed predictions for comparison, together with
-fixation classification and distance diagnostics used to compare a finite
-population against its limit.
+fixation classification and the coupling of a finite population to its
+limit, compared by the sup distance of their height traces.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .pit import (
     ConfigurationError,
     FitnessRows,
     PitState,
-    StepPath,
     _write_csv,
 )
 from .rng import as_generator
@@ -52,15 +51,12 @@ __all__ = [
     "sample_renewal_cycles",
     "fclt_diagnostic",
     "heuristic_speed",
-    "glh_speed",
-    "rglh_speed",
     "rgl_retention",
     "rglh_misprediction_fixture",
     "classify_fixation",
     "sup_distance",
     "CouplingResult",
     "coupled_run",
-    "graph_distance",
     "infinite_mean_probe",
     "high_mutation_limit",
     "high_mutation_probe",
@@ -198,8 +194,10 @@ def sample_renewal_cycles(law: ContenderLaw, n_cycles: int, rng, *, collect_even
     per cycle the ``(time, increment)`` arrivals that cycle applied, on its
     own clock, so each cycle can be replayed.
 
-    Cycle lengths must have finite mean (finite mean of the contender
-    increment law) or this will effectively not terminate.
+    An increment law without a finite mean does not stop the sampler
+    (at rate 1, ``Pareto(1, 0.5)`` cycles last about 1.5 on average), but
+    their rewards then have an infinite mean, so ``v_hat`` has no finite
+    limit; the command line warns about such a law.
     """
     n_cycles = _require_count("n_cycles", n_cycles, 1)
     if n_cycles > MAX_CYCLES:
@@ -281,14 +279,6 @@ def heuristic_speed(law: ContenderLaw, *, refined: bool = False) -> float:
         return p
 
     return rate * law.expect(lambda a: a * pi(a))
-
-
-def glh_speed(lam: float, gamma) -> float:
-    return heuristic_speed(contender_params(lam, gamma))
-
-
-def rglh_speed(lam: float, gamma) -> float:
-    return heuristic_speed(contender_params(lam, gamma), refined=True)
 
 
 def rgl_retention(events) -> set[int]:
@@ -474,74 +464,6 @@ def coupled_run(n, schedule, horizon, rng, *, grid_step: float = 0.01) -> Coupli
             pit_heights[ev.index] = st.trajectory_path(ev.index)(grid)
     dist = sup_distance(pit_heights, res.trace.heights, grid)
     return CouplingResult(int(n), grid, dist, flags)
-
-
-def _completed_graph(path: StepPath, t_end: float) -> np.ndarray:
-    """Segments (x1,y1,x2,y2) of the step graph with jumps filled in."""
-    times = path.times
-    vals = path.values
-    segs = []
-    for i in range(times.size):
-        t0 = float(times[i])
-        if t0 > t_end:
-            break
-        v = float(vals[i])
-        t1 = float(times[i + 1]) if i + 1 < times.size else t_end
-        right = min(t1, t_end)
-        segs.append((t0, v, right, v))
-        if i + 1 < times.size and t1 <= t_end:
-            segs.append((t1, v, t1, float(vals[i + 1])))
-    return np.asarray(segs, dtype=float)
-
-
-def _sample_graph(segs: np.ndarray, step: float) -> np.ndarray:
-    pts = []
-    for x1, y1, x2, y2 in segs:
-        span = math.hypot(x2 - x1, y2 - y1)
-        k = max(1, int(math.ceil(span / step)))
-        f = np.linspace(0.0, 1.0, k + 1)
-        pts.append(np.column_stack((x1 + f * (x2 - x1), y1 + f * (y2 - y1))))
-    return np.concatenate(pts)
-
-
-def _points_to_segments(points: np.ndarray, segs: np.ndarray) -> float:
-    """max over points of (exact) min distance to the segment set."""
-    ax, ay = segs[:, 0], segs[:, 1]
-    dx, dy = segs[:, 2] - ax, segs[:, 3] - ay
-    norm2 = dx * dx + dy * dy
-    norm2[norm2 == 0.0] = 1.0
-    worst = 0.0
-    for px, py in points:
-        t = np.clip(((px - ax) * dx + (py - ay) * dy) / norm2, 0.0, 1.0)
-        gx = ax + t * dx - px
-        gy = ay + t * dy - py
-        worst = max(worst, float(np.min(gx * gx + gy * gy)))
-    return math.sqrt(worst)
-
-
-def graph_distance(step_a: StepPath, step_b: StepPath, *, resolution: int = 2000) -> float:
-    """Hausdorff distance between the completed graphs of two step functions.
-
-    Vertical jump segments are part of each graph, so a pure shift of one
-    jump time by ``d`` gives a distance of about ``d`` instead of the jump
-    height.  One side of the Hausdorff maximum is taken over sampled points
-    (about ``resolution`` per graph) against the other graph's exact
-    segments, so the result carries a sampling error of order total graph
-    length / resolution.
-    """
-    t_end = max(float(step_a.times[-1]), float(step_b.times[-1]))
-    t_end = max(t_end, float(step_a.times[0]), float(step_b.times[0]))
-    ga = _completed_graph(step_a, t_end)
-    gb = _completed_graph(step_b, t_end)
-    extent = 0.0
-    for g in (ga, gb):
-        extent += float(
-            np.sum(np.hypot(g[:, 2] - g[:, 0], g[:, 3] - g[:, 1]))
-        )
-    step = max(extent / (2 * resolution), 1e-12)
-    pa = _sample_graph(ga, step)
-    pb = _sample_graph(gb, step)
-    return max(_points_to_segments(pa, gb), _points_to_segments(pb, ga))
 
 
 # -- limit-regime probes -------------------------------------------------------

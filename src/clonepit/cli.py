@@ -58,9 +58,8 @@ from .analysis import (
     coupled_run,
     detect_renewals,
     fclt_diagnostic,
-    glh_speed,
+    heuristic_speed,
     pointmass_speed,
-    rglh_speed,
     sample_renewal_cycles,
     speed_estimate,
     write_cycles_csv,
@@ -256,6 +255,14 @@ def _require(cond: bool, key: str, message: str):
         raise ConfigurationError(f"constraint violated for '{key}': {message}")
 
 
+def _require_built(key: str, build, *args, **kwargs):
+    """Call the engine's own checks in ``build`` now, naming ``key`` in what they refuse."""
+    try:
+        build(*args, **kwargs)
+    except ConfigurationError as exc:
+        _require(False, key, str(exc))
+
+
 def _grid_count(step: float) -> int:
     """``k`` when ``step`` is ``1/k`` for a positive integer ``k`` (within rounding), else 0."""
     k = round(1.0 / step)
@@ -398,14 +405,22 @@ def _cmd_pit_run(scn: Scenario, shash: str, out: str) -> dict:
     return {"contender_rate": law.rate, "replicates": reps}
 
 
+def _replay_start(scn: Scenario):
+    """The resident at (1, 0), then the scenario's start rows."""
+    return [(1.0, 0.0)] + list(scn.starts)
+
+
 def _check_pit_replay(scn: Scenario):
     _require(bool(scn.events), "event", "a replay needs at least one event row")
+    # the engine meets each event only as its clock reaches it
+    _require(all(a[0] < b[0] for a, b in zip(scn.events, scn.events[1:])), "event",
+             "event times must be strictly increasing")
+    _require_built("start", PitState, start=_replay_start(scn))
 
 
 def _cmd_pit_replay(scn: Scenario, shash: str, out: str) -> dict:
-    start = [(1.0, 0.0)] + list(scn.starts)
     horizon = scn.horizon if scn.horizon > 0 else math.inf
-    st = PitState(start=start, events=_replay_events(scn, 1), f0=scn.f0)
+    st = PitState(start=_replay_start(scn), events=_replay_events(scn, 1), f0=scn.f0)
     st.advance(until=horizon)
     st.check_invariants()
     write_event_csv(st.log, os.path.join(out, "events.csv"), shash)
@@ -420,22 +435,29 @@ def _cmd_pit_replay(scn: Scenario, shash: str, out: str) -> dict:
     }
 
 
+def _moran_start(scn: Scenario):
+    """Counts, fitness and schedule of a ``moran-run``: one type of ``n`` at 0 by default."""
+    counts = list(scn.counts) if scn.counts else [scn.n]
+    fitness = list(scn.fitness) if scn.fitness else [0.0] * len(counts)
+    # scheduled mutants take the ids after the initial types
+    return counts, fitness, _replay_events(scn, len(counts)) or None
+
+
 def _check_moran_run(scn: Scenario):
     _check_population(scn)
     free = scn.lam > 0
     _require(not (free and scn.events), "event", "a schedule excludes a free mutation rate")
     if free:
         _require(bool(scn.gamma), "gamma", "a free mutation rate needs a distribution")
+    counts, fitness, schedule = _moran_start(scn)
+    _require_built("counts", moran_init, scn.n, counts, fitness)
+    _require_built("event", moran_init, scn.n, counts, fitness, schedule=schedule)
 
 
 def _cmd_moran_run(scn: Scenario, shash: str, out: str) -> dict:
-    counts = list(scn.counts) if scn.counts else [scn.n]
-    fitness = list(scn.fitness) if scn.fitness else [0.0] * len(counts)
+    counts, fitness, schedule = _moran_start(scn)
     gamma = parse_distribution(scn.gamma) if scn.gamma else None
-    # scheduled mutants take the ids after the initial types
-    schedule = _replay_events(scn, len(counts)) or None
     reps = []
-    time_texts = None  # replicates on one grid format its times once
     for r in range(scn.replicates):
         state = moran_init(
             scn.n, counts, fitness,
@@ -443,8 +465,7 @@ def _cmd_moran_run(scn: Scenario, shash: str, out: str) -> dict:
         )
         res = moran_run(state, scn.horizon, replicate_rng(scn.seed, r),
                         grid_step=scn.grid_step)
-        time_texts = write_trace_csv(res, os.path.join(out, f"trace_r{r:03d}.csv"), shash,
-                                     time_texts)
+        write_trace_csv(res, os.path.join(out, f"trace_r{r:03d}.csv"), shash)
         reps.append({
             "replicate": r,
             "n_events": res.n_events,
@@ -458,6 +479,7 @@ def _cmd_moran_run(scn: Scenario, shash: str, out: str) -> dict:
 def _check_couple(scn: Scenario):
     _check_population(scn)
     _require(bool(scn.events), "event", "a coupling needs the shared mutation schedule")
+    _require_built("event", moran_init, scn.n, [scn.n], [0.0], schedule=_replay_events(scn, 1))
 
 
 def _cmd_couple(scn: Scenario, shash: str, out: str) -> dict:
@@ -535,8 +557,8 @@ def _cmd_heuristics(scn: Scenario, shash: str, out: str) -> dict:
     return {
         "contender_rate": law.rate,
         "mean_increment": law.mean_increment() if finite_mean else None,
-        "v_gl": glh_speed(scn.lam, dist) if finite_mean else None,
-        "v_rgl": rglh_speed(scn.lam, dist) if finite_mean else None,
+        "v_gl": heuristic_speed(law) if finite_mean else None,
+        "v_rgl": heuristic_speed(law, refined=True) if finite_mean else None,
         "finite_mean": finite_mean,
     }
 
@@ -545,7 +567,7 @@ def _check_gw(scn: Scenario):
     _require(scn.birth >= 0 and scn.death >= 0, "birth", "rates must be nonnegative")
     _require(scn.birth + scn.death > 0, "birth", "birth and death cannot both be zero")
     _require(scn.initial >= 1, "initial", "must be a positive integer")
-    _require(scn.cap >= 1, "cap", "must be a positive integer")
+    _require(scn.cap > scn.initial, "cap", "must exceed the initial size")
 
 
 def _cmd_gw(scn: Scenario, shash: str, out: str) -> dict:

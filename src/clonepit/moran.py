@@ -51,6 +51,7 @@ so float drift cannot accumulate over tens of millions of events.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -277,7 +278,6 @@ def moran_run(
     rng,
     *,
     grid_step: float = 0.01,
-    indicators: bool = True,
     initial_indicators: bool = False,
     indicator_offset: float | None = None,
     indicator_threshold: float | None = None,
@@ -285,9 +285,10 @@ def moran_run(
 ) -> MoranResult:
     """Run the population to the rescaled ``horizon``.
 
-    ``indicators`` schedules a contender check for every mutant born during
-    the run; ``initial_indicators`` additionally checks every initial type
-    except the largest one (useful for single-mutant survival experiments).
+    Every mutant born during the run gets a contender check;
+    ``initial_indicators`` also checks every initial type except the
+    largest one (useful for single-mutant survival experiments).  A check
+    draws nothing, so it moves no other result.
     The check time offset defaults to ``1/sqrt(log N)`` after birth and the
     count threshold to ``log N``; a type is flagged when its count at the
     check time (not its running maximum) meets the threshold.  The trace
@@ -333,7 +334,7 @@ def moran_run(
 
     pending: list[tuple[float, int]] = []
     done_inds: list[ContenderIndicator] = []
-    if initial_indicators and indicators and len(ids) > 1:
+    if initial_indicators and len(ids) > 1:
         major = max(range(len(ids)), key=lambda i: x[i])
         for i, tid in enumerate(ids):
             if i != major:
@@ -412,7 +413,7 @@ def moran_run(
         if t >= next_due:
             settle(t)
         state.clock = t
-        _apply_mutation(state, idx, inc, nextu, pending, t_off, indicators)
+        _apply_mutation(state, idx, inc, nextu, pending, t_off)
         all_ids.add(idx)
         aggr = state._aggr
         if pending:
@@ -557,7 +558,7 @@ def moran_run(
     )
 
 
-def _apply_mutation(state, idx, inc, nextu, pending, t_off, want_indicator):
+def _apply_mutation(state, idx, inc, nextu, pending, t_off):
     """A uniformly chosen individual founds type ``idx`` with fitness +``inc``."""
     ids, x, m = state.ids, state.counts, state.fitness
     k = len(ids)
@@ -583,31 +584,35 @@ def _apply_mutation(state, idx, inc, nextu, pending, t_off, want_indicator):
     state.mutations += 1
     state.sum_xm += inc
     state._rebuild()
-    if want_indicator:
-        heapq.heappush(pending, (state.clock + t_off, idx))
+    heapq.heappush(pending, (state.clock + t_off, idx))
 
 
-def write_trace_csv(result: MoranResult, path, scenario_hash: str | None = None,
-                    time_texts=None):
+@functools.lru_cache(maxsize=1)
+def _time_texts(times: bytes) -> list[str]:
+    """The ``_fmt`` texts of the float64 sample times whose bytes are ``times``.
+
+    One entry: traces on one grid without mutations (a command's
+    replicates, or the next command on the same grid) have the same times,
+    and only the first one formats them.
+    """
+    return [_fmt(t) for t in np.frombuffer(times).tolist()]
+
+
+def write_trace_csv(result: MoranResult, path, scenario_hash: str | None = None):
     """Trace CSV: time, type_id, count, H, mean_fitness (one row per live type).
 
     Every cell is the text ``_fmt`` gives for its number, so the bytes are
     those of formatting each row on its own.  The rows come in runs: a run
     starts wherever a count or the bits of the mean fitness change, its
     row tails are formatted once and joined onto the texts of its sample
-    times.  Returns those time texts keyed on the bits of ``times``; handing
-    them back as ``time_texts`` for the next trace of the same command skips
-    formatting its times again when they have the same bits (a command's
-    replicates on one grid without mutations), and is ignored otherwise.
+    times.  The time texts of the last trace written are kept, keyed on the
+    bits of its times, so a trace on the same times formats none of them.
     """
     tr = result.trace
     if tr is None:
         raise ConfigurationError("the run kept no trace: it was run with trace=False")
     size = tr.times.size
-    key = tr.times.tobytes()
-    if time_texts is None or time_texts[0] != key:
-        time_texts = (key, [_fmt(t) for t in tr.times.tolist()])
-    texts = time_texts[1]
+    texts = _time_texts(tr.times.tobytes())
     order = sorted(tr.counts)
     new = np.ones(size, dtype=bool)
     fbits = tr.mean_fitness.view(np.int64)
@@ -631,4 +636,3 @@ def write_trace_csv(result: MoranResult, path, scenario_hash: str | None = None,
         else:
             chunks += [t + tail for t in run for tail in tails]
     _write_csv(path, "time,type_id,count,H,mean_fitness", chunks, scenario_hash)
-    return time_texts

@@ -53,6 +53,9 @@ import numpy as np
 from .inputs import ConfigurationError, InputEvent
 
 __all__ = [
+    "TIME_EPS",
+    "SLOPE_EPS",
+    "CHECK_TOL",
     "ConfigurationError",
     "InvariantViolation",
     "StartEntry",
@@ -120,7 +123,6 @@ class Trajectory:
     increment: float
     fitness: float
     status: str = "active"  # active | resident | latent | extinct
-    death: float | None = None
     #: (time, height, slope) breakpoints of the height path
     segments: list = field(default_factory=list)
 
@@ -347,7 +349,6 @@ class PitState:
         self._h[slot] = 0.0
         traj = self.types[tid]
         traj.status = "extinct"
-        traj.death = self.clock
         traj.segments.append((self.clock, 0.0, 0.0))
         self._drop_slot(slot)
         self.log.append(
@@ -683,9 +684,11 @@ class FitnessRows:
             m = len(evs)
             if not m:
                 continue
-            T[r, :m], S[r, :m], I[r, :m] = np.array(
-                [(ev.time, ev.increment if ev.contender else 0.0, ev.index) for ev in evs]
+            T[r, :m], S[r, :m] = np.array(
+                [(ev.time, ev.increment if ev.contender else 0.0) for ev in evs]
             ).T
+            # the indices straight to int64: a float64 column rounds them above 2**53
+            I[r, :m] = [ev.index for ev in evs]
             t, idx = T[r, :m], I[r, :m]
             if not (np.all(t[1:] > t[:-1]) and np.all(idx[1:] > idx[:-1]) and idx[0] >= 1):
                 raise ConfigurationError(

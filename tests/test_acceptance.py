@@ -198,7 +198,7 @@ def test_07a_moran_fixation():
     fixed, reps = 0, 1000
     for r in range(reps):
         st = moran_init(10_000, [9_999, 1], [0.0, 1.0])
-        res = moran_run(st, 40.0, replicate_rng(2026, r), trace=False, indicators=False)
+        res = moran_run(st, 40.0, replicate_rng(2026, r), trace=False)
         fixed += res.state.count_of(1) == 10_000
     freq = fixed / reps
     ok = abs(freq - 0.5) <= 0.05

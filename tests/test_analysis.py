@@ -14,15 +14,12 @@ from clonepit import (
     PitState,
     PointMass,
     RenewalCycles,
-    StepPath,
     Uniform,
     classify_fixation,
     contender_params,
     coupled_run,
     detect_renewals,
     fclt_diagnostic,
-    glh_speed,
-    graph_distance,
     heuristic_speed,
     high_mutation_limit,
     high_mutation_probe,
@@ -30,7 +27,6 @@ from clonepit import (
     pointmass_speed,
     rgl_retention,
     rglh_misprediction_fixture,
-    rglh_speed,
     sample_contender_stream,
     sample_renewal_cycles,
     speed_estimate,
@@ -259,8 +255,9 @@ class TestHeuristics:
     def test_pointmass_closed_forms(self):
         # rate 1/2, unit increments: plain prediction rate * 1, refined
         # multiplies in exp(-rate) for the rise window
-        assert glh_speed(1.0, PointMass(1.0)) == pytest.approx(0.5, abs=1e-12)
-        assert rglh_speed(1.0, PointMass(1.0)) == pytest.approx(
+        law = contender_params(1.0, PointMass(1.0))
+        assert heuristic_speed(law) == pytest.approx(0.5, abs=1e-12)
+        assert heuristic_speed(law, refined=True) == pytest.approx(
             0.5 * math.exp(-0.5), abs=1e-12
         )
 
@@ -332,18 +329,6 @@ class TestDistances:
         a = {0: np.zeros(5)}
         b = {0: np.array([0.0, 0.1, 0.4, 0.1, 0.0])}
         assert sup_distance(a, b, grid) == pytest.approx(0.4)
-
-    def test_graph_distance_identical_steps(self):
-        sp = StepPath([0.0, 1.0, 2.0], [0.0, 1.0, 2.5])
-        assert graph_distance(sp, sp) == pytest.approx(0.0, abs=1e-9)
-
-    def test_graph_distance_tolerates_time_shift(self):
-        # nearby jump times only cost the shift, not the jump height
-        a = StepPath([0.0, 1.0], [0.0, 1.0])
-        b = StepPath([0.0, 1.05], [0.0, 1.0])
-        d = graph_distance(a, b)
-        assert d == pytest.approx(0.05, abs=0.01)
-        assert graph_distance(b, a) == pytest.approx(d, abs=1e-6)
 
 
 class TestFcltDiagnostic:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import clonepit
-from clonepit import MAX_CYCLES, MAX_GRID_SAMPLES, glh_speed, PointMass, rglh_speed
+from clonepit import MAX_CYCLES, MAX_GRID_SAMPLES, PointMass, contender_params, heuristic_speed
 from clonepit.cli import (
     _COMMON,
     _LISTS,
@@ -179,8 +179,9 @@ class TestCommands:
         )
         assert main(["heuristics", "--config", cfg, "--out", str(tmp_path)]) == 0
         s = json.loads((tmp_path / "summary.json").read_text())
-        assert s["results"]["v_gl"] == pytest.approx(glh_speed(1.0, PointMass(1.0)))
-        assert s["results"]["v_rgl"] == pytest.approx(rglh_speed(1.0, PointMass(1.0)))
+        law = contender_params(1.0, PointMass(1.0))
+        assert s["results"]["v_gl"] == pytest.approx(heuristic_speed(law))
+        assert s["results"]["v_rgl"] == pytest.approx(heuristic_speed(law, refined=True))
         assert s["results"]["contender_rate"] == pytest.approx(0.5)
         assert s["results"]["finite_mean"] is True
 
@@ -420,6 +421,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"'{key}': must be finite" in err
 
+
+    @pytest.mark.parametrize("command, text, key", [
+        # each used to be refused only by the engine, after the output
+        # directory was made, with a message that did not name the key
+        ("gw", "birth = 2\ndeath = 1\ninitial = 5\ncap = 5\n", "cap"),
+        ("moran-run", "n = 200\nhorizon = 1\ncounts = 150, 40\nfitness = 0, 1\n", "counts"),
+        ("moran-run", "n = 200\nhorizon = 1\ncounts = 200, 0\nfitness = 0, 1\n", "counts"),
+        ("moran-run", "n = 200\nhorizon = 1\ncounts = 150, 50\nfitness = 0, 1, 2\n",
+         "counts"),
+        ("moran-run", "n = 200\nhorizon = 1\nevent = 0.5, 1\nevent = 0.2, 1\n", "event"),
+        ("pit-replay", "start = 1.5, 0\nevent = 0.1, 1\n", "start"),
+        ("pit-replay", "start = 0.5, 1\nstart = 0.5, 1\nevent = 0.1, 1\n", "start"),
+        ("pit-replay", "start = 1, 0\nevent = 0.1, 1\n", "start"),
+        ("pit-replay", "event = 0.5, 1\nevent = 0.2, 1\n", "event"),
+        ("pit-replay", "event = 0.5, 1\nevent = 0.5, 2\n", "event"),
+        ("couple", "n = 200\nhorizon = 1\nevent = 0.5, 1\nevent = 0.2, 1\n", "event"),
+    ])
+    def test_engine_rules_are_checked_before_the_run(self, tmp_path, capsys, command, text,
+                                                     key):
+        body = f"command = {command}\n{text}"
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            parse_scenario(body, {})
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, body)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{key}'" in err and err.count("\n") == 1
+        assert not out.exists()
 
 class TestCommandTable:
     def test_command_keys_are_scenario_keys(self):

@@ -22,6 +22,7 @@ from clonepit import (
     moran_run,
     write_trace_csv,
 )
+from clonepit import moran
 from clonepit.inputs import _horizon_cut
 from clonepit.pit import ConfigurationError, _fmt
 from clonepit.rng import UNIFORM_BLOCK, UniformBuffer, replicate_rng
@@ -180,7 +181,7 @@ class TestSelection:
         reps = 300
         for r in range(reps):
             st = moran_init(100, [99, 1], [0.0, 1.0])
-            res = moran_run(st, 60.0, replicate_rng(42, r), trace=False, indicators=False)
+            res = moran_run(st, 60.0, replicate_rng(42, r), trace=False)
             fixed += res.state.count_of(1) == 100
         assert fixed == 148
         p = gw_survival_formula(2.0, 1.0)
@@ -264,7 +265,7 @@ class TestTwoTypeWalk:
         end = np.zeros(n + 1)
         for r in range(reps):
             st = moran_init(n, [n - start, start], [0.0, 1.0])
-            res = moran_run(st, 0.6, replicate_rng(3030, r), grid_step=0.3, indicators=False)
+            res = moran_run(st, 0.6, replicate_rng(3030, r), grid_step=0.3)
             assert res.trace.times[1] == 0.3
             mid[int(res.trace.counts[1][1])] += 1
             end[res.state.count_of(1)] += 1
@@ -293,7 +294,7 @@ class TestTwoTypeWalk:
         fixed = 0
         for r in range(reps):
             st = moran_init(n, [n - 1, 1], [0.0, s])
-            res = moran_run(st, math.inf, replicate_rng(1515, r), trace=False, indicators=False)
+            res = moran_run(st, math.inf, replicate_rng(1515, r), trace=False)
             assert res.state.clock < math.inf and len(res.state.ids) == 1
             fixed += res.state.count_of(1) == n
         se = math.sqrt(exact * (1.0 - exact) / reps)
@@ -306,7 +307,7 @@ class TestTwoTypeWalk:
         fixed = 0
         for r in range(reps):
             st = moran_init(n, [n - start, start], [0.5, 0.5])
-            res = moran_run(st, math.inf, replicate_rng(1212, r), trace=False, indicators=False)
+            res = moran_run(st, math.inf, replicate_rng(1212, r), trace=False)
             fixed += res.state.count_of(1) == n
         p = start / n
         assert abs(fixed / reps - p) < 3.5 * math.sqrt(p * (1.0 - p) / reps)
@@ -391,7 +392,7 @@ class TestTwoTypeWalk:
         muts = []
         for r in range(reps):
             st = moran_init(200, [100, 100], [0.0, 1.0], lam=lam, gamma=PointMass(0.5))
-            res = moran_run(st, 1.0, replicate_rng(400, r), trace=False, indicators=False)
+            res = moran_run(st, 1.0, replicate_rng(400, r), trace=False)
             assert res.n_events == st.events and sum(st.counts) == 200
             for tid in range(2, 2 + st.mutations):
                 assert 0.0 < st.type_birth[tid] <= 1.0
@@ -436,7 +437,7 @@ class TestFreeMutation:
         births, incs = [], []
         for r in range(300):
             st = moran_init(50, [25, 25], [0.0, 1.0], lam=2.0, gamma=Exponential(1.0))
-            moran_run(st, 1.5, replicate_rng(77, r), trace=False, indicators=False)
+            moran_run(st, 1.5, replicate_rng(77, r), trace=False)
             assert st.mutations == len(st.schedule)
             for ev in st.schedule:
                 assert st.type_birth[ev.index] == ev.time
@@ -535,13 +536,16 @@ def test_write_trace_csv_matches_reference(tmp_path, seed):
         assert len(res.trace.heights) > 2
         # both kinds of event happened: mutations and resamplings
         assert 0 < res.state.mutations < res.n_events
-    texts = None
+    moran._time_texts.cache_clear()
+    earlier = None
     for r, res in enumerate(results):
-        earlier = texts
-        texts = write_trace_csv(res, tmp_path / f"new{r}.csv", "ab", texts)
-        # the time texts are handed on exactly when the times have the same bits
-        same = earlier is not None and earlier[0] == res.trace.times.tobytes()
-        assert (texts is earlier) == same == (r == 1)
+        misses = moran._time_texts.cache_info().misses
+        write_trace_csv(res, tmp_path / f"new{r}.csv", "ab")
+        # the times are formatted again exactly when their bits change
+        same = earlier == res.trace.times.tobytes()
+        formatted = moran._time_texts.cache_info().misses - misses
+        assert formatted == (not same) == (r != 1)
+        earlier = res.trace.times.tobytes()
         _reference_trace_csv(res, tmp_path / f"ref{r}.csv", "ab")
         assert (tmp_path / f"new{r}.csv").read_bytes() == (tmp_path / f"ref{r}.csv").read_bytes()
 

@@ -195,6 +195,24 @@ def test_event_streams_must_increase(engine, events):
         _build(engine, events).advance()
 
 
+@pytest.mark.parametrize("indices", [
+    # the winner used to read 2**53: a float64 column rounded the index
+    [2**53 + 1],
+    # and these two used to round to one value and be refused as not increasing
+    [2**54 + 1, 2**54 + 2],
+])
+def test_indices_above_2_to_the_53_are_exact(indices):
+    events = [InputEvent(i, 0.1 * (k + 1), 1.0 + k, True) for k, i in enumerate(indices)]
+    st = PitState(events=events)
+    st.advance()
+    rows = FitnessRows([events])
+    rows.advance()
+    (changes,) = rows.resident_changes
+    assert [c[3] for c in changes] == [c[3] for c in st.resident_changes]
+    assert changes[-1][3] == indices[-1]
+    assert changes == pytest.approx(st.resident_changes)
+
+
 class TestChecksSeeNaN:
     """Each identity check raises on a NaN residual instead of passing it."""
 
