@@ -29,6 +29,7 @@ from .inputs import (
 )
 from .moran import moran_init, moran_run
 from .pit import (
+    _RENEWAL_ROWS,
     ConfigurationError,
     FitnessRows,
     PitState,
@@ -64,9 +65,13 @@ __all__ = [
 ]
 
 
-# the most renewal cycles one call may run (two float64 columns of 80 MB
-# each); more are refused before anything is allocated
+# the most renewal cycles one call may run per stream (two float64 columns
+# of 80 MB each); more are refused before anything is allocated
 MAX_CYCLES = 10_000_000
+
+# the most rows one renewal lockstep runs: its memory grows with its rows,
+# so streams beyond four of 1024 rows run in further locksteps
+_LOCKSTEP_ROWS = 4 * _RENEWAL_ROWS
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -170,8 +175,19 @@ def _require_count(name: str, value, least: int) -> int:
     return int(value)
 
 
+def _renewal_streams(rng) -> list:
+    """The generators of ``rng``: each of a list of Generators, or the one that ``rng`` seeds."""
+    if isinstance(rng, list) and (not rng or any(isinstance(g, np.random.Generator) for g in rng)):
+        if not rng or not all(isinstance(g, np.random.Generator) for g in rng):
+            raise ConfigurationError(
+                "a list of renewal streams must hold one or more numpy Generators, "
+                f"got {rng!r}")
+        return rng
+    return [as_generator(rng)]
+
+
 def sample_renewal_cycles(law: ContenderLaw, n_cycles: int, rng, *, collect_events=False):
-    """Simulate ``n_cycles`` regeneration cycles of the trajectory system.
+    """Simulate ``n_cycles`` regeneration cycles of the trajectory system on each stream.
 
     The system regenerates at each qualifying resident change: every
     trajectory left then has nonpositive slope, so it can never become
@@ -182,17 +198,26 @@ def sample_renewal_cycles(law: ContenderLaw, n_cycles: int, rng, *, collect_even
     (keeping the time resolution independent of how many cycles have
     elapsed), runs to its first solitary change, records the cycle and
     starts the next, carrying over the arrivals it has read but not used.
-    Exactly ``n_cycles`` start, each one runs to its end, and they are
-    returned as one :class:`RenewalCycles` in the order they started; more
-    than :data:`MAX_CYCLES` are refused before anything is allocated.
+    Exactly ``n_cycles`` start per stream and each one runs to its end;
+    more than :data:`MAX_CYCLES` per stream are refused before anything is
+    allocated.
 
-    The rows read their arrivals from one :class:`~clonepit.inputs.ArrivalBuffer`,
-    which draws gaps and increments in blocks of
-    :data:`~clonepit.inputs.ARRIVAL_BLOCK`, a chunk per row at a time in row
-    order (see :meth:`~clonepit.pit.FitnessRows.cycles`).  With
-    ``collect_events`` it returns ``(cycles, events)``, ``events`` holding
-    per cycle the ``(time, increment)`` arrivals that cycle applied, on its
-    own clock, so each cycle can be replayed.
+    ``rng`` is one stream (a ``Generator``, or a seed for one, such as an
+    int or a list of ints) or a non-empty list of Generators, one stream
+    each.  The streams share one lockstep (as many as fit in 4096 rows;
+    more run in further locksteps), and each one's cycles are those it
+    gives on its own.  They are returned as one
+    :class:`RenewalCycles`, stream after stream, each stream's cycles in
+    the order they started.
+
+    Each stream's rows read their arrivals from one
+    :class:`~clonepit.inputs.ArrivalBuffer` on it, which draws gaps and
+    increments in blocks of :data:`~clonepit.inputs.ARRIVAL_BLOCK`, a chunk
+    per row at a time in row order (see :meth:`~clonepit.pit.FitnessRows.cycles`).
+    With ``collect_events`` it returns ``(cycles, events)``, ``events``
+    holding per cycle, in the same order, the ``(time, increment)``
+    arrivals that cycle applied, on its own clock, so each cycle can be
+    replayed.
 
     An increment law without a finite mean does not stop the sampler
     (at rate 1, ``Pareto(1, 0.5)`` cycles last about 1.5 on average), but
@@ -202,12 +227,14 @@ def sample_renewal_cycles(law: ContenderLaw, n_cycles: int, rng, *, collect_even
     n_cycles = _require_count("n_cycles", n_cycles, 1)
     if n_cycles > MAX_CYCLES:
         raise ConfigurationError(f"n_cycles must be at most {MAX_CYCLES}, got {n_cycles}")
-    lengths, rewards, events = FitnessRows.cycles(
-        ArrivalBuffer(law, rng), n_cycles, collect=collect_events
-    )
-    cycles = RenewalCycles(lengths, rewards)
+    streams = [ArrivalBuffer(law, g) for g in _renewal_streams(rng)]
+    per = _LOCKSTEP_ROWS // min(n_cycles, _RENEWAL_ROWS)
+    runs = [FitnessRows.cycles(streams[i : i + per], n_cycles, collect=collect_events)
+            for i in range(0, len(streams), per)]
+    cycles = RenewalCycles(np.concatenate([run[0] for run in runs]),
+                           np.concatenate([run[1] for run in runs]))
     if collect_events:
-        return cycles, events
+        return cycles, [evs for run in runs for evs in run[2]]
     return cycles
 
 

@@ -523,17 +523,18 @@ def _cmd_speed(scn: Scenario, shash: str, out: str) -> dict:
     dist = scn.gamma_dist()
     finite_mean = _finite_mean(dist)
     law = contender_params(scn.lam, dist)
-    parts = []
+    n = int(scn.horizon)
+    # one lockstep for all replicates; each one's cycles are those of its own run
+    pooled = sample_renewal_cycles(
+        law, n, [replicate_rng(scn.seed, r) for r in range(scn.replicates)])
     reps = []
     for r in range(scn.replicates):
-        cycles = sample_renewal_cycles(law, int(scn.horizon), replicate_rng(scn.seed, r))
+        cycles = RenewalCycles(pooled.lengths[r * n : (r + 1) * n],
+                               pooled.rewards[r * n : (r + 1) * n])
         write_cycles_csv(cycles, os.path.join(out, f"cycles_r{r:03d}.csv"), shash)
         est = speed_estimate(cycles)
         reps.append({"replicate": r, "v_hat": est.v_hat, "stderr": est.stderr,
                      "sigma2_hat": est.sigma2_hat})
-        parts.append(cycles)
-    pooled = RenewalCycles(np.concatenate([c.lengths for c in parts]),
-                           np.concatenate([c.rewards for c in parts]))
     est = speed_estimate(pooled)
     results = {
         "n_cycles": len(pooled),

@@ -587,6 +587,14 @@ def _apply_mutation(state, idx, inc, nextu, pending, t_off):
     heapq.heappush(pending, (state.clock + t_off, idx))
 
 
+#: the most sample times whose texts write_trace_csv keeps for the next trace
+_TIME_TEXTS_CACHED = 2**16
+
+
+def _format_times(times: np.ndarray) -> list[str]:
+    return [_fmt(t) for t in times.tolist()]
+
+
 @functools.lru_cache(maxsize=1)
 def _time_texts(times: bytes) -> list[str]:
     """The ``_fmt`` texts of the float64 sample times whose bytes are ``times``.
@@ -595,7 +603,7 @@ def _time_texts(times: bytes) -> list[str]:
     replicates, or the next command on the same grid) have the same times,
     and only the first one formats them.
     """
-    return [_fmt(t) for t in np.frombuffer(times).tolist()]
+    return _format_times(np.frombuffer(times))
 
 
 def write_trace_csv(result: MoranResult, path, scenario_hash: str | None = None):
@@ -605,14 +613,20 @@ def write_trace_csv(result: MoranResult, path, scenario_hash: str | None = None)
     those of formatting each row on its own.  The rows come in runs: a run
     starts wherever a count or the bits of the mean fitness change, its
     row tails are formatted once and joined onto the texts of its sample
-    times.  The time texts of the last trace written are kept, keyed on the
-    bits of its times, so a trace on the same times formats none of them.
+    times.  The time texts of the last trace written on at most
+    ``_TIME_TEXTS_CACHED`` samples are kept, keyed on the bits of its
+    times, so a trace on the same times formats none of them.
     """
     tr = result.trace
     if tr is None:
         raise ConfigurationError("the run kept no trace: it was run with trace=False")
     size = tr.times.size
-    texts = _time_texts(tr.times.tobytes())
+    # a longer grid is formatted afresh: keeping its texts and their key
+    # would hold some 47 bytes a sample until the next trace
+    if size <= _TIME_TEXTS_CACHED:
+        texts = _time_texts(tr.times.tobytes())
+    else:
+        texts = _format_times(tr.times)
     order = sorted(tr.counts)
     new = np.ones(size, dtype=bool)
     fbits = tr.mean_fitness.view(np.int64)

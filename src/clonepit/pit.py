@@ -42,6 +42,7 @@ hitters are pinned to exactly 0 or 1 at their hit time.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -624,8 +625,30 @@ def _fitness_path(f0: float, changes) -> StepPath:
 _FLOAT_MAX = sys.float_info.max
 #: most arrivals a row may pass in one step while its kept set stays as it is
 _RUN_MAX = 63
-#: rows the renewal mode runs at once
+#: FitnessRows keeps arrival indices as int64, below this bound
+_INDEX_BOUND = 2**63
+#: rows the renewal mode runs at once, per stream
 _RENEWAL_ROWS = 1024
+#: widest last axis that _reduce_last folds one column at a time
+_COLUMN_FOLD_MAX = 16
+
+
+def _reduce_last(ufunc, x):
+    """``ufunc.reduce(x, axis=-1)`` for ``np.minimum`` or ``np.maximum``.
+
+    numpy reduces a short last axis one row at a time, at some 13 ns a row
+    whatever the width; up to ``_COLUMN_FOLD_MAX`` columns, folding them in
+    one by one is several times faster.  The result is the same but for
+    the sign of a zero that ties with the other zero, which no caller
+    tells apart.
+    """
+    width = x.shape[-1]
+    if not 2 <= width <= _COLUMN_FOLD_MAX:
+        return ufunc.reduce(x, axis=-1)
+    out = ufunc(x[..., 0], x[..., 1])
+    for j in range(2, width):
+        ufunc(out, x[..., j], out=out)
+    return out
 
 
 class FitnessRows:
@@ -656,15 +679,18 @@ class FitnessRows:
     come before any hit, moving its heights through each of them with
     ``np.add.accumulate``, so every height takes the same float steps in
     the same order as in a one-stamp-at-a-time loop; the run is at most
-    ``_RUN_MAX`` arrivals, and its limit grows while rows fill it.  So a
+    ``_RUN_MAX`` arrivals, and its limit grows while rows fill it (per
+    arrival stream in the renewal mode, where each stream's rows form a
+    block of consecutive rows with a limit of its own).  So a
     row's changes are those of :class:`PitState` on the same arrivals, with
     the same winners and solitary flags, and times and fitness agree with
     it up to rounding (the extinctions a row never sees are no steps here).
 
     ``FitnessRows(streams)`` takes one :class:`~clonepit.inputs.InputEvent`
     stream per row; :meth:`advance` moves all rows to a common ``until``.
-    :meth:`cycles` is the renewal mode: a row that makes a solitary change
-    records the cycle and starts the next one on its own clock.
+    :meth:`cycles` is the renewal mode: it runs the rows of one or more
+    arrival streams together, and a row that makes a solitary change
+    records the cycle and starts its stream's next one on its own clock.
     """
 
     #: per-row state, permuted together when rows leave the moving prefix
@@ -674,13 +700,19 @@ class FitnessRows:
         streams = [list(evs) for evs in streams]
         if not streams:
             raise ConfigurationError("FitnessRows needs at least one stream")
+        for r, evs in enumerate(streams):
+            if not all(isinstance(ev, InputEvent) for ev in evs):
+                raise ConfigurationError("FitnessRows streams must hold InputEvent records")
+            # the index column is int64; PitState takes any integer
+            if any(ev.index >= _INDEX_BOUND for ev in evs):
+                raise ConfigurationError(
+                    f"stream {r}: immigration indices must lie below 2**63 = {_INDEX_BOUND}"
+                    " for FitnessRows")
         width = max(map(len, streams)) + _RUN_MAX + 1
         T = np.full((len(streams), width), math.inf)
         S = np.zeros_like(T)
         I = np.zeros(T.shape, dtype=np.int64)
         for r, evs in enumerate(streams):
-            if not all(isinstance(ev, InputEvent) for ev in evs):
-                raise ConfigurationError("FitnessRows streams must hold InputEvent records")
             m = len(evs)
             if not m:
                 continue
@@ -695,12 +727,19 @@ class FitnessRows:
                     f"stream {r}: immigration times and indices must be strictly increasing"
                     " and indices at least 1"
                 )
-        self._setup(T, S, I, _RUN_MAX)
+        self._setup(T, S, I, _RUN_MAX, [len(streams)])
         self._log: list | None = []
         #: resident_changes as last built, with the log length it was built from
         self._changes = (0, [[] for _ in streams])
 
-    def _setup(self, T, S, I, k_max):
+    def _setup(self, T, S, I, k_max, groups):
+        """Empty rows on the arrival columns ``T``, ``S``, ``I``, in ``groups`` of consecutive rows.
+
+        A group's rows share one run limit: all rows in stream mode, one
+        arrival stream's rows in renewal mode.  Parking keeps the order of
+        the rows that stay, so each group stays one block of the moving
+        prefix, between consecutive entries of ``_bounds``.
+        """
         n_rows = T.shape[0]
         self._rows = np.arange(n_rows)
         self._clock = np.zeros(n_rows)
@@ -714,7 +753,10 @@ class FitnessRows:
         self._V = np.zeros((n_rows, 2))
         self._ID = np.zeros((n_rows, 2), dtype=np.int64)
         self._T, self._S, self._I = T, S, I
-        self._k, self._k_max = 0, k_max
+        self._bounds = [0, *itertools.accumulate(groups)]
+        #: per group, the most arrivals a row may pass in one step's run
+        self._k = [0] * len(groups)
+        self._k_max = k_max
 
     # -- stream mode ---------------------------------------------------------
 
@@ -730,6 +772,7 @@ class FitnessRows:
                 f"advance(until={until}) needs until >= the clock {self._clock.max()} (and not NaN)"
             )
         moving = self._rows.size
+        self._bounds = [0, moving]
         with np.errstate(invalid="ignore"):
             while moving:
                 stop, _ = self._step(moving, until)
@@ -771,45 +814,60 @@ class FitnessRows:
     # -- renewal mode --------------------------------------------------------
 
     @classmethod
-    def cycles(cls, arrivals, n_cycles: int, *, collect: bool = False):
-        """Run exactly ``n_cycles`` regeneration cycles on arrivals read from ``arrivals``.
+    def cycles(cls, streams, n_cycles: int, *, collect: bool = False):
+        """Run exactly ``n_cycles`` regeneration cycles on each of ``streams``, in one lockstep.
 
-        ``min(n_cycles, 1024)`` rows start cycles 0, 1, ...; a row that makes a
+        ``streams`` is a list of :class:`~clonepit.inputs.ArrivalBuffer`, all
+        on one contender law.  Each stream runs its own ``min(n_cycles,
+        1024)`` rows, which start its cycles 0, 1, ...; a row that makes a
         solitary change records its cycle (after an arrival carrying the
-        same stamp), and while fewer than ``n_cycles`` have started it
-        starts the next one, rows finishing at one step taking numbers in
-        row order; otherwise it retires.  Every started cycle runs to its
-        solitary change, so long cycles are not cut short.  A new cycle
-        starts with one resident on a clock at zero and keeps the arrivals
-        its row has read but not applied, shifted to that clock (one that
-        would fall at or before zero is moved to ``TIME_EPS``).
+        same stamp), and while fewer than ``n_cycles`` of its stream have
+        started it starts the stream's next one, rows of a stream finishing
+        at one step taking numbers in row order; otherwise it retires.
+        Every started cycle runs to its solitary change, so long cycles are
+        not cut short.  A new cycle starts with one resident on a clock at
+        zero and keeps the arrivals its row has read but not applied,
+        shifted to that clock (one that would fall at or before zero is
+        moved to ``TIME_EPS``).
 
-        Each row reads ``arrivals`` (an :class:`~clonepit.inputs.ArrivalBuffer`)
-        in chunks of a fixed size, a power of two between 2 and 64 set by
-        the contender rate, and sums the gaps of its chunk onto its last
-        arrival time.  A row reads a chunk when it has passed the one
-        before; rows reading at one step read in row order, and at the
-        start every row reads one chunk.
+        Each row reads its stream in chunks of a fixed size, a power of two
+        between 2 and 64 set by the contender rate, and sums the gaps of its
+        chunk onto its last arrival time.  A row reads a chunk when it has
+        passed the one before; a stream's rows reading at one step read in
+        row order, and at the start every row reads one chunk.  The run
+        limit of a stream adapts to its own rows alone, so each stream's
+        cycles are bit for bit those it gives when it runs alone, whatever
+        runs beside it.
 
-        Returns ``(lengths, rewards, events)`` in cycle order, ``events``
-        being ``None`` or, with ``collect``, per cycle the ``(time,
-        increment)`` pairs it applied, on its own clock.
+        Returns ``(lengths, rewards, events)``, stream after stream and in
+        cycle order within a stream, ``events`` being ``None`` or, with
+        ``collect``, per cycle the ``(time, increment)`` pairs it applied,
+        on its own clock.
         """
-        chunk = 1 << min(6, max(1, math.ceil(math.log2(0.25 * arrivals.law.rate + 1.0))))
+        streams = list(streams)
+        if not streams:
+            raise ConfigurationError("FitnessRows.cycles needs at least one arrival stream")
+        law = streams[0].law
+        if any(buf.law != law for buf in streams):
+            raise ConfigurationError("the arrival streams of one lockstep must share one law")
+        chunk = 1 << min(6, max(1, math.ceil(math.log2(0.25 * law.rate + 1.0))))
         n_rows = min(n_cycles, _RENEWAL_ROWS)
-        T = np.zeros((n_rows, 2 * chunk))
+        T = np.zeros((len(streams) * n_rows, 2 * chunk))
         self = cls.__new__(cls)
-        self._setup(T, np.zeros_like(T), np.zeros(T.shape, dtype=np.int64), chunk - 1)
+        self._setup(T, np.zeros_like(T), np.zeros(T.shape, dtype=np.int64), chunk - 1,
+                    [n_rows] * len(streams))
         self._log = None
         self._ptr[:] = 2 * chunk
-        # here _rows holds the cycle each row runs
-        started = n_rows
-        lengths, rewards = np.empty(n_cycles), np.empty(n_cycles)
-        applied = {c: [] for c in range(n_rows)} if collect else None
-        moving = n_rows
+        # here _rows holds the cycle each row runs, stream s numbering its
+        # cycles from s * n_cycles
+        self._rows = (np.arange(len(streams))[:, None] * n_cycles + np.arange(n_rows)).ravel()
+        started = [n_rows] * len(streams)
+        lengths, rewards = np.empty(len(streams) * n_cycles), np.empty(len(streams) * n_cycles)
+        applied = {c: [] for c in self._rows.tolist()} if collect else None
+        moving = self._rows.size
         with np.errstate(invalid="ignore"):
             while moving:
-                self._refill(moving, arrivals, chunk)
+                self._refill(moving, streams, chunk)
                 before = self._ptr[:moving].copy() if collect else None
                 _, done = self._step(moving, math.inf)
                 if collect:
@@ -817,31 +875,49 @@ class FitnessRows:
                         b, a = before[w], self._ptr[w]
                         applied[self._rows[w]].extend(
                             zip(self._T[w, b:a].tolist(), self._S[w, b:a].tolist()))
-                if done is None or not done.any():
+                finished = [] if done is None else self._group_counts(done)
+                if not any(finished):
                     continue
                 done = done.nonzero()[0]
                 cyc = self._rows[done]
                 lengths[cyc] = self._clock[done]
                 rewards[cyc] = self._fit[done]
-                fresh = done[: max(0, n_cycles - started)]
-                self._rows[fresh] = np.arange(started, started + fresh.size)
-                if collect:
-                    applied.update((c, []) for c in range(started, started + fresh.size))
-                started += fresh.size
-                if fresh.size:
-                    self._restart(fresh)
-                if fresh.size < done.size:
-                    leave = np.zeros(moving, dtype=bool)
-                    leave[done[fresh.size :]] = True
+                # per stream, its finishing rows start its next cycles in
+                # row order while it has cycles left, and the rest retire
+                fresh, leave = [], None
+                a = 0
+                for s, d in enumerate(finished):
+                    f = min(d, n_cycles - started[s])
+                    if f:
+                        first = s * n_cycles + started[s]
+                        self._rows[done[a : a + f]] = np.arange(first, first + f)
+                        if collect:
+                            applied.update((c, []) for c in range(first, first + f))
+                        started[s] += f
+                        fresh.append(done[a : a + f])
+                    if f < d:
+                        if leave is None:
+                            leave = np.zeros(moving, dtype=bool)
+                        leave[done[a + f : a + d]] = True
+                    a += d
+                if fresh:
+                    self._restart(fresh[0] if len(fresh) == 1 else np.concatenate(fresh))
+                if leave is not None:
                     moving = self._park(moving, leave)
-        events = [applied[c] for c in range(n_cycles)] if collect else None
+        events = [applied[c] for c in range(lengths.size)] if collect else None
         return lengths, rewards, events
 
-    def _refill(self, moving, arrivals, chunk):
-        """Give every moving row that has passed into its second chunk a fresh one behind it."""
-        need = np.flatnonzero(self._ptr[:moving] > chunk)
+    def _refill(self, moving, streams, chunk):
+        """Give every moving row that has passed into its second chunk a fresh one behind it.
+
+        The rows of each stream read from it in row order.
+        """
+        over = self._ptr[:moving] > chunk
+        need = np.flatnonzero(over)
         if need.size:
-            gaps, incs = arrivals.take(need.size * chunk)
+            parts = [buf.take(m * chunk)
+                     for buf, m in zip(streams, self._group_counts(over)) if m]
+            gaps, incs = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
             T, S = self._T[need], self._S[need]
             T[:, :chunk], S[:, :chunk] = T[:, chunk:], S[:, chunk:]
             T[:, chunk:] = np.add.accumulate(
@@ -864,12 +940,21 @@ class FitnessRows:
     # -- the lockstep ----------------------------------------------------------
 
     def _park(self, moving, leave):
-        """Move the rows flagged in ``leave`` behind the moving prefix; returns its new size."""
+        """Move the rows flagged in ``leave`` behind the moving prefix; returns its new size.
+
+        The rows that stay keep their order, so each group stays one block;
+        an emptied group's run limit falls to 0.
+        """
+        gone = self._group_counts(leave)
         order = np.argsort(leave, kind="stable")
         for name in self._ROW_STATE:
             arr = getattr(self, name)
             arr[:moving] = arr[:moving][order]
-        return moving - int(np.count_nonzero(leave))
+        self._bounds = [b - g for b, g in zip(self._bounds, itertools.accumulate([0, *gone]))]
+        for s, (a, b) in enumerate(zip(self._bounds, self._bounds[1:])):
+            if a == b:
+                self._k[s] = 0
+        return self._bounds[-1]
 
     def _step(self, moving, until):
         """Advance each row of the moving prefix by one stamp.
@@ -878,7 +963,7 @@ class FitnessRows:
         they now sit at ``until``) and the flags of the rows that made a
         solitary resident change, or None when no row made a change.
         """
-        K = self._k
+        K = max(self._k)
         at = self._at[:moving]
         H, V = self._H[:moving], self._V[:moving]
         clock, fit, n, ptr = (self._clock[:moving], self._fit[:moving],
@@ -890,7 +975,7 @@ class FitnessRows:
             h, t0 = self._pass_run(moving, K, until)
         off = np.subtract(1.0, h)
         np.divide(off, V, out=off)
-        off_min = off.min(axis=1)
+        off_min = _reduce_last(np.minimum, off)
         t_hit = t0 + off_min
         t_imm = self._T[at, ptr]
         t_next = np.minimum(t_hit, t_imm)
@@ -922,7 +1007,7 @@ class FitnessRows:
             V -= up * v_star[:, None]
             # a kept trajectory at height 0 keeps its positive slope
             alive = V > 0.0
-            done = hit & (np.maximum.reduce(V * up, axis=1) <= SLOPE_EPS)
+            done = hit & (_reduce_last(np.maximum, V * up) <= SLOPE_EPS)
             # the highest of the fitter ones alive, by a reverse running max
             top = np.where(alive, H, -math.inf)
             above = np.empty_like(top)
@@ -935,12 +1020,12 @@ class FitnessRows:
                 self._log.append((hit, self._rows[:moving].copy(), t_to, v_star, fit.copy(),
                                   self._ID[:moving][at, win], done))
 
-        plain = 0
+        plain = None
         if np.count_nonzero(take):
             # an arrival joins when it is steeper than every kept trajectory
             # of its row (free cells have slope 0)
             s = self._S[at, ptr]
-            joins = take & (s > V.max(axis=1))
+            joins = take & (s > _reduce_last(np.maximum, V))
             ptr += take
             rows = joins.nonzero()[0]
             if rows.size:
@@ -951,18 +1036,27 @@ class FitnessRows:
                 self._V[rows, col] = s[rows]
                 self._ID[rows, col] = self._I[rows, ptr[rows] - 1]
                 n[rows] = col + 1
-            plain = np.count_nonzero(take & ~joins & ~hit)
-        # Widen the run limit while most rows stop at its end, narrow it
-        # while few do: a run pass costs about half a step per arrival it
-        # may pass, so it pays only where runs are long.
-        if 3 * plain > 2 * moving and K < self._k_max:
-            self._k = min(2 * K + 1, self._k_max)
-        elif 3 * plain < moving and K:
-            self._k = K // 2
+            plain = take & ~joins & ~hit
+        # Per group, widen the run limit while most of its rows stop at its
+        # end, narrow it while few do: a run pass costs about half a step
+        # per arrival it may pass, so it pays only where runs are long.
+        ks, k_max, bounds = self._k, self._k_max, self._bounds
+        passed = [0] * len(ks) if plain is None else self._group_counts(plain)
+        for g, p in enumerate(passed):
+            k, m = ks[g], bounds[g + 1] - bounds[g]
+            if 3 * p > 2 * m and k < k_max:
+                ks[g] = min(2 * k + 1, k_max)
+            elif 3 * p < m and k:
+                ks[g] = k // 2
         return stop, done
 
+    def _group_counts(self, flags) -> list[int]:
+        """Per group, the number of its moving rows set in ``flags``."""
+        b = self._bounds
+        return [int(np.count_nonzero(flags[b[g] : b[g + 1]])) for g in range(len(b) - 1)]
+
     def _pass_run(self, moving, K, until):
-        """Pass each row's leading run of at most ``K`` arrivals that cannot join.
+        """Pass each row's leading run of at most its group's run limit (``K`` or less).
 
         The run ends before the first arrival that would join, lie past
         ``until`` or come with or after a hit.  The heights at each of its
@@ -983,8 +1077,11 @@ class FitnessRows:
         np.minimum(hs, 1.0, out=hs)
         offs = np.subtract(1.0, hs[:, :K])
         np.divide(offs, V[:, None, :], out=offs)
-        joins = self._S[at[:, None], cols] > V.max(axis=1)[:, None]
-        run = (tprev + np.minimum.reduce(offs, axis=2) > tj + TIME_EPS) & (tj <= until) & ~joins
+        joins = self._S[at[:, None], cols] > _reduce_last(np.maximum, V)[:, None]
+        run = (tprev + _reduce_last(np.minimum, offs) > tj + TIME_EPS) & (tj <= until) & ~joins
+        for k, a, b in zip(self._k, self._bounds, self._bounds[1:]):
+            if k < K:
+                run[a:b, k:] = False
         J = np.argmin(np.concatenate((run, np.zeros((moving, 1), dtype=bool)), axis=1), axis=1)
         ptr += J
         return hs[at, J], np.where(J > 0, tj[at, J - 1], clock)
@@ -1024,13 +1121,16 @@ def _write_csv(path, header: str, rows, scenario_hash: str | None = None):
 
 
 def write_event_csv(events, path, scenario_hash: str | None = None):
-    """Write an event log as CSV: time, kind, trajectory_id, v_star_or_slope, resident_id, fitness."""
+    """Write an event log as CSV: time, kind, trajectory_id, v_star_or_slope, resident_id, fitness.
+
+    Each float cell is ``_fmt``'s ``.17g`` text, through one row template.
+    """
     _write_csv(
         path,
         "time,kind,trajectory_id,v_star_or_slope,resident_id,fitness",
         (
-            f"{_fmt(ev.time)},{ev.kind},{ev.trajectory_id},"
-            f"{_fmt(ev.value)},{ev.resident_id},{_fmt(ev.fitness)}"
+            "%.17g,%s,%d,%.17g,%d,%.17g"
+            % (ev.time, ev.kind, ev.trajectory_id, ev.value, ev.resident_id, ev.fitness)
             for ev in events
         ),
         scenario_hash,

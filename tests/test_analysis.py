@@ -239,6 +239,39 @@ class TestRenewalSampling:
             sample_renewal_cycles(law, 2.5, replicate_rng(1, 0))
         assert len(sample_renewal_cycles(law, 3.0, replicate_rng(1, 0))) == 3
 
+    def test_list_of_generators_runs_one_stream_each(self):
+        # five streams of 1100 cycles run as two locksteps (4 + 1 streams of
+        # 1024 rows); each stream's slice, events included, is its solo run
+        law = contender_params(1.0, HALF_POINTMASS_EXP)
+        n = 1100
+        cycles, events = sample_renewal_cycles(
+            law, n, [replicate_rng(3, r) for r in range(5)], collect_events=True)
+        assert len(cycles) == len(events) == 5 * n
+        for r in range(5):
+            solo, solo_events = sample_renewal_cycles(law, n, replicate_rng(3, r),
+                                                      collect_events=True)
+            mine = slice(r * n, (r + 1) * n)
+            np.testing.assert_array_equal(cycles.lengths[mine], solo.lengths, strict=True)
+            np.testing.assert_array_equal(cycles.rewards[mine], solo.rewards, strict=True)
+            assert events[mine] == solo_events
+
+    @pytest.mark.parametrize("rng", [[], [replicate_rng(1, 0), 7],
+                                     [np.random.SeedSequence(1), replicate_rng(1, 1)]],
+                             ids=["empty", "generator-and-int", "seedsequence-and-generator"])
+    def test_stream_lists_hold_only_generators(self, rng):
+        law = contender_params(1.0, PointMass(1.0))
+        with pytest.raises(ConfigurationError, match="Generators"):
+            sample_renewal_cycles(law, 10, rng)
+
+    def test_list_of_ints_is_one_seed(self):
+        # a list of ints keeps its numpy meaning: the entropy of one seed
+        law = contender_params(1.0, PointMass(1.0))
+        cycles = sample_renewal_cycles(law, 50, [1, 2, 3])
+        again = sample_renewal_cycles(law, 50, np.random.default_rng([1, 2, 3]))
+        assert len(cycles) == 50
+        np.testing.assert_array_equal(cycles.lengths, again.lengths, strict=True)
+        np.testing.assert_array_equal(cycles.rewards, again.rewards, strict=True)
+
     def test_more_cycles_than_rows(self):
         # rows start new cycles as they finish: exactly n_cycles records, each
         # with the arrivals it applied, the same on a rerun

@@ -550,6 +550,26 @@ def test_write_trace_csv_matches_reference(tmp_path, seed):
         assert (tmp_path / f"new{r}.csv").read_bytes() == (tmp_path / f"ref{r}.csv").read_bytes()
 
 
+def test_long_trace_leaves_the_time_texts_cache_alone(tmp_path, monkeypatch):
+    # the moran-fixation grid (horizon 40, step 0.01) stays cached
+    assert 4001 <= moran._TIME_TEXTS_CACHED
+    monkeypatch.setattr(moran, "_TIME_TEXTS_CACHED", 30)
+    rng = np.random.default_rng(12)
+    short, long = (moran_run(moran_init(300, [200, 100], [0.0, 0.5]), h, rng, grid_step=0.05)
+                   for h in (1.0, 2.0))
+    assert short.trace.times.size <= 30 < long.trace.times.size
+    moran._time_texts.cache_clear()
+    write_trace_csv(short, tmp_path / "short.csv", "ab")
+    kept = moran._time_texts.cache_info()
+    write_trace_csv(long, tmp_path / "long.csv", "ab")
+    assert moran._time_texts.cache_info() == kept
+    _reference_trace_csv(long, tmp_path / "ref.csv", "ab")
+    assert (tmp_path / "long.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # the short grid's texts are still the ones kept
+    write_trace_csv(short, tmp_path / "again.csv", "ab")
+    assert moran._time_texts.cache_info().hits == kept.hits + 1
+
+
 def test_write_trace_csv_needs_a_trace(tmp_path):
     st = moran_init(50, [40, 10], [0.0, 1.0])
     res = moran_run(st, 1.0, np.random.default_rng(4), trace=False)

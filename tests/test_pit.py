@@ -19,7 +19,8 @@ from clonepit import (
     write_event_csv,
     write_trajectories_jsonl,
 )
-from clonepit.pit import ConfigurationError, InvariantViolation
+from clonepit.inputs import ArrivalBuffer
+from clonepit.pit import ConfigurationError, InvariantViolation, PitEvent, _fmt
 from clonepit.rng import replicate_rng
 
 # Six candidate arrivals, four of them contenders.  Everything about this
@@ -193,6 +194,18 @@ def test_bare_pairs_are_checked_like_input_events(engine, events):
 def test_event_streams_must_increase(engine, events):
     with pytest.raises(ConfigurationError):
         _build(engine, events).advance()
+
+
+@pytest.mark.parametrize("indices", [[2**63], [1, 2**64 + 3]])
+def test_rows_refuse_indices_past_int64(indices):
+    # PitState takes any integer index; FitnessRows keeps them as int64 and
+    # used to end in a bare OverflowError
+    events = [InputEvent(i, 0.1 * (k + 1), 1.0 + k, True) for k, i in enumerate(indices)]
+    st = PitState(events=events)
+    st.advance()
+    assert st.resident_id == indices[-1]
+    with pytest.raises(ConfigurationError, match=r"stream 1: .*below 2\*\*63"):
+        FitnessRows([_ev((0.5, 1.0)), events])
 
 
 @pytest.mark.parametrize("indices", [
@@ -380,6 +393,35 @@ class TestOutputs:
         assert len(lines) == len(st.log) + 2
         # second line is the header row
         assert lines[1].split(",")[0] == "time"
+
+    def test_event_csv_cells_are_fmt_text(self, tmp_path):
+        # every float cell is _fmt's .17g text of its value, which reads back
+        # exactly, and every id its integer text
+        big = 2**53 + 2
+        events = [
+            PitEvent(-0.0, "immigration", 1, 5e-324, 0, 1e16),
+            PitEvent(1e16, "resident_change", big, float(big), big, -0.0, True),
+            PitEvent(5e-324, "extinction", -3, 0.0, -1, np.float64(1.0 / 3.0)),
+            PitEvent(np.float64(0.1), "immigration", np.int64(big + 2), 1e-7, 1, 2.0**53 + 2),
+        ]
+        out = tmp_path / "events.csv"
+        write_event_csv(events, out)
+        header, *rows = out.read_text().splitlines()
+        assert header == "time,kind,trajectory_id,v_star_or_slope,resident_id,fitness"
+        assert rows == [
+            f"{_fmt(ev.time)},{ev.kind},{ev.trajectory_id},{_fmt(ev.value)},"
+            f"{ev.resident_id},{_fmt(ev.fitness)}"
+            for ev in events
+        ]
+        assert rows[0] == "-0,immigration,1,4.9406564584124654e-324,0,10000000000000000"
+        assert rows[1] == (
+            "10000000000000000,resident_change,9007199254740994,9007199254740994,"
+            "9007199254740994,-0")
+        back = [row.split(",") for row in rows]
+        assert [(float(r[0]), float(r[3]), float(r[5])) for r in back] == [
+            (ev.time, ev.value, ev.fitness) for ev in events]
+        assert [(int(r[2]), int(r[4])) for r in back] == [
+            (ev.trajectory_id, ev.resident_id) for ev in events]
 
     def test_trajectories_jsonl_is_json_dumps(self, tmp_path):
         # np.float64 times and increments, an np.int64 index, negative start
@@ -757,6 +799,40 @@ class TestFitnessSkeleton:
         alone = [_run_pieces([evs], [1.0, 6.0], check=False)[1][0] for evs in streams]
         assert together == alone
         assert together[1] == [([], 0.0), ([], 0.0)]
+
+
+@pytest.mark.parametrize("lam, gamma, n_cycles", [
+    (1.0, "pointmass(1)", 500),
+    # the run limit adapts here, to each stream's own rows
+    (20.0, "exponential(1)", 300),
+    # more cycles than rows: finished rows start their stream's next cycles
+    (1.0, "mixture(0.5:pointmass(1),0.5:exponential(1))", 1500),
+])
+@pytest.mark.parametrize("n_streams", [1, 2, 5])
+def test_renewal_streams_match_solo_runs(lam, gamma, n_cycles, n_streams):
+    # streams in one lockstep give, each, the cycles and arrivals of its solo run
+    law = contender_params(lam, parse_distribution(gamma))
+
+    def buffers(seeds):
+        return [ArrivalBuffer(law, replicate_rng(77, s)) for s in seeds]
+
+    seeds = range(n_streams)
+    lengths, rewards, events = FitnessRows.cycles(buffers(seeds), n_cycles, collect=True)
+    assert lengths.size == rewards.size == len(events) == n_streams * n_cycles
+    for s in seeds:
+        solo = FitnessRows.cycles(buffers([s]), n_cycles, collect=True)
+        mine = slice(s * n_cycles, (s + 1) * n_cycles)
+        np.testing.assert_array_equal(lengths[mine], solo[0], strict=True)
+        np.testing.assert_array_equal(rewards[mine], solo[1], strict=True)
+        assert events[mine] == solo[2]
+
+
+def test_renewal_streams_share_one_law():
+    one, two = (contender_params(lam, parse_distribution("pointmass(1)")) for lam in (1.0, 2.0))
+    with pytest.raises(ConfigurationError, match="one law"):
+        FitnessRows.cycles([ArrivalBuffer(one, 1), ArrivalBuffer(two, 2)], 10)
+    with pytest.raises(ConfigurationError, match="at least one"):
+        FitnessRows.cycles([], 10)
 
 
 _LAWS = (
