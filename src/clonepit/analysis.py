@@ -44,7 +44,6 @@ __all__ = [
     "FcltDiagnostic",
     "FixationFlags",
     "FixationReport",
-    "MispredictionFixture",
     "HighMutationResult",
     "pointmass_speed",
     "detect_renewals",
@@ -52,8 +51,6 @@ __all__ = [
     "sample_renewal_cycles",
     "fclt_diagnostic",
     "heuristic_speed",
-    "rgl_retention",
-    "rglh_misprediction_fixture",
     "classify_fixation",
     "sup_distance",
     "CouplingResult",
@@ -306,58 +303,6 @@ def heuristic_speed(law: ContenderLaw, *, refined: bool = False) -> float:
         return p
 
     return rate * law.expect(lambda a: a * pi(a))
-
-
-def rgl_retention(events) -> set[int]:
-    """Indices kept by the deterministic refined retention rule.
-
-    Event ``i`` is discarded when an earlier event ``j`` with increment
-    ``A_j >= A_i`` is still rising at ``T_i`` (``T_j < T_i < T_j + 1/A_j``),
-    or when a strictly fitter event arrives during ``(T_i, T_i + 1/A_i)``.
-    ``events`` are :class:`~clonepit.inputs.InputEvent` records; the
-    returned indices are their ``index`` fields.
-    """
-    evs = [(e.index, e.time, e.increment) for e in events]
-    retained = set()
-    for i, ti, ai in evs:
-        for j, tj, aj in evs:
-            if j == i:
-                continue
-            if tj < ti < tj + 1.0 / aj and aj >= ai:
-                break
-            if ti < tj < ti + 1.0 / ai and aj > ai:
-                break
-        else:
-            retained.add(i)
-    return retained
-
-
-@dataclass(frozen=True)
-class MispredictionFixture:
-    """A three-contender configuration on which the refined rule is wrong."""
-
-    events: tuple[InputEvent, ...]
-    final_fitness: float
-    retained: frozenset[int]
-
-
-def rglh_misprediction_fixture() -> MispredictionFixture:
-    """Deterministic example where the retention rule keeps exactly the loser.
-
-    Increments ``a=1 < b=1.5`` then ``c=0.8``: the first contender wins the
-    first residency, kinking the second below the third's slope, so the
-    realized final fitness is ``a + c = 1.8`` and ``b`` never enters it.
-    The retention rule instead sees the second contender shadowing both
-    neighbours and keeps only it.  The numbers were found by a grid search
-    replayed through the trajectory engine and are frozen here; tests verify
-    both claims against the engine and the rule.
-    """
-    events = (
-        InputEvent(1, 1.0, 1.0, True),
-        InputEvent(2, 1.8, 1.5, True),
-        InputEvent(3, 2.35, 0.8, True),
-    )
-    return MispredictionFixture(events, 1.8, frozenset({2}))
 
 
 # -- fixation classification ---------------------------------------------------

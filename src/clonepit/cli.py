@@ -21,7 +21,8 @@ descriptor, e.g. ``uniform(1,2)``), ``n`` (population size), ``horizon``
 ``fitness`` (comma lists for the initial Moran population), ``birth``,
 ``death``, ``initial``, ``cap`` (branching), ``scale`` (fclt time scale).
 ``COMMANDS`` lists the keys each command takes beyond the common ones
-(``seed`` and ``out``); a key the command does not read is refused.
+(``seed`` and ``out``); a key the command does not read is refused when
+the file or a flag gives it, whatever its value.
 
 Artifacts land in ``out`` (default: ``$CLONEPIT_OUT`` or the working
 directory): per-replicate CSV / JSON-lines files plus one ``summary.json``
@@ -78,6 +79,7 @@ from .pit import (
     FitnessRows,
     InvariantViolation,
     PitState,
+    StartEntry,
     _fmt,
     _write_csv,
     write_event_csv,
@@ -113,11 +115,13 @@ class Scenario:
         return parse_distribution(self.gamma)
 
     def canonical(self) -> str:
-        """Stable text form; hashing and round-tripping both go through this.
+        """Stable text form; the scenario hash is taken of this.
 
-        The output directory is deliberately left out: it moves the files
-        around without changing a single computed byte, so it is not part
-        of the scenario's identity.
+        It lists every scalar key, also those the command does not read,
+        which ``parse_scenario`` refuses; without their lines it parses back
+        to the same scenario.  The output directory is deliberately left
+        out: it moves the files around without changing a single computed
+        byte, so it is not part of the scenario's identity.
         """
         lines = [f"command = {self.command}"]
         for key, (attr, _) in _SCALARS.items():
@@ -193,9 +197,13 @@ def _parse_pairs(text: str):
 
 def parse_scenario(text: str, overrides: dict | None = None) -> Scenario:
     """Build a validated scenario from config text plus flag overrides."""
+    overrides = overrides or {}
     values: dict = {}
     rows: dict = {key: [] for key in _LISTS}
+    # the keys the text or a flag gives: a command refuses each one it does not read
+    given = {key for key, (attr, _) in _SCALARS.items() if overrides.get(attr) is not None}
     for key, raw in _parse_pairs(text):
+        given.add(key)
         if key in _SCALARS:
             attr, conv = _SCALARS[key]
             values[attr] = _cast(key, conv, raw)
@@ -205,7 +213,7 @@ def parse_scenario(text: str, overrides: dict | None = None) -> Scenario:
             rows[key].append(raw)
         else:
             raise ConfigurationError(f"unknown key '{key}'")
-    for attr, val in (overrides or {}).items():
+    for attr, val in overrides.items():
         if val is not None:
             values[attr] = val
 
@@ -239,15 +247,8 @@ def parse_scenario(text: str, overrides: dict | None = None) -> Scenario:
     values["events"] = tuple(events)
 
     scn = Scenario(command=command, **values)
-    _validate(scn)
+    _validate(scn, given)
     return scn
-
-
-def _used_keys(scn: Scenario):
-    defaults = Scenario(command=scn.command)
-    used = {key for key, (attr, _) in _SCALARS.items()
-            if getattr(scn, attr) != getattr(defaults, attr)}
-    return used | {key for key, attr in _LISTS.items() if getattr(scn, attr)}
 
 
 def _require(cond: bool, key: str, message: str):
@@ -269,7 +270,7 @@ def _grid_count(step: float) -> int:
     return k if k >= 1 and math.isclose(k * step, 1.0, rel_tol=1e-9) else 0
 
 
-def _validate(scn: Scenario):
+def _validate(scn: Scenario, given: set):
     # the values first: a malformed value is named whichever command it is given to
     floats = {key: [getattr(scn, attr)] for key, (attr, conv) in _SCALARS.items() if conv is float}
     floats["fitness"] = scn.fitness
@@ -289,7 +290,7 @@ def _validate(scn: Scenario):
         except ValueError as exc:
             raise ConfigurationError(f"bad value for 'gamma': {exc}") from None
     command = COMMANDS[scn.command]
-    stray = _used_keys(scn) - _COMMON - set(command.keys)
+    stray = given - _COMMON - set(command.keys)
     if stray:
         raise ConfigurationError(
             f"key '{sorted(stray)[0]}' does not apply to command {scn.command!r}"
@@ -407,7 +408,7 @@ def _cmd_pit_run(scn: Scenario, shash: str, out: str) -> dict:
 
 def _replay_start(scn: Scenario):
     """The resident at (1, 0), then the scenario's start rows."""
-    return [(1.0, 0.0)] + list(scn.starts)
+    return [StartEntry(1.0, 0.0)] + [StartEntry(h, v) for h, v in scn.starts]
 
 
 def _check_pit_replay(scn: Scenario):
@@ -415,7 +416,7 @@ def _check_pit_replay(scn: Scenario):
     # the engine meets each event only as its clock reaches it
     _require(all(a[0] < b[0] for a, b in zip(scn.events, scn.events[1:])), "event",
              "event times must be strictly increasing")
-    _require_built("start", PitState, start=_replay_start(scn))
+    _require_built("start", lambda: PitState(start=_replay_start(scn)))
 
 
 def _cmd_pit_replay(scn: Scenario, shash: str, out: str) -> dict:

@@ -29,6 +29,7 @@ and absorbs the survival weight.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,6 @@ __all__ = [
     "ARRIVAL_BLOCK",
     "ArrivalBuffer",
     "contender_params",
-    "sample_input_stream",
     "sample_contender_stream",
 ]
 
@@ -427,6 +427,12 @@ class InputEvent:
     contender: bool
 
     def __post_init__(self):
+        try:
+            operator.index(self.index)
+        except TypeError:
+            raise ConfigurationError(
+                f"event index must be an integer, got {self.index!r}"
+            ) from None
         if not 0.0 <= self.time < math.inf:
             raise ConfigurationError(f"event time must be finite and >= 0, got {self.time}")
         if not 0.0 < self.increment < math.inf:
@@ -517,9 +523,8 @@ class ArrivalBuffer:
     ``rng.exponential(1 / law.rate, ARRIVAL_BLOCK)`` and then as many
     increments with ``law.sample(rng, ARRIVAL_BLOCK)``; :meth:`take` hands
     the pairs out left to right.  A block is drawn only when a read reaches
-    it.  It is the one arrival sampler: :func:`sample_contender_stream` and
-    :func:`sample_input_stream` cut its stream at a horizon, and the renewal
-    sampler's rows read it in turn.
+    it.  It is the one arrival sampler: :func:`sample_contender_stream` cuts
+    its stream at a horizon, and the renewal sampler's rows read it in turn.
     """
 
     __slots__ = ("_rng", "law", "_gaps", "_incs", "_pos")
@@ -583,26 +588,6 @@ def _horizon_cut(law: ContenderLaw, horizon: float, rng) -> list[tuple[float, fl
     times, incs = np.concatenate(times), np.concatenate(incs)
     cut = int(np.searchsorted(times, horizon, side="left"))
     return list(zip(times[:cut].tolist(), incs[:cut].tolist()))
-
-
-def sample_input_stream(
-    lam: float, gamma: IncrementDistribution, horizon: float, rng
-) -> list[InputEvent]:
-    """Candidate mutations on ``[0, horizon)``: Poisson times, increments, flags.
-
-    The times and increments are the horizon cut of an :class:`ArrivalBuffer`
-    at rate ``lam`` with increments from ``gamma``; the contender flags are
-    drawn after it as one block of uniforms.  Events are indexed from 1 in
-    time order.  Each candidate independently becomes a contender with
-    probability ``survival_prob(increment)``.
-    """
-    rng = as_generator(rng)
-    pairs = _horizon_cut(ContenderLaw.direct(lam, gamma), horizon, rng)
-    flags = rng.random(len(pairs)).tolist()
-    return [
-        InputEvent(i, t, a, u < a / (1.0 + a))
-        for i, ((t, a), u) in enumerate(zip(pairs, flags), 1)
-    ]
 
 
 def sample_contender_stream(law: ContenderLaw, horizon: float, rng) -> list[InputEvent]:

@@ -147,17 +147,6 @@ class MoranState:
             aggr[a] = s
         self._aggr = aggr
 
-    @property
-    def raw_clock(self) -> float:
-        """Elapsed generations (the unrescaled clock)."""
-        return self.clock * self.log_n
-
-    def count_of(self, tid: int) -> int:
-        try:
-            return int(self.counts[self.ids.index(tid)])
-        except ValueError:
-            return 0
-
     def live_types(self) -> dict[int, int]:
         return {i: int(c) for i, c in zip(self.ids, self.counts)}
 
@@ -268,9 +257,6 @@ class MoranResult:
     indicators: list[ContenderIndicator]
     n_events: int
 
-    def indicator_vector(self) -> list[tuple[int, bool]]:
-        return [(ind.index, ind.flag) for ind in sorted(self.indicators, key=lambda i: i.index)]
-
 
 def moran_run(
     state: MoranState,
@@ -279,8 +265,6 @@ def moran_run(
     *,
     grid_step: float = 0.01,
     initial_indicators: bool = False,
-    indicator_offset: float | None = None,
-    indicator_threshold: float | None = None,
     trace: bool = True,
 ) -> MoranResult:
     """Run the population to the rescaled ``horizon``.
@@ -289,9 +273,9 @@ def moran_run(
     ``initial_indicators`` also checks every initial type except the
     largest one (useful for single-mutant survival experiments).  A check
     draws nothing, so it moves no other result.
-    The check time offset defaults to ``1/sqrt(log N)`` after birth and the
-    count threshold to ``log N``; a type is flagged when its count at the
-    check time (not its running maximum) meets the threshold.  The trace
+    The check comes ``1/sqrt(log N)`` after birth; a type is flagged when
+    its count at the check time (not its running maximum) is at least
+    ``log N``.  The trace
     samples a grid of finite positive ``grid_step`` plus the mutation and
     check times; a grid of more than :data:`MAX_GRID_SAMPLES` points is
     refused.
@@ -320,8 +304,7 @@ def moran_run(
     n = state.n
     log_n = state.log_n
     c_resc = log_n / n
-    t_off = indicator_offset if indicator_offset is not None else 1.0 / math.sqrt(log_n)
-    thresh = indicator_threshold if indicator_threshold is not None else log_n
+    t_off = 1.0 / math.sqrt(log_n)
 
     ids = state.ids
     x = state.counts
@@ -400,7 +383,7 @@ def moran_run(
             due, tid = heapq.heappop(pending)
             cnt = count_now(tid, due, walk)
             done_inds.append(
-                ContenderIndicator(tid, state.type_birth[tid], due, int(cnt), cnt >= thresh)
+                ContenderIndicator(tid, state.type_birth[tid], due, int(cnt), cnt >= log_n)
             )
             if trace:
                 snapshot([due], walk)

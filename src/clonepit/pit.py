@@ -193,7 +193,7 @@ class PitState:
     Parameters
     ----------
     start:
-        Iterable of :class:`StartEntry` (or ``(height, slope)`` pairs).
+        Iterable of :class:`StartEntry` records.
         Must contain exactly one ``(1, 0)`` entry, the initial resident.
         Defaults to that single entry.  The ``(1, 0)`` entry gets id 0;
         the others get ids -1, -2, ... in listed order.
@@ -225,7 +225,10 @@ class PitState:
         self._last_index = 0
         if start is None:
             start = (StartEntry(1.0, 0.0),)
-        entries = [e if isinstance(e, StartEntry) else StartEntry(*e) for e in start]
+        entries = list(start)
+        for e in entries:
+            if not isinstance(e, StartEntry):
+                raise ConfigurationError(f"start entries must be StartEntry records, got {e!r}")
         pairs = [(e.height, e.slope) for e in entries]
         if len(set(pairs)) != len(pairs):
             raise ConfigurationError("start entries must be pairwise distinct")

@@ -21,6 +21,7 @@ from clonepit import (
     Pareto,
     PitState,
     PointMass,
+    StartEntry,
     Uniform,
     classify_fixation,
     contender_params,
@@ -90,7 +91,9 @@ def test_01_deterministic_replay_six_events():
 
 
 def test_02_deterministic_replay_start_heights():
-    st = PitState(start=[(0.1, 1.5), (0.3, 1.0), (0.8, 0.8), (1.0, 0.0)])
+    st = PitState(start=[
+        StartEntry(0.1, 1.5), StartEntry(0.3, 1.0), StartEntry(0.8, 0.8), StartEntry(1.0, 0.0)
+    ])
     st.advance()
     times = [rc[0] for rc in st.resident_changes]
     ok = len(times) == 2 and abs(times[0] - 0.25) < 1e-9 and abs(times[1] - 1.0) < 1e-9
@@ -199,7 +202,7 @@ def test_07a_moran_fixation():
     for r in range(reps):
         st = moran_init(10_000, [9_999, 1], [0.0, 1.0])
         res = moran_run(st, 40.0, replicate_rng(2026, r), trace=False)
-        fixed += res.state.count_of(1) == 10_000
+        fixed += res.state.live_types().get(1, 0) == 10_000
     freq = fixed / reps
     ok = abs(freq - 0.5) <= 0.05
     report("07a fixation", ok, f"single-mutant fixation {freq:.3f} vs 0.5 +- 0.05 at N=1e4")
@@ -212,7 +215,7 @@ def test_07b_single_mutant_contender_probability():
         res = moran_run(
             st, 0.32, replicate_rng(2027, r), trace=False, initial_indicators=True
         )
-        hits += res.indicator_vector()[0][1]
+        hits += res.indicators[0].flag
     freq = hits / reps
     se = math.sqrt(freq * (1.0 - freq) / reps)
 

@@ -25,8 +25,6 @@ from clonepit import (
     high_mutation_probe,
     infinite_mean_probe,
     pointmass_speed,
-    rgl_retention,
-    rglh_misprediction_fixture,
     sample_contender_stream,
     sample_renewal_cycles,
     speed_estimate,
@@ -305,37 +303,6 @@ class TestHeuristics:
             assert heuristic_speed(law) == pytest.approx(plain, abs=1e-9)
             assert heuristic_speed(law, refined=True) == pytest.approx(refined, abs=1e-9)
             assert heuristic_speed(law, refined=True) < heuristic_speed(law)
-
-
-class TestRetentionRule:
-    def test_lone_event_is_kept(self):
-        assert rgl_retention(_events((1.0, 1.0))) == {1}
-
-    def test_shadowed_by_earlier_riser(self):
-        # second arrives while a weakly fitter first is still rising
-        assert rgl_retention(_events((1.0, 2.0), (1.2, 1.0))) == {1}
-
-    def test_discarded_when_fitter_future_arrival(self):
-        assert rgl_retention(_events((1.0, 1.0), (1.5, 2.0))) == {2}
-
-    def test_disjoint_rises_all_kept(self):
-        assert rgl_retention(_events((1.0, 1.0), (5.0, 1.0))) == {1, 2}
-
-    def test_accepts_input_events(self):
-        evs = [InputEvent(3, 1.0, 2.0, True), InputEvent(9, 1.2, 1.0, True)]
-        assert rgl_retention(evs) == {3}
-
-    def test_misprediction_fixture(self):
-        fx = rglh_misprediction_fixture()
-        assert rgl_retention(fx.events) == set(fx.retained) == {2}
-        st = PitState(events=fx.events)
-        st.advance()
-        assert st.fitness == pytest.approx(fx.final_fitness) == pytest.approx(1.8)
-        # each type holds residency in turn, yet the rule keeps only the
-        # middle one, whose increment never shows up in the final fitness
-        winners = [rc[3] for rc in st.resident_changes]
-        assert winners == [1, 2, 3]
-        assert st.fitness == pytest.approx(1.0 + 0.8)
 
 
 class TestFixationClassification:

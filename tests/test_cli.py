@@ -107,14 +107,24 @@ class TestCanonicalForm:
         base.update(kw)
         return Scenario(**base)
 
+    @staticmethod
+    def _read_lines(scn):
+        """The canonical text without the lines of keys the command does not read."""
+        read = _COMMON | set(COMMANDS[scn.command].keys)
+        lines = scn.canonical().splitlines(keepends=True)
+        return "".join(line for line in lines if line.partition(" = ")[0] in read)
+
     def test_round_trip(self):
         scn = self._speed()
-        again = parse_scenario(scn.canonical(), {})
+        again = parse_scenario(self._read_lines(scn), {})
         assert again == scn
+        # the full text names keys speed does not read
+        with pytest.raises(ConfigurationError, match="does not apply to command 'speed'"):
+            parse_scenario(scn.canonical(), {})
 
     def test_round_trip_with_events(self):
         scn = parse_scenario(REPLAY_CFG, {})
-        assert parse_scenario(scn.canonical(), {}) == scn
+        assert parse_scenario(self._read_lines(scn), {}) == scn
 
     def test_output_directory_does_not_change_identity(self):
         a = self._speed(out="")
@@ -365,19 +375,24 @@ class TestExitCodes:
         assert err.startswith("error:") and "'grid_step'" in err
         assert f"more than {MAX_GRID_SAMPLES}" in err
 
-    @pytest.mark.parametrize("command, text, key", [
+    @pytest.mark.parametrize("command, text, flags, key", [
         # each used to exit 0, changing only the scenario hash
-        ("heuristics", "lambda = 1\ngamma = pointmass(1)\nhorizon = 7\nreplicates = 5\n",
+        ("heuristics", "lambda = 1\ngamma = pointmass(1)\nhorizon = 7\nreplicates = 5\n", [],
          "horizon"),
         ("fclt", "lambda = 1\ngamma = pointmass(1)\nscale = 100\nreplicates = 2\n"
-                 "grid_step = 0.25\nhorizon = 50\n", "horizon"),
-        ("speed", "lambda = 1\ngamma = pointmass(1)\nhorizon = 10\ngrid_step = 0.5\n",
+                 "grid_step = 0.25\nhorizon = 50\n", [], "horizon"),
+        ("speed", "lambda = 1\ngamma = pointmass(1)\nhorizon = 10\ngrid_step = 0.5\n", [],
          "grid_step"),
-        ("pit-replay", "event = 0.5, 1\nreplicates = 2\n", "replicates"),
+        ("pit-replay", "event = 0.5, 1\nreplicates = 2\n", [], "replicates"),
+        # a key or flag that is given is refused, also at its default value
+        ("speed", "lambda = 1\ngamma = pointmass(1)\nhorizon = 10\ngrid_step = 0.01\n", [],
+         "grid_step"),
+        ("heuristics", "lambda = 1\ngamma = pointmass(1)\n", ["--replicates", "1"],
+         "replicates"),
     ])
-    def test_unread_key_exits_2(self, tmp_path, capsys, command, text, key):
+    def test_unread_key_exits_2(self, tmp_path, capsys, command, text, flags, key):
         cfg = write_cfg(tmp_path, f"command = {command}\n{text}")
-        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert main([command, "--config", cfg, "--out", str(tmp_path), *flags]) == 2
         err = capsys.readouterr().err
         assert err == f"error: key '{key}' does not apply to command '{command}'\n"
         assert not (tmp_path / "summary.json").exists()

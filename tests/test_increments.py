@@ -18,7 +18,6 @@ from clonepit import (
     contender_params,
     parse_distribution,
     sample_contender_stream,
-    sample_input_stream,
     survival_prob,
 )
 from clonepit.inputs import ARRIVAL_BLOCK, ArrivalBuffer
@@ -171,8 +170,6 @@ class TestContenderLaw:
             contender_params(math.inf, PointMass(1.0))
         with pytest.raises(ValueError, match="finite"):
             ContenderLaw.direct(math.inf, PointMass(1.0))
-        with pytest.raises(ValueError, match="finite"):
-            sample_input_stream(math.inf, PointMass(1.0), 1.0, np.random.default_rng(0))
 
     def test_tail_excludes_atom_inverse_tail_includes_it(self):
         law = ContenderLaw.direct(1.0, PointMass(2.0))
@@ -229,18 +226,6 @@ class TestArrivalBuffer:
 
 
 class TestStreams:
-    def test_input_stream_shape(self):
-        rng = np.random.default_rng(3)
-        events = sample_input_stream(1.0, Uniform(1.0, 2.0), 50.0, rng)
-        times = [e.time for e in events]
-        assert times == sorted(times)
-        assert all(t <= 50.0 for t in times)
-        assert [e.index for e in events] == list(range(1, len(events) + 1))
-        assert all(1.0 <= e.increment <= 2.0 for e in events)
-        # Bernoulli(A/(1+A)) flags: some of each at this horizon
-        flags = [e.contender for e in events]
-        assert any(flags) and not all(flags)
-
     def test_contender_stream_all_flagged(self):
         law = contender_params(1.0, Uniform(1.0, 2.0))
         rng = np.random.default_rng(4)
@@ -248,6 +233,9 @@ class TestStreams:
         assert all(e.contender for e in events)
         times = [e.time for e in events]
         assert times == sorted(times)
+        assert all(t < 200.0 for t in times)
+        assert [e.index for e in events] == list(range(1, len(events) + 1))
+        assert all(1.0 <= e.increment <= 2.0 for e in events)
 
     def test_thinned_rate_matches(self):
         law = contender_params(1.0, Uniform(1.0, 2.0))
@@ -263,8 +251,6 @@ class TestStreams:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="horizon"):
             sample_contender_stream(contender_params(1.0, PointMass(1.0)), horizon, rng)
-        with pytest.raises(ValueError, match="horizon"):
-            sample_input_stream(1.0, PointMass(1.0), horizon, rng)
 
     def test_sample_increment_pointmass(self):
         rng = np.random.default_rng(6)

@@ -77,11 +77,6 @@ class TestInit:
         st = moran_init(10, [5, 5], [0.0, 1.0])
         assert mean_fitness(st) == pytest.approx(0.5)
 
-    def test_clock_rescaling(self):
-        st = moran_init(100, [100], [0.0])
-        st.clock = 2.0
-        assert st.raw_clock == pytest.approx(2.0 * math.log(100))
-
 
 class TestRuns:
     def test_counts_are_conserved(self):
@@ -153,7 +148,6 @@ class TestSchedule:
         assert born[grid < 0.5].max() == 0.0
         (ind,) = res.indicators
         assert ind.index == 1 and ind.born == pytest.approx(0.5)
-        assert res.indicator_vector() == [(1, ind.flag)]
 
     def test_indicator_eval_time_offset(self):
         st = moran_init(500, [500], [0.0], schedule=[InputEvent(1, 0.5, 1.0, True)])
@@ -161,16 +155,19 @@ class TestSchedule:
         (ind,) = res.indicators
         assert ind.eval_time == pytest.approx(0.5 + 1.0 / math.sqrt(math.log(500)))
 
-    def test_indicator_threshold_override(self):
-        # threshold 1 flags any mutant still alive at evaluation time
-        st = moran_init(500, [499, 1], [0.0, 1.0])
-        res = moran_run(
-            st, 2.0, np.random.default_rng(8),
-            initial_indicators=True, indicator_threshold=1.0,
-            indicator_offset=1e-6, trace=False,
-        )
-        (ind,) = res.indicators
-        assert ind.flag and ind.count >= 1
+    def test_indicator_flag_is_count_at_least_log_n(self):
+        # the check reads the count 1/sqrt(log N) after birth and flags it
+        # when it is at least log N = 6.2
+        flags = set()
+        for r in range(40):
+            st = moran_init(500, [499, 1], [0.0, 1.0])
+            res = moran_run(st, 2.0, replicate_rng(8, r), initial_indicators=True, trace=False)
+            (ind,) = res.indicators
+            assert ind.eval_time == pytest.approx(1.0 / math.sqrt(math.log(500)))
+            assert ind.flag == (ind.count >= math.log(500))
+            flags.add((ind.flag, ind.count > 0))
+        # flagged, alive under the threshold and extinct runs all occur
+        assert flags == {(True, True), (False, True), (False, False)}
 
 
 class TestSelection:
@@ -182,7 +179,7 @@ class TestSelection:
         for r in range(reps):
             st = moran_init(100, [99, 1], [0.0, 1.0])
             res = moran_run(st, 60.0, replicate_rng(42, r), trace=False)
-            fixed += res.state.count_of(1) == 100
+            fixed += res.state.live_types().get(1, 0) == 100
         assert fixed == 148
         p = gw_survival_formula(2.0, 1.0)
         se = math.sqrt(p * (1 - p) / reps)
@@ -199,8 +196,8 @@ class TestSelection:
             res = moran_run(
                 st, 0.45, replicate_rng(7, r), trace=False, initial_indicators=True
             )
-            ((_, flag),) = res.indicator_vector()
-            hits += flag
+            (ind,) = res.indicators
+            hits += ind.flag
         assert hits == 265
         n = 1000
         ref = gw_level_probability(2.0, 1.0, math.sqrt(math.log(n)), math.ceil(math.log(n)))
@@ -268,7 +265,7 @@ class TestTwoTypeWalk:
             res = moran_run(st, 0.6, replicate_rng(3030, r), grid_step=0.3)
             assert res.trace.times[1] == 0.3
             mid[int(res.trace.counts[1][1])] += 1
-            end[res.state.count_of(1)] += 1
+            end[res.state.live_types().get(1, 0)] += 1
         for t, seen in ((0.3, mid), (0.6, end)):
             exact = reps * expm(gen * t)[start]
             obs, exp_ = [], []
@@ -296,7 +293,7 @@ class TestTwoTypeWalk:
             st = moran_init(n, [n - 1, 1], [0.0, s])
             res = moran_run(st, math.inf, replicate_rng(1515, r), trace=False)
             assert res.state.clock < math.inf and len(res.state.ids) == 1
-            fixed += res.state.count_of(1) == n
+            fixed += res.state.live_types().get(1, 0) == n
         se = math.sqrt(exact * (1.0 - exact) / reps)
         assert abs(fixed / reps - exact) < 3.5 * se
         assert abs(fixed / reps - s / (1.0 + s)) > 3.5 * se
@@ -308,7 +305,7 @@ class TestTwoTypeWalk:
         for r in range(reps):
             st = moran_init(n, [n - start, start], [0.5, 0.5])
             res = moran_run(st, math.inf, replicate_rng(1212, r), trace=False)
-            fixed += res.state.count_of(1) == n
+            fixed += res.state.live_types().get(1, 0) == n
         p = start / n
         assert abs(fixed / reps - p) < 3.5 * math.sqrt(p * (1.0 - p) / reps)
 
@@ -335,34 +332,33 @@ class TestTwoTypeWalk:
         assert st.mutations == 1 and res.n_events > 1
 
     def test_extinction_before_the_indicator_check(self):
-        # a mutant at a fitness disadvantage of 1 in N = 200 dies long before
-        # its check at t = 2 (it fixes with probability below 1e-59), so the
-        # check reads count 0 even with threshold 1
+        # a mutant at a fitness disadvantage of 3 in N = 200 dies before its
+        # check at t = 1/sqrt(log N) = 0.43 in all but about 5 in 10,000 runs,
+        # so the check reads count 0
         for r in range(10):
-            st = moran_init(200, [199, 1], [1.0, 0.0])
+            st = moran_init(200, [199, 1], [3.0, 0.0])
             res = moran_run(
-                st, 3.0, replicate_rng(200, r), grid_step=0.5,
-                initial_indicators=True, indicator_offset=2.0, indicator_threshold=1.0,
+                st, 3.0, replicate_rng(200, r), grid_step=0.5, initial_indicators=True,
             )
             (ind,) = res.indicators
-            assert ind.eval_time == 2.0
+            assert ind.eval_time == 1.0 / math.sqrt(math.log(200))
             assert ind.count == 0 and not ind.flag
             assert st.ids == [0]
-            row = np.flatnonzero(res.trace.times == 2.0)
-            assert np.all(res.trace.counts[1][row] == 0.0)
+            row = np.flatnonzero(res.trace.times == ind.eval_time)
+            assert row.size and np.all(res.trace.counts[1][row] == 0.0)
 
     def test_indicator_inside_a_stretch_reads_the_walk(self):
-        # with a threshold of 1 every run whose mutant is alive at the check
-        # is flagged; the indicator and the trace row at the check agree
+        # the check falls inside the two-type stretch; the indicator and the
+        # trace row at the check agree, and the flag is count >= log N
         flagged = 0
         for r in range(20):
             st = moran_init(1000, [999, 1], [0.0, 1.0])
             res = moran_run(st, 0.5, replicate_rng(1000, r), grid_step=0.1,
-                            initial_indicators=True, indicator_threshold=1.0)
+                            initial_indicators=True)
             (ind,) = res.indicators
             (row,) = np.flatnonzero(res.trace.times == ind.eval_time)
             assert ind.count == res.trace.counts[1][row]
-            assert ind.flag == (ind.count >= 1)
+            assert ind.flag == (ind.count >= math.log(1000))
             flagged += ind.flag
         assert 0 < flagged < 20
 
@@ -378,7 +374,7 @@ class TestTwoTypeWalk:
             res = moran_run(st, horizon, replicate_rng(10, r), trace=False)
             assert st.clock == horizon and len(st.ids) == 2
             assert sum(st.counts) == n and res.n_events == st.events
-            moved = st.count_of(1) - 5000
+            moved = st.live_types().get(1, 0) - 5000
             assert abs(moved) <= res.n_events and (res.n_events - moved) % 2 == 0
             steps.append(res.n_events)
         mean = rate * horizon

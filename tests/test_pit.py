@@ -12,6 +12,7 @@ from clonepit import (
     InputEvent,
     PiecewisePath,
     PitState,
+    StartEntry,
     StepPath,
     contender_params,
     parse_distribution,
@@ -35,6 +36,11 @@ SIX_EVENTS = (
     InputEvent(5, 2.9, 1.0, False),
     InputEvent(6, 3.2, 1.6, True),
 )
+
+
+def _starts(*pairs):
+    """StartEntry records from ``(height, slope)`` pairs."""
+    return [StartEntry(h, v) for h, v in pairs]
 
 
 def _ev(*pairs):
@@ -105,7 +111,7 @@ class TestSixEventReplay:
 
 class TestStartConfigurationReplay:
     def test_two_changes_at_quarter_and_one(self):
-        st = PitState(start=[(0.1, 1.5), (0.3, 1.0), (0.8, 0.8), (1.0, 0.0)])
+        st = PitState(start=_starts((0.1, 1.5), (0.3, 1.0), (0.8, 0.8), (1.0, 0.0)))
         st.advance()
         times = [rc[0] for rc in st.resident_changes]
         np.testing.assert_allclose(times, [0.25, 1.0], atol=1e-9)
@@ -114,7 +120,7 @@ class TestStartConfigurationReplay:
     def test_simultaneous_hits_highest_slope_wins(self):
         # both starters reach the top at t=0.5; the steeper one takes over
         # and the other is kinked below zero slope and falls back
-        st = PitState(start=[(0.5, 1.0), (0.75, 0.5), (1.0, 0.0)])
+        st = PitState(start=_starts((0.5, 1.0), (0.75, 0.5), (1.0, 0.0)))
         st.advance(until=2.0)
         (t, v_star, fit, winner, solitary), = st.resident_changes
         assert t == pytest.approx(0.5)
@@ -127,20 +133,40 @@ class TestStartConfigurationReplay:
         st.check_invariants()
 
 
+def test_each_contender_takes_residency_in_turn():
+    # increments 1 < 1.5, then 0.8: the first contender wins the first
+    # residency and kinks the second below the third's slope, so the final
+    # fitness is 1 + 0.8, though the 1.5 contender also holds residency
+    st = PitState(events=[
+        InputEvent(1, 1.0, 1.0, True),
+        InputEvent(2, 1.8, 1.5, True),
+        InputEvent(3, 2.35, 0.8, True),
+    ])
+    st.advance()
+    assert [rc[3] for rc in st.resident_changes] == [1, 2, 3]
+    assert st.fitness == pytest.approx(1.8)
+
+
 class TestValidation:
     def test_needs_exactly_one_resident_start(self):
         with pytest.raises(ConfigurationError):
-            PitState(start=[(0.5, 1.0)])
+            PitState(start=_starts((0.5, 1.0)))
         with pytest.raises(ConfigurationError):
-            PitState(start=[(1.0, 0.0), (1.0, 0.0), (0.5, 1.0)])
+            PitState(start=_starts((1.0, 0.0), (1.0, 0.0), (0.5, 1.0)))
 
     def test_start_entries_must_be_distinct(self):
         with pytest.raises(ConfigurationError):
-            PitState(start=[(0.5, 1.0), (0.5, 1.0), (1.0, 0.0)])
+            PitState(start=_starts((0.5, 1.0), (0.5, 1.0), (1.0, 0.0)))
+
+    def test_start_holds_start_entries(self):
+        with pytest.raises(ConfigurationError, match="StartEntry"):
+            PitState(start=[(1.0, 0.0)])
+        with pytest.raises(ConfigurationError, match="StartEntry"):
+            PitState(start=[StartEntry(1.0, 0.0), (0.5, 1.0)])
 
     def test_heights_must_be_in_unit_interval(self):
         with pytest.raises(ConfigurationError):
-            PitState(start=[(1.5, 1.0), (1.0, 0.0)])
+            PitState(start=_starts((1.5, 1.0), (1.0, 0.0)))
 
     def test_event_times_must_increase(self):
         st = PitState(events=_ev((2.0, 1.0), (1.0, 1.0)))
@@ -151,7 +177,7 @@ class TestValidation:
     def test_start_slope_must_be_finite(self, slope):
         # a NaN slope used to make advance(2.0) spin forever
         with pytest.raises(ConfigurationError, match="finite"):
-            PitState(start=[(1.0, 0.0), (0.5, slope)])
+            PitState(start=_starts((1.0, 0.0), (0.5, slope)))
 
     @pytest.mark.parametrize("time, increment", [
         (math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan), (0.1, math.inf),
@@ -182,6 +208,20 @@ def _build(engine, events):
 def test_bare_pairs_are_checked_like_input_events(engine, events):
     with pytest.raises(ConfigurationError):
         _build(engine, events).advance(until=1.0)
+
+
+@pytest.mark.parametrize("engine", [PitState, FitnessRows])
+def test_event_indices_are_integers(engine):
+    # on 1.5 and 2.7 FitnessRows used to truncate the indices and report
+    # winner 2, and PitState to raise a bare TypeError
+    with pytest.raises(ConfigurationError, match="index must be an integer, got 1.5"):
+        _build(engine, [InputEvent(1.5, 0.1, 1.0, True), InputEvent(2.7, 0.2, 2.0, True)])
+    # numpy integers are integers
+    st = _build(engine, [InputEvent(np.int64(1), 0.1, 1.0, True),
+                         InputEvent(np.int64(2), 0.2, 2.0, True)])
+    st.advance()
+    changes = st.resident_changes if engine is PitState else st.resident_changes[0]
+    assert [c[3] for c in changes] == [2]
 
 
 @pytest.mark.parametrize("events", [
@@ -230,7 +270,7 @@ class TestChecksSeeNaN:
     """Each identity check raises on a NaN residual instead of passing it."""
 
     def _state(self):
-        st = PitState(start=[(1.0, 0.0), (0.5, 1.0), (0.2, 0.5)])
+        st = PitState(start=_starts((1.0, 0.0), (0.5, 1.0), (0.2, 0.5)))
         st.advance(until=0.3)
         st.check_invariants()
         return st
@@ -308,7 +348,7 @@ class TestEventOrdering:
         # a change and an arrival share the stamp t=0.5; the arrival must
         # land after the kink, keeping its full slope
         st = PitState(
-            start=[(0.5, 1.0), (1.0, 0.0)],
+            start=_starts((0.5, 1.0), (1.0, 0.0)),
             events=[InputEvent(1, 0.5, 2.0, True)],
         )
         st.advance(until=0.6)
@@ -427,7 +467,7 @@ class TestOutputs:
         # np.float64 times and increments, an np.int64 index, negative start
         # ids, None parents, and latent, extinct, flat and resident types
         st = PitState(
-            start=[(1.0, 0.0), (0.5, -1.0), (0.25, 0.0)],
+            start=_starts((1.0, 0.0), (0.5, -1.0), (0.25, 0.0)),
             events=[
                 InputEvent(1, np.float64(0.1), np.float64(1.5), True),
                 InputEvent(2, np.float64(0.2), np.float64(0.7), False),
@@ -516,11 +556,11 @@ class _CheckedOffsets(PitState):
 
 def test_hit_offsets_match_masked_formula_on_edge_states():
     tiny = 5e-324
-    st = PitState(start=[
+    st = PitState(start=_starts(
         (1.0, 0.0), (0.0, 0.0), (0.0, 1.0), (0.0, tiny), (1.0, -1.0), (1.0, -tiny),
         (0.5, 0.0), (0.5, tiny), (0.5, -tiny), (0.3, 1e-300), (0.7, -1e300),
         (1e-300, -1.0), (1.0 - 2**-53, 3.0), (0.25, -0.0),
-    ])
+    ))
     _assert_offsets_match(st)
     with np.errstate(divide="ignore", over="ignore"):
         assert st._hit_offsets()[st._slot_of[-13]] == math.inf
@@ -545,7 +585,7 @@ def test_hit_offsets_match_masked_formula_on_random_runs(seed):
         if (h == 0.0 and v < 0.0) or (h == 1.0 and v > 0.0) or (h, v) in start:
             continue
         start.append((h, v))
-    st = _CheckedOffsets(start=start, events=_random_events(seed, 40, lam=4.0))
+    st = _CheckedOffsets(start=_starts(*start), events=_random_events(seed, 40, lam=4.0))
     st.advance()
     assert st.resident_changes
 
@@ -553,7 +593,7 @@ def test_hit_offsets_match_masked_formula_on_random_runs(seed):
 def test_negative_zero_slope_is_flat():
     # (2 - h)/-0.0 is -inf: a flat slot stored with that sign would be
     # picked as the next hit at clock -inf and stall advance
-    st = PitState(start=[(1.0, 0.0), (0.5, -0.0)], events=_ev((0.4, 1.0)))
+    st = PitState(start=_starts((1.0, 0.0), (0.5, -0.0)), events=_ev((0.4, 1.0)))
     st.advance(until=3.0)
     assert st.clock == 3.0
     assert st.height(-1) == 0.0
