@@ -76,6 +76,19 @@ class TestParsing:
                 {},
             )
 
+    @pytest.mark.parametrize("command, text, defaults, overrides", [
+        ("fclt", "lambda = 1\ngamma = pointmass(1)\nreplicates = 2\n",
+         "grid_step = 0.01\nscale = 100\n", {}),
+        ("speed", "lambda = 1\ngamma = pointmass(1)\nhorizon = 10\n", "", {"replicates": 1}),
+        ("pit-replay", "event = 0.5, 1\n", "horizon = 0\nf0 = 0\n", {"grid_step": None}),
+    ], ids=["fclt", "speed", "pit-replay"])
+    def test_read_key_at_its_default_is_accepted(self, command, text, defaults, overrides):
+        # keys are refused by presence only when the command does not read
+        # them; a read key given at its default leaves the scenario as it was
+        bare = parse_scenario(f"command = {command}\n{text}", {})
+        scn = parse_scenario(f"command = {command}\n{text}{defaults}", overrides)
+        assert scn == bare and scenario_hash(scn) == scenario_hash(bare)
+
     def test_event_flag_must_be_binary(self):
         with pytest.raises(ConfigurationError):
             parse_scenario(
