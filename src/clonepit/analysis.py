@@ -299,7 +299,7 @@ def heuristic_speed(law: ContenderLaw, *, refined: bool = False) -> float:
     def pi(a):
         p = math.exp(-(rate / a) * law.tail(a))
         if refined:
-            p *= math.exp(-rate * law.inverse_tail(a))
+            p *= math.exp(-rate * max(0.0, law.expect(lambda b: 1.0 / b, lower=a)))
         return p
 
     return rate * law.expect(lambda a: a * pi(a))

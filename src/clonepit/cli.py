@@ -517,7 +517,9 @@ def _check_speed(scn: Scenario):
     _check_rate(scn)
     _require(scn.horizon >= 2 and scn.horizon == int(scn.horizon), "horizon",
              "must be an integer cycle count of at least 2")
-    _require(scn.horizon <= MAX_CYCLES, "horizon", f"must be at most {MAX_CYCLES} cycles")
+    # the replicates share one lockstep, so the bound is on all their cycles
+    _require(scn.replicates * scn.horizon <= MAX_CYCLES, "horizon",
+             f"must be at most {MAX_CYCLES} cycles over all replicates (replicates x horizon)")
 
 
 def _cmd_speed(scn: Scenario, shash: str, out: str) -> dict:

@@ -479,10 +479,6 @@ class ContenderLaw:
         """
         return min(1.0, max(0.0, self.expect(lambda _: 1.0, lower=a, include_lower=False)))
 
-    def inverse_tail(self, a: float) -> float:
-        """``integral over [a, inf) of (1/b)`` against the contender law."""
-        return max(0.0, self.expect(lambda b: 1.0 / b, lower=a, include_lower=True))
-
     def mean_increment(self) -> float:
         return self.expect(lambda a: a)
 

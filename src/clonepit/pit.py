@@ -626,8 +626,6 @@ def _fitness_path(f0: float, changes) -> StepPath:
 
 
 _FLOAT_MAX = sys.float_info.max
-#: most arrivals a row may pass in one step while its kept set stays as it is
-_RUN_MAX = 63
 #: FitnessRows keeps arrival indices as int64, below this bound
 _INDEX_BOUND = 2**63
 #: rows the renewal mode runs at once, per stream
@@ -677,17 +675,10 @@ class FitnessRows:
     first, the crown (the steepest hitter, ties to the earlier arrival),
     the kink, the domination prune as a reverse cumulative maximum (the
     cells it frees are closed up only when a row runs out of columns) and
-    the join test of the arrival.  Before that, a
-    row passes the leading run of its next arrivals that cannot join and
-    come before any hit, moving its heights through each of them with
-    ``np.add.accumulate``, so every height takes the same float steps in
-    the same order as in a one-stamp-at-a-time loop; the run is at most
-    ``_RUN_MAX`` arrivals, and its limit grows while rows fill it (per
-    arrival stream in the renewal mode, where each stream's rows form a
-    block of consecutive rows with a limit of its own).  So a
-    row's changes are those of :class:`PitState` on the same arrivals, with
-    the same winners and solitary flags, and times and fitness agree with
-    it up to rounding (the extinctions a row never sees are no steps here).
+    the join test of the arrival.  So a row's changes are those of
+    :class:`PitState` on the same arrivals, with the same winners and
+    solitary flags, and times and fitness agree with it up to rounding
+    (the extinctions a row never sees are no steps here).
 
     ``FitnessRows(streams)`` takes one :class:`~clonepit.inputs.InputEvent`
     stream per row; :meth:`advance` moves all rows to a common ``until``.
@@ -711,7 +702,7 @@ class FitnessRows:
                 raise ConfigurationError(
                     f"stream {r}: immigration indices must lie below 2**63 = {_INDEX_BOUND}"
                     " for FitnessRows")
-        width = max(map(len, streams)) + _RUN_MAX + 1
+        width = max(map(len, streams)) + 1
         T = np.full((len(streams), width), math.inf)
         S = np.zeros_like(T)
         I = np.zeros(T.shape, dtype=np.int64)
@@ -730,18 +721,18 @@ class FitnessRows:
                     f"stream {r}: immigration times and indices must be strictly increasing"
                     " and indices at least 1"
                 )
-        self._setup(T, S, I, _RUN_MAX, [len(streams)])
+        self._setup(T, S, I, [len(streams)])
         self._log: list | None = []
         #: resident_changes as last built, with the log length it was built from
         self._changes = (0, [[] for _ in streams])
 
-    def _setup(self, T, S, I, k_max, groups):
+    def _setup(self, T, S, I, groups):
         """Empty rows on the arrival columns ``T``, ``S``, ``I``, in ``groups`` of consecutive rows.
 
-        A group's rows share one run limit: all rows in stream mode, one
-        arrival stream's rows in renewal mode.  Parking keeps the order of
-        the rows that stay, so each group stays one block of the moving
-        prefix, between consecutive entries of ``_bounds``.
+        A group is all rows in stream mode, one arrival stream's rows in
+        renewal mode.  Parking keeps the order of the rows that stay, so
+        each group stays one block of the moving prefix, between
+        consecutive entries of ``_bounds``.
         """
         n_rows = T.shape[0]
         self._rows = np.arange(n_rows)
@@ -757,9 +748,6 @@ class FitnessRows:
         self._ID = np.zeros((n_rows, 2), dtype=np.int64)
         self._T, self._S, self._I = T, S, I
         self._bounds = [0, *itertools.accumulate(groups)]
-        #: per group, the most arrivals a row may pass in one step's run
-        self._k = [0] * len(groups)
-        self._k_max = k_max
 
     # -- stream mode ---------------------------------------------------------
 
@@ -837,10 +825,9 @@ class FitnessRows:
         between 2 and 64 set by the contender rate, and sums the gaps of its
         chunk onto its last arrival time.  A row reads a chunk when it has
         passed the one before; a stream's rows reading at one step read in
-        row order, and at the start every row reads one chunk.  The run
-        limit of a stream adapts to its own rows alone, so each stream's
-        cycles are bit for bit those it gives when it runs alone, whatever
-        runs beside it.
+        row order, and at the start every row reads one chunk.  A stream's
+        refills go to its own rows alone, so its cycles are bit for bit
+        those it gives when it runs alone, whatever runs beside it.
 
         Returns ``(lengths, rewards, events)``, stream after stream and in
         cycle order within a stream, ``events`` being ``None`` or, with
@@ -857,7 +844,7 @@ class FitnessRows:
         n_rows = min(n_cycles, _RENEWAL_ROWS)
         T = np.zeros((len(streams) * n_rows, 2 * chunk))
         self = cls.__new__(cls)
-        self._setup(T, np.zeros_like(T), np.zeros(T.shape, dtype=np.int64), chunk - 1,
+        self._setup(T, np.zeros_like(T), np.zeros(T.shape, dtype=np.int64),
                     [n_rows] * len(streams))
         self._log = None
         self._ptr[:] = 2 * chunk
@@ -945,8 +932,7 @@ class FitnessRows:
     def _park(self, moving, leave):
         """Move the rows flagged in ``leave`` behind the moving prefix; returns its new size.
 
-        The rows that stay keep their order, so each group stays one block;
-        an emptied group's run limit falls to 0.
+        The rows that stay keep their order, so each group stays one block.
         """
         gone = self._group_counts(leave)
         order = np.argsort(leave, kind="stable")
@@ -954,9 +940,6 @@ class FitnessRows:
             arr = getattr(self, name)
             arr[:moving] = arr[:moving][order]
         self._bounds = [b - g for b, g in zip(self._bounds, itertools.accumulate([0, *gone]))]
-        for s, (a, b) in enumerate(zip(self._bounds, self._bounds[1:])):
-            if a == b:
-                self._k[s] = 0
         return self._bounds[-1]
 
     def _step(self, moving, until):
@@ -966,26 +949,21 @@ class FitnessRows:
         they now sit at ``until``) and the flags of the rows that made a
         solitary resident change, or None when no row made a change.
         """
-        K = max(self._k)
         at = self._at[:moving]
         H, V = self._H[:moving], self._V[:moving]
         clock, fit, n, ptr = (self._clock[:moving], self._fit[:moving],
                               self._n[:moving], self._ptr[:moving])
 
-        # the stamp after the run: the heights at the clock t0 and their offsets
-        h, t0 = H, clock
-        if K:
-            h, t0 = self._pass_run(moving, K, until)
-        off = np.subtract(1.0, h)
+        off = np.subtract(1.0, H)
         np.divide(off, V, out=off)
         off_min = _reduce_last(np.minimum, off)
-        t_hit = t0 + off_min
+        t_hit = clock + off_min
         t_imm = self._T[at, ptr]
         t_next = np.minimum(t_hit, t_imm)
         # past until, or nothing left to happen
         stop = t_next > min(until, _FLOAT_MAX)
-        t_to = np.where(stop, until if until < math.inf else t0, t_next)
-        np.add(h, V * (t_to - t0)[:, None], out=H)
+        t_to = np.where(stop, until if until < math.inf else clock, t_next)
+        H += V * (t_to - clock)[:, None]
         np.minimum(H, 1.0, out=H)
         clock[:] = t_to
         # what falls within TIME_EPS of the stamp; nothing for a stopped row
@@ -1023,7 +1001,6 @@ class FitnessRows:
                 self._log.append((hit, self._rows[:moving].copy(), t_to, v_star, fit.copy(),
                                   self._ID[:moving][at, win], done))
 
-        plain = None
         if np.count_nonzero(take):
             # an arrival joins when it is steeper than every kept trajectory
             # of its row (free cells have slope 0)
@@ -1039,55 +1016,12 @@ class FitnessRows:
                 self._V[rows, col] = s[rows]
                 self._ID[rows, col] = self._I[rows, ptr[rows] - 1]
                 n[rows] = col + 1
-            plain = take & ~joins & ~hit
-        # Per group, widen the run limit while most of its rows stop at its
-        # end, narrow it while few do: a run pass costs about half a step
-        # per arrival it may pass, so it pays only where runs are long.
-        ks, k_max, bounds = self._k, self._k_max, self._bounds
-        passed = [0] * len(ks) if plain is None else self._group_counts(plain)
-        for g, p in enumerate(passed):
-            k, m = ks[g], bounds[g + 1] - bounds[g]
-            if 3 * p > 2 * m and k < k_max:
-                ks[g] = min(2 * k + 1, k_max)
-            elif 3 * p < m and k:
-                ks[g] = k // 2
         return stop, done
 
     def _group_counts(self, flags) -> list[int]:
         """Per group, the number of its moving rows set in ``flags``."""
         b = self._bounds
         return [int(np.count_nonzero(flags[b[g] : b[g + 1]])) for g in range(len(b) - 1)]
-
-    def _pass_run(self, moving, K, until):
-        """Pass each row's leading run of at most its group's run limit (``K`` or less).
-
-        The run ends before the first arrival that would join, lie past
-        ``until`` or come with or after a hit.  The heights at each of its
-        stamps are accumulated in order and then clamped; a height clamped
-        to 1 has offset 0, so the run ends there.  Advances the rows'
-        pointers and returns their heights and clocks after the run.
-        """
-        H, V = self._H[:moving], self._V[:moving]
-        clock, ptr = self._clock[:moving], self._ptr[:moving]
-        at = self._at[:moving]
-        cols = ptr[:, None] + np.arange(K)
-        tj = self._T[at[:, None], cols]
-        tprev = np.concatenate((clock[:, None], tj[:, :-1]), axis=1)
-        hs = np.empty((moving, K + 1, H.shape[1]))
-        hs[:, 0] = H
-        np.multiply(V[:, None, :], (tj - tprev)[:, :, None], out=hs[:, 1:])
-        np.add.accumulate(hs, axis=1, out=hs)
-        np.minimum(hs, 1.0, out=hs)
-        offs = np.subtract(1.0, hs[:, :K])
-        np.divide(offs, V[:, None, :], out=offs)
-        joins = self._S[at[:, None], cols] > _reduce_last(np.maximum, V)[:, None]
-        run = (tprev + _reduce_last(np.minimum, offs) > tj + TIME_EPS) & (tj <= until) & ~joins
-        for k, a, b in zip(self._k, self._bounds, self._bounds[1:]):
-            if k < K:
-                run[a:b, k:] = False
-        J = np.argmin(np.concatenate((run, np.zeros((moving, 1), dtype=bool)), axis=1), axis=1)
-        ptr += J
-        return hs[at, J], np.where(J > 0, tj[at, J - 1], clock)
 
     def _make_room(self, moving):
         """Move the kept cells of the moving rows left, in order; widen if they fill half.

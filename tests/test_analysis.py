@@ -141,13 +141,16 @@ class TestRenewalSampling:
         # the arrivals it applied through a PitState that stops at its first
         # solitary change must give that cycle's record, also where the
         # cycle's row read a new chunk of arrivals mid-cycle
-        cases = [  # lam, gamma, cycles, arrival blocks applied at least
-            (1.0, PointMass(1.0), 200, 1),
-            (20.0, Exponential(1.0), 150, 4),
-            (1.0, HALF_POINTMASS_EXP, 800, 4),
+        cases = [  # law, cycles, arrival blocks applied at least
+            (contender_params(1.0, PointMass(1.0)), 200, 1),
+            (contender_params(20.0, Exponential(1.0)), 150, 4),
+            (contender_params(1.0, HALF_POINTMASS_EXP), 800, 4),
+            # high rates, where rows read chunks of 64 and of 8: a cycle at
+            # lambda = 1000 applies some 4,600 arrivals
+            (contender_params(1000.0, Uniform(1.0, 2.0)), 1, 16),
+            (ContenderLaw.direct(16.0, Exponential(1.0 / 16.0)), 40, 16),
         ]
-        for lam, gamma, n_cycles, blocks in cases:
-            law = contender_params(lam, gamma)
+        for law, n_cycles, blocks in cases:
             rng = replicate_rng(314, 0)
             cycles, events = sample_renewal_cycles(law, n_cycles, rng, collect_events=True)
             assert len(cycles) == len(events) == n_cycles

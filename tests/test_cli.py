@@ -410,15 +410,25 @@ class TestExitCodes:
         assert err == f"error: key '{key}' does not apply to command '{command}'\n"
         assert not (tmp_path / "summary.json").exists()
 
-    @pytest.mark.parametrize("horizon", [MAX_CYCLES + 1, 1e12, 1e20])
-    def test_speed_cycle_count_is_bounded(self, horizon):
+    @pytest.mark.parametrize("replicates, horizon", [
+        (1, MAX_CYCLES + 1), (1, 1e12), (1, 1e20),
+        # the replicates' cycles are pooled: 1000 x 1e7 used to be accepted
+        # and ask for 160 GB of columns
+        (1000, 1e7), (2, MAX_CYCLES), (10, MAX_CYCLES // 10 + 1),
+    ])
+    def test_speed_cycle_count_is_bounded(self, tmp_path, capsys, replicates, horizon):
         # 1e20 used to end in a ValueError traceback from np.empty, exit 1,
         # and 1e12 to ask for 7 TiB; checked here without running
+        text = (f"command = speed\nlambda = 1\ngamma = pointmass(1)\n"
+                f"replicates = {replicates}\nhorizon = {horizon!r}\n")
         with pytest.raises(ConfigurationError, match=f"'horizon': must be at most {MAX_CYCLES}"):
-            parse_scenario(f"command = speed\nlambda = 1\ngamma = pointmass(1)\n"
-                           f"horizon = {horizon!r}\n", {})
+            parse_scenario(text, {})
+        out = tmp_path / "out"
+        assert main(["speed", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert "must be at most" in capsys.readouterr().err
+        assert not out.exists()
         parse_scenario(f"command = speed\nlambda = 1\ngamma = pointmass(1)\n"
-                       f"horizon = {MAX_CYCLES}\n", {})
+                       f"replicates = {replicates}\nhorizon = {MAX_CYCLES // replicates}\n", {})
 
     @pytest.mark.parametrize("command, text, flags, key", [
         # a NaN start slope used to hang the replay
@@ -541,6 +551,21 @@ FROZEN_ARTIFACTS = {
         "replicates = 2\nseed = 11\n", {
             "cycles_r000.csv": "188c9d528568c4280d49b6fe5e924f9deaba33bb6690c65a36af01a30ca60de0",
             "cycles_r001.csv": "0719ceb1d8f48f457367320083615fb590eb552682832b72653fa58db6a6d431",
+        }),
+    # renewal rows that read chunks of 4 and of 16 arrivals
+    "speed-chunk-4": (
+        "command = speed\nlambda = 20\ngamma = exponential(1)\nhorizon = 300\n"
+        "replicates = 3\nseed = 12\n", {
+            "cycles_r000.csv": "e14d4540b2e8b1d970ce99fc7efb17cd0d20b2a0a321325f63a4677b1f8ed967",
+            "cycles_r001.csv": "bc24aaa9c991bd769fe82e3128f9f8fa0c9afd84666baf19526a080736a01d62",
+            "cycles_r002.csv": "8f23311287657ce4251cb5fe964670df71d98214a2ea9a332bc466a98c0535e3",
+        }),
+    "speed-chunk-16": (
+        "command = speed\nlambda = 50\ngamma = uniform(1,2)\nhorizon = 200\n"
+        "replicates = 3\nseed = 13\n", {
+            "cycles_r000.csv": "9b00870aa0d24eacf442ae2e0a7b26d3cfd780cd7d35688ce8e6e2132a6170c3",
+            "cycles_r001.csv": "e578cffcdd5bc9e593d85f1fd5216d378d0610bfd9a922af088b6b1f1e074fb0",
+            "cycles_r002.csv": "ad58c83f52c945ff71f057ab051cc0f9b228ef3f81e13e8a9d86db7b2872326f",
         }),
     "moran-run": (
         "command = moran-run\nn = 200\ncounts = 150, 50\nfitness = 0, 1\n"

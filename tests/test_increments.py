@@ -172,11 +172,12 @@ class TestContenderLaw:
             ContenderLaw.direct(math.inf, PointMass(1.0))
 
     def test_tail_excludes_atom_inverse_tail_includes_it(self):
+        # the refined heuristic's integral of 1/b over [a, inf) takes an atom at a
         law = ContenderLaw.direct(1.0, PointMass(2.0))
         assert law.tail(1.0) == 1.0
         assert law.tail(2.0) == 0.0
-        assert law.inverse_tail(2.0) == pytest.approx(0.5)
-        assert law.inverse_tail(2.5) == 0.0
+        assert law.expect(lambda b: 1.0 / b, lower=2.0) == pytest.approx(0.5)
+        assert law.expect(lambda b: 1.0 / b, lower=2.5) == 0.0
 
     def test_sample_is_size_biased(self):
         # under Uniform(1,2) candidates, contenders should skew larger

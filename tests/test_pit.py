@@ -843,7 +843,7 @@ class TestFitnessSkeleton:
 
 @pytest.mark.parametrize("lam, gamma, n_cycles", [
     (1.0, "pointmass(1)", 500),
-    # the run limit adapts here, to each stream's own rows
+    # rows read chunks of 4 here, each stream's rows in row order
     (20.0, "exponential(1)", 300),
     # more cycles than rows: finished rows start their stream's next cycles
     (1.0, "mixture(0.5:pointmass(1),0.5:exponential(1))", 1500),
