@@ -62,8 +62,8 @@ __all__ = [
 ]
 
 
-# the most renewal cycles one call may run per stream (two float64 columns
-# of 80 MB each); more are refused before anything is allocated
+# the most renewal cycles one call may run over all its streams (two float64
+# columns of 80 MB each); more are refused before anything is allocated
 MAX_CYCLES = 10_000_000
 
 # the most rows one renewal lockstep runs: its memory grows with its rows,
@@ -174,7 +174,7 @@ def _require_count(name: str, value, least: int) -> int:
 
 def _renewal_streams(rng) -> list:
     """The generators of ``rng``: each of a list of Generators, or the one that ``rng`` seeds."""
-    if isinstance(rng, list) and (not rng or any(isinstance(g, np.random.Generator) for g in rng)):
+    if isinstance(rng, list):
         if not rng or not all(isinstance(g, np.random.Generator) for g in rng):
             raise ConfigurationError(
                 "a list of renewal streams must hold one or more numpy Generators, "
@@ -196,12 +196,12 @@ def sample_renewal_cycles(law: ContenderLaw, n_cycles: int, rng, *, collect_even
     elapsed), runs to its first solitary change, records the cycle and
     starts the next, carrying over the arrivals it has read but not used.
     Exactly ``n_cycles`` start per stream and each one runs to its end;
-    more than :data:`MAX_CYCLES` per stream are refused before anything is
-    allocated.
+    more than :data:`MAX_CYCLES` over all streams are refused before
+    anything is allocated.
 
     ``rng`` is one stream (a ``Generator``, or a seed for one, such as an
-    int or a list of ints) or a non-empty list of Generators, one stream
-    each.  The streams share one lockstep (as many as fit in 4096 rows;
+    int) or a non-empty list of Generators, one stream each; any other
+    list is refused.  The streams share one lockstep (as many as fit in 4096 rows;
     more run in further locksteps), and each one's cycles are those it
     gives on its own.  They are returned as one
     :class:`RenewalCycles`, stream after stream, each stream's cycles in
@@ -222,9 +222,12 @@ def sample_renewal_cycles(law: ContenderLaw, n_cycles: int, rng, *, collect_even
     limit; the command line warns about such a law.
     """
     n_cycles = _require_count("n_cycles", n_cycles, 1)
-    if n_cycles > MAX_CYCLES:
-        raise ConfigurationError(f"n_cycles must be at most {MAX_CYCLES}, got {n_cycles}")
-    streams = [ArrivalBuffer(law, g) for g in _renewal_streams(rng)]
+    gens = _renewal_streams(rng)
+    if len(gens) * n_cycles > MAX_CYCLES:
+        raise ConfigurationError(
+            f"n_cycles over all streams must be at most {MAX_CYCLES}, got "
+            f"{len(gens)} x {n_cycles}")
+    streams = [ArrivalBuffer(law, g) for g in gens]
     per = _LOCKSTEP_ROWS // min(n_cycles, _RENEWAL_ROWS)
     runs = [FitnessRows.cycles(streams[i : i + per], n_cycles, collect=collect_events)
             for i in range(0, len(streams), per)]
@@ -292,8 +295,14 @@ def heuristic_speed(law: ContenderLaw, *, refined: bool = False) -> float:
     additionally discounts interference from earlier contenders that would
     still be rising, multiplying in ``exp(-rate * integral of 1/b over
     increments b >= a)``.  The prediction is ``rate * E[a * pi(a)]`` under
-    the contender law.
+    the contender law, and it is infinite when that law has no finite
+    mean: such a law is refused.
     """
+    dist = law.base if law.explicit is None else law.explicit
+    if not dist.has_finite_mean():
+        raise ConfigurationError(
+            f"the heuristic speed needs an increment law with a finite mean, got "
+            f"{dist.describe()}")
     rate = law.rate
 
     def pi(a):
@@ -478,6 +487,10 @@ def high_mutation_limit(b_sup: float, t: float) -> float:
     return b_sup * (math.ceil(b_sup * t) - 1)
 
 
+# how close to the high-rate limit a value of F(t) counts as within it
+_HIGH_MUTATION_TOLERANCE = 0.25
+
+
 @dataclass(frozen=True)
 class HighMutationResult:
     limit: float
@@ -487,14 +500,12 @@ class HighMutationResult:
     median_error: dict[float, float]
 
 
-def high_mutation_probe(
-    gamma, t: float, lambdas, replicates: int, rng, *, tolerance: float = 0.25
-) -> HighMutationResult:
+def high_mutation_probe(gamma, t: float, lambdas, replicates: int, rng) -> HighMutationResult:
     """Empirical F(t) against its high-rate limit for a bounded increment law.
 
     For each rate the probe runs ``replicates`` independent systems to
-    horizon ``t`` and reports the samples, the fraction within ``tolerance``
-    of the limit, and the median absolute error.
+    horizon ``t`` and reports the samples, the fraction within 0.25 of
+    the limit (its ``tolerance``), and the median absolute error.
     """
     lo, hi = gamma.support()
     if not math.isfinite(hi):
@@ -512,9 +523,9 @@ def high_mutation_probe(
         vals = rows.fitness
         values[float(lam)] = vals
         err = np.abs(vals - limit)
-        fraction[float(lam)] = float(np.mean(err <= tolerance))
+        fraction[float(lam)] = float(np.mean(err <= _HIGH_MUTATION_TOLERANCE))
         med_err[float(lam)] = float(np.median(err))
-    return HighMutationResult(limit, tolerance, values, fraction, med_err)
+    return HighMutationResult(limit, _HIGH_MUTATION_TOLERANCE, values, fraction, med_err)
 
 
 def write_cycles_csv(cycles: RenewalCycles, path, scenario_hash: str | None = None):

@@ -61,10 +61,6 @@ class GwParams:
         # an integral float such as 2.0 is stored as the int it equals
         object.__setattr__(self, "initial", int(self.initial))
 
-    @property
-    def drift(self) -> float:
-        return self.birth - self.death
-
 
 @dataclass(frozen=True)
 class GwRun:
@@ -85,10 +81,6 @@ class GwRun:
     max_level: int
     clock: float
     level_times: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def survived(self) -> bool:
-        return not self.extinct
 
 
 def gw_survival_formula(birth: float, death: float, initial: int = 1) -> float:

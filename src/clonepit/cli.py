@@ -67,6 +67,7 @@ from .analysis import (
 )
 from .branching import GwParams, gw_run, gw_survival_formula
 from .inputs import (
+    ContenderLaw,
     InputEvent,
     PointMass,
     contender_params,
@@ -437,35 +438,46 @@ def _cmd_pit_replay(scn: Scenario, shash: str, out: str) -> dict:
 
 
 def _moran_start(scn: Scenario):
-    """Counts, fitness and schedule of a ``moran-run``: one type of ``n`` at 0 by default."""
+    """Counts and fitness of a ``moran-run``: one type of ``n`` at 0 by default."""
     counts = list(scn.counts) if scn.counts else [scn.n]
     fitness = list(scn.fitness) if scn.fitness else [0.0] * len(counts)
-    # scheduled mutants take the ids after the initial types
-    return counts, fitness, _replay_events(scn, len(counts)) or None
+    return counts, fitness
+
+
+def _moran_schedule(scn: Scenario, first: int, rng):
+    """One replicate's mutation schedule, its ids from ``first`` (past the initial types) up.
+
+    A free rate draws its marked Poisson stream on ``[0, horizon)`` from
+    the replicate's generator, before the run; otherwise the event rows
+    are the schedule.
+    """
+    if scn.lam > 0:
+        stream = sample_contender_stream(
+            ContenderLaw.direct(scn.lam, scn.gamma_dist()), scn.horizon, rng)
+        return [InputEvent(i, ev.time, ev.increment, True) for i, ev in enumerate(stream, first)]
+    return _replay_events(scn, first)
 
 
 def _check_moran_run(scn: Scenario):
     _check_population(scn)
-    free = scn.lam > 0
-    _require(not (free and scn.events), "event", "a schedule excludes a free mutation rate")
-    if free:
+    _require(scn.lam >= 0, "lambda", "must be nonnegative")
+    if scn.lam > 0:
+        _require(not scn.events, "event", "a schedule excludes a free mutation rate")
         _require(bool(scn.gamma), "gamma", "a free mutation rate needs a distribution")
-    counts, fitness, schedule = _moran_start(scn)
+    counts, fitness = _moran_start(scn)
     _require_built("counts", moran_init, scn.n, counts, fitness)
-    _require_built("event", moran_init, scn.n, counts, fitness, schedule=schedule)
+    _require_built("event", moran_init, scn.n, counts, fitness,
+                   schedule=_replay_events(scn, len(counts)))
 
 
 def _cmd_moran_run(scn: Scenario, shash: str, out: str) -> dict:
-    counts, fitness, schedule = _moran_start(scn)
-    gamma = parse_distribution(scn.gamma) if scn.gamma else None
+    counts, fitness = _moran_start(scn)
     reps = []
     for r in range(scn.replicates):
-        state = moran_init(
-            scn.n, counts, fitness,
-            lam=scn.lam, gamma=gamma, schedule=schedule,
-        )
-        res = moran_run(state, scn.horizon, replicate_rng(scn.seed, r),
-                        grid_step=scn.grid_step)
+        rng = replicate_rng(scn.seed, r)
+        state = moran_init(scn.n, counts, fitness,
+                           schedule=_moran_schedule(scn, len(counts), rng))
+        res = moran_run(state, scn.horizon, rng, grid_step=scn.grid_step)
         write_trace_csv(res, os.path.join(out, f"trace_r{r:03d}.csv"), shash)
         reps.append({
             "replicate": r,
@@ -556,8 +568,9 @@ def _cmd_heuristics(scn: Scenario, shash: str, out: str) -> dict:
     dist = scn.gamma_dist()
     finite_mean = _finite_mean(dist)
     law = contender_params(scn.lam, dist)
-    # all three are infinite with the increment mean, and the quadratures
-    # behind them would divide by zero at the end of their range
+    # all three are infinite with the increment mean (heuristic_speed
+    # refuses such a law), and the quadratures behind them would divide by
+    # zero at the end of their range
     return {
         "contender_rate": law.rate,
         "mean_increment": law.mean_increment() if finite_mean else None,

@@ -121,10 +121,6 @@ class IncrementDistribution:
         """
         raise NotImplementedError
 
-    def tail(self, a: float) -> float:
-        """Mass of ``(a, inf)`` (strict: excludes an atom at ``a``)."""
-        return self.expect(lambda _: 1.0, lower=a, include_lower=False)
-
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -473,7 +469,8 @@ class ContenderLaw:
         )
 
     def tail(self, a: float) -> float:
-        """Mass of ``(a, inf)`` under the contender increment law.
+        """Mass of ``(a, inf)`` under the contender increment law (strict:
+        it leaves out an atom at ``a``).
 
         Clamped to [0, 1]: the quadrature can overshoot by an ulp or two.
         """
@@ -562,13 +559,17 @@ def contender_params(lam: float, gamma: IncrementDistribution) -> ContenderLaw:
     return ContenderLaw(rate=rate, base_rate=lam, base=gamma)
 
 
-def _horizon_cut(law: ContenderLaw, horizon: float, rng) -> list[tuple[float, float]]:
-    """``(time, increment)`` pairs of the arrivals of ``law`` on ``[0, horizon)``.
+def sample_contender_stream(law: ContenderLaw, horizon: float, rng) -> list[InputEvent]:
+    """Contender stream on ``[0, horizon)``; every event carries ``contender=True``.
 
-    Reads an :class:`ArrivalBuffer` a block at a time and sums its gaps in
-    order (``np.add.accumulate`` adds left to right, as ``t += gap`` does);
+    The stream is the horizon cut of an :class:`ArrivalBuffer`, so on the
+    same generator state its arrivals are those the renewal sampler reads:
+    the buffer is read a block at a time, its gaps summed in order
+    (``np.add.accumulate`` adds left to right, as ``t += gap`` does), and
     the block holding the first arrival at or past ``horizon`` is the last
-    one drawn.
+    one drawn.  Events are indexed from 1.  Driving the trajectory system
+    with this stream is equivalent in law to driving it with the full
+    candidate stream, because non-contenders never leave height zero.
     """
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -583,17 +584,5 @@ def _horizon_cut(law: ContenderLaw, horizon: float, rng) -> list[tuple[float, fl
         t = block[-1]
     times, incs = np.concatenate(times), np.concatenate(incs)
     cut = int(np.searchsorted(times, horizon, side="left"))
-    return list(zip(times[:cut].tolist(), incs[:cut].tolist()))
-
-
-def sample_contender_stream(law: ContenderLaw, horizon: float, rng) -> list[InputEvent]:
-    """Contender stream on ``[0, horizon)``; every event carries ``contender=True``.
-
-    The stream is the horizon cut of an :class:`ArrivalBuffer`, so on the
-    same generator state its arrivals are those the renewal sampler reads.
-    Driving the trajectory system with this stream is equivalent in law to
-    driving it with the full candidate stream, because non-contenders never
-    leave height zero.
-    """
-    pairs = _horizon_cut(law, horizon, rng)
-    return [InputEvent(i, t, a, True) for i, (t, a) in enumerate(pairs, 1)]
+    return [InputEvent(i, t, a, True)
+            for i, (t, a) in enumerate(zip(times[:cut].tolist(), incs[:cut].tolist()), 1)]

@@ -2,12 +2,13 @@
 
 ``N`` individuals carry types with fixed fitness values.  On the generation
 clock, an ordered pair resamples (``j`` replaces an individual of ``l``) at
-rate ``x_j * x_l * (1 + (m_j - m_l)^+) / N``, and mutation hits a uniformly
-chosen individual at total rate ``lam / log(N)``; the mutant founds a new
-type with its parent's fitness plus an increment.  All public clocks here
-are *rescaled*: one unit of engine time is ``log N`` generations, so
-mutations arrive at rate ``lam`` and pair resampling at
-``x_j * x_l * (1 + (m_j - m_l)^+) * log(N) / N``.
+rate ``x_j * x_l * (1 + (m_j - m_l)^+) / N``, and each mutation of a
+schedule of times and increments hits a uniformly chosen individual, who
+founds a new type with its parent's fitness plus the increment.  All
+public clocks here are *rescaled*: one unit of engine time is ``log N``
+generations, so pair resampling runs at
+``x_j * x_l * (1 + (m_j - m_l)^+) * log(N) / N``, and a mutation rate of
+``lam / log(N)`` per generation is a schedule of rate ``lam``.
 
 On the rescaled clock the log-frequency of type ``i`` is
 
@@ -36,10 +37,11 @@ exponential holding time of rate ``(2 + s) * z * (N - z) * log(N) / N``.
 the numpy block walker that also drives :func:`clonepit.branching.gw_run`,
 until absorption, the horizon or the next mutation; indicator checks and
 trace grid points inside it read the count off the block with
-``searchsorted``.  Mutations always follow a schedule: the mutation clock
-is independent of resampling, so a free rate ``lam`` has its whole stream
-on ``[0, horizon)`` drawn when the run starts (the horizon cut of
-:class:`~clonepit.inputs.ArrivalBuffer`), and each parent at its mutation.
+``searchsorted``.  Mutations come only from a schedule: the mutation
+clock is independent of resampling, so a free rate ``lam`` is its marked
+Poisson stream on ``[0, horizon)`` drawn before the run (the ``moran-run``
+command draws it with :func:`~clonepit.inputs.sample_contender_stream`),
+and each parent is chosen at its mutation.
 
 With three or more live types the loop is plain Python over scalar
 floats, one event at a time: it maintains the aggregates
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branching import _jump_chain
-from .inputs import ContenderLaw, IncrementDistribution, InputEvent, _horizon_cut
+from .inputs import InputEvent
 from .pit import ConfigurationError, _fmt, _write_csv
 from .rng import UniformBuffer, as_generator
 
@@ -72,7 +74,6 @@ __all__ = [
     "MAX_POPULATION",
     "moran_init",
     "moran_run",
-    "mean_fitness",
     "write_trace_csv",
 ]
 
@@ -99,30 +100,25 @@ class ContenderIndicator:
 
 
 class MoranState:
-    """Counts, fitness values and mutation source of one Moran population.
+    """Counts, fitness values and mutation schedule of one Moran population.
 
-    Built by :func:`moran_init`.  The mutation source is either *free*
-    (Poisson arrivals at rescaled rate ``lam`` with increments from
-    ``gamma``) or a *coupled* schedule of
-    :class:`~clonepit.inputs.InputEvent` records with fixed times and
-    increments; a schedule makes runs comparable to a trajectory-system
-    replay driven by the same input.  :func:`moran_run` turns a free source
-    into a schedule, indexed from ``len(counts)``, when it starts.
+    Built by :func:`moran_init`.  Every mutation comes from ``schedule``, a
+    list of :class:`~clonepit.inputs.InputEvent` records with fixed times
+    and increments, of which the first ``sched_pos`` have been applied; a
+    schedule makes runs comparable to a trajectory-system replay driven by
+    the same input.
     """
 
-    def __init__(self, n, counts, fitness, lam, gamma, schedule):
+    def __init__(self, n, counts, fitness, schedule):
         self.n = int(n)
         self.log_n = math.log(self.n)
         self.ids: list[int] = list(range(len(counts)))
         self.counts: list[float] = [float(c) for c in counts]
         self.fitness: list[float] = [float(m) for m in fitness]
-        self.lam = float(lam)
-        self.gamma = gamma
         self.schedule = schedule
         self.sched_pos = 0
         self.clock = 0.0
         self.events = 0
-        self.mutations = 0
         self.sum_xm = sum(c * m for c, m in zip(self.counts, self.fitness))
         self.type_fitness: dict[int, float] = {
             i: m for i, m in zip(self.ids, self.fitness)
@@ -151,7 +147,7 @@ class MoranState:
         return {i: int(c) for i, c in zip(self.ids, self.counts)}
 
 
-def moran_init(n, counts, fitness, *, lam=0.0, gamma=None, schedule=None) -> MoranState:
+def moran_init(n, counts, fitness, *, schedule=()) -> MoranState:
     """Validate and build a Moran population.
 
     Parameters
@@ -161,15 +157,12 @@ def moran_init(n, counts, fitness, *, lam=0.0, gamma=None, schedule=None) -> Mor
     counts, fitness:
         Per-type initial counts (positive, summing to ``n``) and fitness
         values.  Types get ids 0, 1, ... in listed order.
-    lam, gamma:
-        Free-mutation configuration: finite rescaled arrival rate and
-        increment law.  ``lam > 0`` requires ``gamma`` and a finite horizon.
     schedule:
-        Coupled mutation schedule, an iterable of
+        Mutation schedule, an iterable of
         :class:`~clonepit.inputs.InputEvent` (contender flags are ignored;
-        indicator values are emergent here).  Mutually exclusive with
-        ``lam``/``gamma``.  Event indices become type ids; they must be
-        distinct and start past the initial ids.
+        indicator values are emergent here).  Times must strictly increase;
+        event indices become type ids, so they must strictly increase too
+        and start past the initial ids.
     """
     if n < 2:
         raise ConfigurationError(f"population size must be >= 2, got {n}")
@@ -185,33 +178,20 @@ def moran_init(n, counts, fitness, *, lam=0.0, gamma=None, schedule=None) -> Mor
         raise ConfigurationError(
             f"initial counts must sum to the population size {n}, got {sum(counts)}"
         )
-    if not 0.0 <= lam < math.inf:
-        raise ConfigurationError(f"lambda must be finite and >= 0, got {lam}")
-    if schedule is not None:
-        if lam:
-            raise ConfigurationError("a mutation schedule excludes a free mutation rate")
-        schedule = list(schedule)
-        prev = -math.inf
-        seen = set()
-        for ev in schedule:
-            if not isinstance(ev, InputEvent):
-                raise ConfigurationError(f"schedule entries must be InputEvents, got {ev!r}")
-            if ev.time <= prev:
-                raise ConfigurationError("schedule times must be strictly increasing")
-            prev = ev.time
-            if ev.index < len(counts) or ev.index in seen:
-                raise ConfigurationError(
-                    f"schedule index {ev.index} collides with another type id"
-                )
-            seen.add(ev.index)
-    elif lam and not isinstance(gamma, IncrementDistribution):
-        raise ConfigurationError("a free mutation rate needs an increment distribution")
-    return MoranState(n, counts, fitness, lam, gamma, schedule or [])
-
-
-def mean_fitness(state: MoranState) -> float:
-    """Population mean fitness ``sum_i X_i m_i / N``."""
-    return state.sum_xm / state.n
+    schedule = list(schedule)
+    prev_time, prev_index = -math.inf, len(counts) - 1
+    for ev in schedule:
+        if not isinstance(ev, InputEvent):
+            raise ConfigurationError(f"schedule entries must be InputEvents, got {ev!r}")
+        if ev.time <= prev_time:
+            raise ConfigurationError("schedule times must be strictly increasing")
+        if ev.index <= prev_index:
+            raise ConfigurationError(
+                f"schedule index {ev.index} must exceed {prev_index}: indices strictly "
+                "increase past the initial type ids"
+            )
+        prev_time, prev_index = ev.time, ev.index
+    return MoranState(n, counts, fitness, schedule)
 
 
 @dataclass
@@ -293,14 +273,6 @@ def moran_run(
             f"up to horizon {horizon}"
         )
     rng = as_generator(rng)
-    if state.lam > 0.0:
-        if horizon == math.inf:
-            raise ConfigurationError("a free mutation rate needs a finite horizon, got inf")
-        # free mutants take the ids after the initial types
-        pairs = _horizon_cut(ContenderLaw.direct(state.lam, state.gamma), horizon, rng)
-        state.schedule += [
-            InputEvent(i, t, a, True) for i, (t, a) in enumerate(pairs, len(state.ids))
-        ]
     n = state.n
     log_n = state.log_n
     c_resc = log_n / n
@@ -564,7 +536,6 @@ def _apply_mutation(state, idx, inc, nextu, pending, t_off):
     m.append(fit)
     state.type_fitness[idx] = fit
     state.type_birth[idx] = state.clock
-    state.mutations += 1
     state.sum_xm += inc
     state._rebuild()
     heapq.heappush(pending, (state.clock + t_off, idx))

@@ -359,13 +359,12 @@ class PitState:
             PitEvent(self.clock, "extinction", tid, 0.0, self.resident_id, self.fitness)
         )
 
-    def _apply_hits(self, slots) -> bool:
+    def _apply_hits(self, slots):
         """Apply the hits of ``slots`` at the clock: extinctions, then the resident change.
 
         The rising hitters are pinned to height 1; the one with maximal
         pre-hit slope (ties to the smaller id) becomes the resident, and
-        every positive-height trajectory is kinked.  Returns the change's
-        solitary flag, False when no trajectory rose.
+        every positive-height trajectory is kinked.
         """
         ids, vs = self._slot_ids, self._v
         dying = [ids[s] for s in slots if vs[s] < 0.0]
@@ -373,7 +372,7 @@ class PitState:
         for tid in dying:
             self._apply_extinction(tid)
         if not rising:
-            return False
+            return
         hitters = sorted(rising)
         pinned = [self._slot_of[tid] for tid in hitters]
         for s in pinned:
@@ -422,7 +421,6 @@ class PitState:
                 self.clock, "resident_change", winner, v_star, winner, self.fitness, solitary
             )
         )
-        return solitary
 
     def _immigrate(self):
         t, slope, inc, tid = self._pending
@@ -485,16 +483,16 @@ class PitState:
             np.maximum(h, 0.0, out=h)
             np.minimum(h, 1.0, out=h)
 
-    def advance(self, until: float = math.inf, *, stop_after_solitary: bool = False):
+    def advance(self, until: float = math.inf):
         """Process all events up to ``until``; the clock ends at ``until``.
 
         Each step races the next boundary hit against the next arrival,
         groups hits by offset within ``TIME_EPS`` and applies the stamp as
-        extinctions, then the resident change, then the arrival.  With
-        ``stop_after_solitary`` the run returns right after the first
-        solitary resident change instead (and after an arrival carrying the
-        same timestamp), with the clock at that change.  Every applied event
-        is appended to :attr:`log`.
+        extinctions, then the resident change, then the arrival; a stamp
+        at exactly ``until`` is applied.  With the default ``until`` the run
+        goes on until the arrivals are spent and nothing moves any more,
+        and the clock stays at its last stamp.  Every applied event is
+        appended to :attr:`log`.
         """
         until = float(until)
         if not until >= self.clock:
@@ -523,11 +521,10 @@ class PitState:
 
                 self._move(t_next - self.clock)
                 self.clock = t_next
-                solitary = group is not None and self._apply_hits(group)
+                if group is not None:
+                    self._apply_hits(group)
                 if take_imm:
                     self._immigrate()
-                if stop_after_solitary and solitary:
-                    return
 
     def _pull_event(self):
         """Draw the next arrival as (time, slope, increment, id) into ``_pending``.

@@ -169,7 +169,7 @@ def test_06_branching_oracle():
                 p = gw_survival_formula(b, d, z)
                 reps = 2500
                 hits = sum(
-                    gw_run(GwParams(b, d, z), rng, cap=1500).survived
+                    not gw_run(GwParams(b, d, z), rng, cap=1500).extinct
                     for _ in range(reps)
                 )
                 se = math.sqrt(p * (1.0 - p) / reps)

@@ -33,7 +33,7 @@ from clonepit import (
 )
 from clonepit.analysis import MAX_CYCLES
 from clonepit.inputs import ARRIVAL_BLOCK
-from clonepit.pit import ConfigurationError, _fmt
+from clonepit.pit import TIME_EPS, ConfigurationError, _fmt
 from clonepit.rng import replicate_rng
 
 SIX_EVENTS = (
@@ -138,9 +138,10 @@ HALF_POINTMASS_EXP = Mixture((0.5, 0.5), (PointMass(1.0), Exponential(1.0)))
 class TestRenewalSampling:
     def test_driver_matches_single_replay(self):
         # each cycle runs on its own clock from a fresh resident; replaying
-        # the arrivals it applied through a PitState that stops at its first
-        # solitary change must give that cycle's record, also where the
-        # cycle's row read a new chunk of arrivals mid-cycle
+        # the arrivals it applied through a PitState, its first solitary
+        # change must give that cycle's record, with every arrival applied
+        # by then, also where the cycle's row read a new chunk of arrivals
+        # mid-cycle
         cases = [  # law, cycles, arrival blocks applied at least
             (contender_params(1.0, PointMass(1.0)), 200, 1),
             (contender_params(20.0, Exponential(1.0)), 150, 4),
@@ -157,10 +158,11 @@ class TestRenewalSampling:
             assert sum(map(len, events)) > blocks * ARRIVAL_BLOCK
             for length, reward, evs in zip(cycles.lengths, cycles.rewards, events):
                 st = PitState(events=_events(*evs))
-                st.advance(stop_after_solitary=True)
-                assert st.resident_changes[-1][4] and st.pending_immigration is None
-                assert st.clock == pytest.approx(length, rel=1e-12, abs=1e-12)
-                assert st.fitness == pytest.approx(reward, rel=1e-12, abs=1e-12)
+                st.advance()
+                t, _, fitness, _, _ = next(rc for rc in st.resident_changes if rc[4])
+                assert t == pytest.approx(length, rel=1e-12, abs=1e-12)
+                assert fitness == pytest.approx(reward, rel=1e-12, abs=1e-12)
+                assert evs[-1][0] <= t + TIME_EPS
 
     def test_arrivals_follow_block_draw_order(self):
         # documented order: ARRIVAL_BLOCK gaps, then ARRIVAL_BLOCK increments,
@@ -257,21 +259,25 @@ class TestRenewalSampling:
             assert events[mine] == solo_events
 
     @pytest.mark.parametrize("rng", [[], [replicate_rng(1, 0), 7],
-                                     [np.random.SeedSequence(1), replicate_rng(1, 1)]],
-                             ids=["empty", "generator-and-int", "seedsequence-and-generator"])
+                                     [np.random.SeedSequence(1), replicate_rng(1, 1)],
+                                     [1, 2, 3]],
+                             ids=["empty", "generator-and-int", "seedsequence-and-generator",
+                                  "ints"])
     def test_stream_lists_hold_only_generators(self, rng):
+        # a list always means one stream per Generator, also a list of ints
         law = contender_params(1.0, PointMass(1.0))
         with pytest.raises(ConfigurationError, match="Generators"):
             sample_renewal_cycles(law, 10, rng)
 
-    def test_list_of_ints_is_one_seed(self):
-        # a list of ints keeps its numpy meaning: the entropy of one seed
+    def test_cycle_count_is_bounded_over_all_streams(self):
+        # each stream alone is within the bound; together they are refused
+        # before a single draw
         law = contender_params(1.0, PointMass(1.0))
-        cycles = sample_renewal_cycles(law, 50, [1, 2, 3])
-        again = sample_renewal_cycles(law, 50, np.random.default_rng([1, 2, 3]))
-        assert len(cycles) == 50
-        np.testing.assert_array_equal(cycles.lengths, again.lengths, strict=True)
-        np.testing.assert_array_equal(cycles.rewards, again.rewards, strict=True)
+        gens = [replicate_rng(1, 0), replicate_rng(1, 1)]
+        before = [g.bit_generator.state for g in gens]
+        with pytest.raises(ConfigurationError, match=f"at most {MAX_CYCLES}, got 2 x {MAX_CYCLES}"):
+            sample_renewal_cycles(law, MAX_CYCLES, gens)
+        assert [g.bit_generator.state for g in gens] == before
 
     def test_more_cycles_than_rows(self):
         # rows start new cycles as they finish: exactly n_cycles records, each
@@ -306,6 +312,31 @@ class TestHeuristics:
             assert heuristic_speed(law) == pytest.approx(plain, abs=1e-9)
             assert heuristic_speed(law, refined=True) == pytest.approx(refined, abs=1e-9)
             assert heuristic_speed(law, refined=True) < heuristic_speed(law)
+
+    def test_pareto_frozen_values(self):
+        # finite-mean Pareto laws, whose quadratures run to the end of the
+        # u = a / (1 + a) range
+        cases = {
+            (1.0, 1.5): (4.948957552321619, 4.813262248229147),
+            (1.0, 2.5): (2.343765839381849, 2.1984567761547904),
+            (3.0, 1.5): (13.6092278658714, 12.828667146705309),
+            (3.0, 2.5): (5.928346740689814, 5.135963063629823),
+        }
+        for (lam, alpha), (plain, refined) in cases.items():
+            law = contender_params(lam, Pareto(2.0, alpha))
+            assert heuristic_speed(law) == plain
+            assert heuristic_speed(law, refined=True) == refined
+
+    @pytest.mark.parametrize("refined", [False, True])
+    @pytest.mark.parametrize("lam", [1.0, 3.0])
+    def test_infinite_mean_is_refused(self, lam, refined):
+        # the speed is infinite; this used to end in a ZeroDivisionError
+        # from the quadrature
+        law = contender_params(lam, Pareto(2.0, 0.5))
+        with pytest.raises(ConfigurationError, match=r"finite mean, got pareto\(2.0,0.5\)"):
+            heuristic_speed(law, refined=refined)
+        with pytest.raises(ConfigurationError, match="finite mean"):
+            heuristic_speed(ContenderLaw.direct(lam, Pareto(2.0, 0.5)), refined=refined)
 
 
 class TestFixationClassification:
@@ -413,6 +444,13 @@ class TestCoupledRun:
         assert set(res.flags) == {1, 2}
         assert 0.0 <= res.distance <= 1.0
         assert res.times[0] == 0.0 and res.times[-1] == pytest.approx(2.0)
+
+    def test_schedule_indices_are_checked_before_the_population_runs(self):
+        # used to run the whole population and fail only in the PitState replay
+        schedule = [InputEvent(3, 0.5, 1.0, True), InputEvent(2, 1.0, 1.0, True)]
+        with pytest.raises(ConfigurationError, match="index 2 must exceed 3") as caught:
+            coupled_run(10_000, schedule, 3.0, 1)
+        assert caught.traceback[-1].name == "moran_init"
 
 
 def test_write_cycles_csv(tmp_path):

@@ -120,9 +120,6 @@ class TestParams:
         options = {"cap": 3000, "levels": (5, 50)}
         assert gw_run(params, 31, **options) == gw_run(GwParams(2.0, 1.0, 2), 31, **options)
 
-    def test_drift(self):
-        assert GwParams(2.0, 0.5).drift == 1.5
-
 
 class TestRuns:
     def test_pure_death_goes_extinct(self):
@@ -136,7 +133,6 @@ class TestRuns:
         run = gw_run(GwParams(1.0, 0.0), np.random.default_rng(2), cap=500)
         assert run.escaped and not run.extinct
         assert run.final_value >= 500
-        assert run.survived
 
     def test_horizon_stops_early(self):
         run = gw_run(GwParams(1.0, 1.0, initial=5), np.random.default_rng(3), horizon=0.01)
@@ -167,7 +163,7 @@ class TestRuns:
         params = GwParams(2.0, 1.0)
         rng = np.random.default_rng(6)
         reps = 3000
-        survived = sum(gw_run(params, rng, cap=1000).survived for _ in range(reps))
+        survived = sum(not gw_run(params, rng, cap=1000).extinct for _ in range(reps))
         p = gw_survival_formula(2.0, 1.0)
         se = math.sqrt(p * (1 - p) / reps)
         assert abs(survived / reps - p) < 3.5 * se
@@ -186,7 +182,8 @@ class TestRuns:
         assert abs(mean - math.e) < 4 * se
 
     def test_passage_time_scales_like_log_level(self):
-        # conditioned on reaching the level, T_L / log L approaches 1/drift
+        # conditioned on reaching the level, T_L / log L approaches
+        # 1 / (birth - death)
         params = GwParams(2.0, 1.0)
         rng = np.random.default_rng(8)
         ratios = []
@@ -196,7 +193,7 @@ class TestRuns:
                 ratios.append(run.level_times[500] / math.log(500))
         assert len(ratios) > 100
         med = float(np.median(ratios))
-        assert abs(med - 1.0 / params.drift) < 0.12
+        assert abs(med - 1.0 / (params.birth - params.death)) < 0.12
 
 
 # gw_run records of seeded runs: (birth, death, initial), seed, options,

@@ -469,6 +469,11 @@ class TestExitCodes:
         ("moran-run", "n = 200\nhorizon = 1\ncounts = 150, 50\nfitness = 0, 1, 2\n",
          "counts"),
         ("moran-run", "n = 200\nhorizon = 1\nevent = 0.5, 1\nevent = 0.2, 1\n", "event"),
+        # the free-rate rules, which the command alone holds
+        ("moran-run", "n = 200\nhorizon = 1\nlambda = -1\ngamma = exponential(1)\n", "lambda"),
+        ("moran-run", "n = 200\nhorizon = 1\nlambda = 2\ngamma = exponential(1)\n"
+                      "event = 0.5, 1\n", "event"),
+        ("moran-run", "n = 200\nhorizon = 1\nlambda = 2\n", "gamma"),
         ("pit-replay", "start = 1.5, 0\nevent = 0.1, 1\n", "start"),
         ("pit-replay", "start = 0.5, 1\nstart = 0.5, 1\nevent = 0.1, 1\n", "start"),
         ("pit-replay", "start = 1, 0\nevent = 0.1, 1\n", "start"),

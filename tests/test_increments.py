@@ -45,11 +45,15 @@ class TestDistributions:
         assert Pareto(1.0, 1.5).has_finite_mean()
 
     def test_tails(self):
-        assert Exponential(1.0).tail(1.0) == pytest.approx(math.exp(-1.0))
-        assert Pareto(1.0, 0.5).tail(2.0) == pytest.approx(2.0 ** -0.5)
-        assert Uniform(1.0, 2.0).tail(1.5) == pytest.approx(0.5)
-        assert PointMass(1.0).tail(0.5) == 1.0
-        assert PointMass(1.0).tail(1.0) == 0.0
+        # a law given directly has the tail of its increment distribution
+        def tail(dist, a):
+            return ContenderLaw.direct(1.0, dist).tail(a)
+
+        assert tail(Exponential(1.0), 1.0) == pytest.approx(math.exp(-1.0))
+        assert tail(Pareto(1.0, 0.5), 2.0) == pytest.approx(2.0 ** -0.5)
+        assert tail(Uniform(1.0, 2.0), 1.5) == pytest.approx(0.5)
+        assert tail(PointMass(1.0), 0.5) == 1.0
+        assert tail(PointMass(1.0), 1.0) == 0.0
 
     def test_expect_polynomial(self):
         # E[A^2] for Uniform(1,2) is 7/3

@@ -17,15 +17,21 @@ from clonepit import (
     gamblers_ruin,
     gw_level_probability,
     gw_survival_formula,
-    mean_fitness,
     moran_init,
     moran_run,
+    sample_contender_stream,
     write_trace_csv,
 )
 from clonepit import moran
-from clonepit.inputs import _horizon_cut
 from clonepit.pit import ConfigurationError, _fmt
 from clonepit.rng import UNIFORM_BLOCK, UniformBuffer, replicate_rng
+
+
+def _free_schedule(lam, gamma, horizon, rng, first):
+    """A free mutation rate as ``moran-run`` draws it: the stream of rate
+    ``lam`` and increments from ``gamma`` on ``[0, horizon)``, ids from ``first``."""
+    stream = sample_contender_stream(ContenderLaw.direct(lam, gamma), horizon, rng)
+    return [InputEvent(i, ev.time, ev.increment, True) for i, ev in enumerate(stream, first)]
 
 
 class TestInit:
@@ -38,15 +44,6 @@ class TestInit:
             moran_init(10, [4, 5], [0.0, 1.0])
         with pytest.raises(ConfigurationError):
             moran_init(10, [-1, 11], [0.0, 1.0])
-        # free mutation and a fixed schedule are mutually exclusive
-        with pytest.raises(ConfigurationError):
-            moran_init(
-                10, [10], [0.0],
-                lam=1.0, gamma=Exponential(1.0),
-                schedule=[InputEvent(1, 0.5, 1.0, True)],
-            )
-        with pytest.raises(ConfigurationError):
-            moran_init(10, [10], [0.0], lam=1.0)
         with pytest.raises(ConfigurationError):
             moran_init(10, [5, 5], [0.0, 1.0], schedule=[InputEvent(1, 0.5, 1.0, True)])
         # scheduled indices become type ids, so each may appear once
@@ -56,10 +53,11 @@ class TestInit:
                 schedule=[InputEvent(1, 0.5, 1.0, True), InputEvent(1, 0.7, 1.0, True)],
             )
 
-    @pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan])
-    def test_lambda_must_be_finite_and_non_negative(self, lam):
-        with pytest.raises(ConfigurationError, match="lambda"):
-            moran_init(10, [10], [0.0], lam=lam, gamma=Exponential(1.0))
+    def test_schedule_indices_strictly_increase(self):
+        # the rule PitState and FitnessRows hold for the same records
+        with pytest.raises(ConfigurationError, match="index 2 must exceed 3"):
+            moran_init(10, [10], [0.0], schedule=[InputEvent(3, 0.5, 1.0, True),
+                                                  InputEvent(2, 0.7, 1.0, True)])
 
     def test_population_is_bounded_at_2_to_the_53(self):
         # counts are floats: above 2**53 a +-1 step can round away unseen
@@ -72,10 +70,6 @@ class TestInit:
     def test_schedule_holds_input_events(self):
         with pytest.raises(ConfigurationError, match="InputEvent"):
             moran_init(10, [10], [0.0], schedule=[(0.5, 1.0)])
-
-    def test_mean_fitness(self):
-        st = moran_init(10, [5, 5], [0.0, 1.0])
-        assert mean_fitness(st) == pytest.approx(0.5)
 
 
 class TestRuns:
@@ -127,14 +121,6 @@ class TestRuns:
         st = moran_init(50, [40, 10], [0.0, 1.0])
         res = moran_run(st, 1.0, np.random.default_rng(3), grid_step=step, trace=False)
         assert res.trace is None
-
-    def test_free_mutation_needs_a_finite_horizon(self):
-        st = moran_init(50, [50], [0.0], lam=1.0, gamma=Exponential(1.0))
-        rng = np.random.default_rng(3)
-        before = rng.bit_generator.state
-        with pytest.raises(ConfigurationError, match="horizon"):
-            moran_run(st, math.inf, rng)
-        assert rng.bit_generator.state == before
 
 
 class TestSchedule:
@@ -245,6 +231,56 @@ def _two_type_generator(n, s):
     return gen
 
 
+def _three_type_generator(n, fitness):
+    """States ``(x0, x1, x2)`` summing to ``n`` and the generator of the
+    three-type count chain: ``j`` replaces an individual of ``l`` at
+    ``x_j * x_l * (1 + (m_j - m_l)^+) * log(N) / N``."""
+    states = [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
+    where = {s: i for i, s in enumerate(states)}
+    c = math.log(n) / n
+    gen = np.zeros((len(states), len(states)))
+    for s, i in where.items():
+        for j in range(3):
+            for l in range(3):
+                if j != l and s[j] and s[l]:
+                    rate = s[j] * s[l] * (1.0 + max(fitness[j] - fitness[l], 0.0)) * c
+                    to = list(s)
+                    to[j] += 1
+                    to[l] -= 1
+                    gen[i, where[tuple(to)]] += rate
+                    gen[i, i] -= rate
+    return states, where, gen
+
+
+class TestThreeTypeLoop:
+    @pytest.mark.parametrize("fitness, seed", [((0.0, 0.7, 1.5), 2020), ((0.0, 1.0, 1.0), 2121)])
+    def test_counts_match_master_equation(self, fitness, seed):
+        # N = 20 from (10, 6, 4): the counts at t = 0.6 must follow the row
+        # of expm(G t) of the three-type chain.  A type dies before t in
+        # about 36% (27% with the tie) of the runs, so the per-event loop
+        # also hands over to the two-type walker.  Chi-square over the
+        # states with an expected count of at least 5, the rest pooled,
+        # p > 1e-3 (the seeds are fixed).
+        from scipy.stats import chi2
+
+        n, start, t, reps = 20, (10, 6, 4), 0.6, 4000
+        states, where, gen = _three_type_generator(n, fitness)
+        exact = reps * expm(gen * t)[where[start]]
+        seen = np.zeros(len(states))
+        for r in range(reps):
+            st = moran_init(n, start, fitness)
+            res = moran_run(st, t, replicate_rng(seed, r), trace=False)
+            live = res.state.live_types()
+            seen[where[tuple(live.get(tid, 0) for tid in range(3))]] += 1
+        handed_over = sum(seen[i] for i, s in enumerate(states) if 0 in s)
+        assert 0.2 * reps < handed_over < 0.5 * reps
+        big = exact >= 5.0
+        obs = np.append(seen[big], seen[~big].sum())
+        exp_ = np.append(exact[big], exact[~big].sum())
+        stat = float(((obs - exp_) ** 2 / exp_).sum())
+        assert chi2.sf(stat, obs.size - 1) > 1e-3, (stat, obs.size)
+
+
 class TestTwoTypeWalk:
     """Exact oracles and edge cases of the two-type block walk."""
 
@@ -329,7 +365,7 @@ class TestTwoTypeWalk:
         np.testing.assert_array_equal(total, n)
         assert tr.times[-1] == 0.5 and st.clock == 0.5
         assert len(st.ids) == 3 and res.n_events == st.events
-        assert st.mutations == 1 and res.n_events > 1
+        assert st.sched_pos == 1 and res.n_events > 1
 
     def test_extinction_before_the_indicator_check(self):
         # a mutant at a fitness disadvantage of 3 in N = 200 dies before its
@@ -381,60 +417,38 @@ class TestTwoTypeWalk:
         assert abs(np.mean(steps) - mean) < 4.0 * math.sqrt(mean / reps)
 
     def test_free_mutation_cuts_a_stretch(self):
-        # the free mutations are a rate-lam schedule drawn before the walk
-        # starts, so their number by t = 1 is Poisson(2); the first one
+        # a free rate is a rate-lam schedule drawn before the walk starts,
+        # so the number of mutations by t = 1 is Poisson(2); the first one
         # cuts the two-type stretch short
         reps, lam = 400, 2.0
         muts = []
         for r in range(reps):
-            st = moran_init(200, [100, 100], [0.0, 1.0], lam=lam, gamma=PointMass(0.5))
-            res = moran_run(st, 1.0, replicate_rng(400, r), trace=False)
+            rng = replicate_rng(400, r)
+            st = moran_init(200, [100, 100], [0.0, 1.0],
+                            schedule=_free_schedule(lam, PointMass(0.5), 1.0, rng, 2))
+            res = moran_run(st, 1.0, rng, trace=False)
             assert res.n_events == st.events and sum(st.counts) == 200
-            for tid in range(2, 2 + st.mutations):
+            assert st.sched_pos == len(st.schedule)
+            for tid in range(2, 2 + st.sched_pos):
                 assert 0.0 < st.type_birth[tid] <= 1.0
                 assert st.type_fitness[tid] - 0.5 in (0.0, 1.0, 0.5, 1.5, 2.0, 2.5)
-            muts.append(st.mutations)
+            muts.append(st.sched_pos)
         assert abs(np.mean(muts) - lam) < 4.0 * math.sqrt(lam / reps)
         assert abs(np.mean(np.equal(muts, 0)) - math.exp(-lam)) < 0.05
 
 
 class TestFreeMutation:
-    @pytest.mark.parametrize("counts, fitness", [
-        ([200, 100], [0.0, 0.5]),
-        ([300], [0.0]),
-        ([100, 100, 100], [0.0, 0.3, 0.6]),
-    ])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_free_run_is_the_scheduled_run(self, counts, fitness, seed):
-        # a free rate draws its schedule first, with the horizon cut of the
-        # arrival sampler, then runs exactly as that schedule would
-        lam, gamma, horizon = 3.0, Exponential(1.0), 2.0
-        free = moran_init(300, counts, fitness, lam=lam, gamma=gamma)
-        res = moran_run(free, horizon, np.random.default_rng(seed), grid_step=0.05)
-        twin = np.random.default_rng(seed)
-        pairs = _horizon_cut(ContenderLaw.direct(lam, gamma), horizon, twin)
-        events = [InputEvent(i, t, a, True) for i, (t, a) in enumerate(pairs, len(counts))]
-        ref = moran_run(moran_init(300, counts, fitness, schedule=events), horizon, twin,
-                        grid_step=0.05)
-        assert free.schedule == events and free.mutations == len(events) > 0
-        assert res.n_events == ref.n_events
-        assert res.indicators == ref.indicators
-        assert free.type_birth == ref.state.type_birth
-        assert free.type_fitness == ref.state.type_fitness
-        assert np.array_equal(res.trace.times, ref.trace.times)
-        assert np.array_equal(res.trace.mean_fitness, ref.trace.mean_fitness)
-        assert res.trace.counts.keys() == ref.trace.counts.keys()
-        for tid, c in res.trace.counts.items():
-            assert np.array_equal(c, ref.trace.counts[tid])
-
     def test_births_are_uniform_and_increments_follow_gamma(self):
         # given their number, the mutation times on [0, horizon) are i.i.d.
-        # uniform, and each mutant's increment is a draw of gamma
+        # uniform, each one founds its type, and each mutant's increment is
+        # a draw of gamma
         births, incs = [], []
         for r in range(300):
-            st = moran_init(50, [25, 25], [0.0, 1.0], lam=2.0, gamma=Exponential(1.0))
-            moran_run(st, 1.5, replicate_rng(77, r), trace=False)
-            assert st.mutations == len(st.schedule)
+            rng = replicate_rng(77, r)
+            st = moran_init(50, [25, 25], [0.0, 1.0],
+                            schedule=_free_schedule(2.0, Exponential(1.0), 1.5, rng, 2))
+            moran_run(st, 1.5, rng, trace=False)
+            assert st.sched_pos == len(st.schedule)
             for ev in st.schedule:
                 assert st.type_birth[ev.index] == ev.time
                 births.append(ev.time / 1.5)
@@ -523,15 +537,17 @@ def test_write_trace_csv_matches_reference(tmp_path, seed):
     # times, two free-mutation runs sample at their own mutation and check
     # times, and a last run is back on the bare grid
     rng = np.random.default_rng(seed)
-    free = [moran_init(300, [200, 100], [0.0, 0.5], lam=3.0, gamma=Exponential(1.0))
-            for _ in range(2)]
-    bare = [moran_init(300, [200, 100], [0.0, 0.5]) for _ in range(3)]
-    results = [moran_run(st, 2.0, rng, grid_step=0.05)
-               for st in (bare[0], bare[1], *free, bare[2])]
+
+    def run(free):
+        schedule = _free_schedule(3.0, Exponential(1.0), 2.0, rng, 2) if free else ()
+        return moran_run(moran_init(300, [200, 100], [0.0, 0.5], schedule=schedule), 2.0, rng,
+                         grid_step=0.05)
+
+    results = [run(free) for free in (False, False, True, True, False)]
     for res in results[2:4]:
         assert len(res.trace.heights) > 2
         # both kinds of event happened: mutations and resamplings
-        assert 0 < res.state.mutations < res.n_events
+        assert 0 < res.state.sched_pos < res.n_events
     moran._time_texts.cache_clear()
     earlier = None
     for r, res in enumerate(results):
