@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inputs import (
-    ArrivalBuffer,
     ContenderLaw,
     InputEvent,
     contender_params,
@@ -194,10 +193,9 @@ def sample_renewal_cycles(law: ContenderLaw, n_cycles: int, rng, *, collect_even
     lockstep: a row starts from one resident on its own clock at zero
     (keeping the time resolution independent of how many cycles have
     elapsed), runs to its first solitary change, records the cycle and
-    starts the next, carrying over the arrivals it has read but not used.
-    Exactly ``n_cycles`` start per stream and each one runs to its end;
-    more than :data:`MAX_CYCLES` over all streams are refused before
-    anything is allocated.
+    starts the next.  Exactly ``n_cycles`` start per stream and each one
+    runs to its end; more than :data:`MAX_CYCLES` over all streams are
+    refused before anything is allocated.
 
     ``rng`` is one stream (a ``Generator``, or a seed for one, such as an
     int) or a non-empty list of Generators, one stream each; any other
@@ -207,14 +205,15 @@ def sample_renewal_cycles(law: ContenderLaw, n_cycles: int, rng, *, collect_even
     :class:`RenewalCycles`, stream after stream, each stream's cycles in
     the order they started.
 
-    Each stream's rows read their arrivals from one
-    :class:`~clonepit.inputs.ArrivalBuffer` on it, which draws gaps and
-    increments in blocks of :data:`~clonepit.inputs.ARRIVAL_BLOCK`, a chunk
-    per row at a time in row order (see :meth:`~clonepit.pit.FitnessRows.cycles`).
-    With ``collect_events`` it returns ``(cycles, events)``, ``events``
-    holding per cycle, in the same order, the ``(time, increment)``
-    arrivals that cycle applied, on its own clock, so each cycle can be
-    replayed.
+    A row draws only the arrivals that can join it: after each of its
+    stamps, the next arrival steeper than every trajectory it keeps, from
+    :meth:`~clonepit.inputs.ContenderLaw.next_above` on its stream's
+    generator, the rows of a stream in row order.  An arrival that cannot
+    join never changes a resident, so the cycles have the law of the full
+    stream's.  With ``collect_events`` it returns ``(cycles, events)``,
+    ``events`` holding per cycle, in the same order, the ``(time,
+    increment)`` arrivals that cycle applied, on its own clock, so each
+    cycle can be replayed.
 
     An increment law without a finite mean does not stop the sampler
     (at rate 1, ``Pareto(1, 0.5)`` cycles last about 1.5 on average), but
@@ -227,10 +226,9 @@ def sample_renewal_cycles(law: ContenderLaw, n_cycles: int, rng, *, collect_even
         raise ConfigurationError(
             f"n_cycles over all streams must be at most {MAX_CYCLES}, got "
             f"{len(gens)} x {n_cycles}")
-    streams = [ArrivalBuffer(law, g) for g in gens]
     per = _LOCKSTEP_ROWS // min(n_cycles, _RENEWAL_ROWS)
-    runs = [FitnessRows.cycles(streams[i : i + per], n_cycles, collect=collect_events)
-            for i in range(0, len(streams), per)]
+    runs = [FitnessRows.cycles(law, gens[i : i + per], n_cycles, collect=collect_events)
+            for i in range(0, len(gens), per)]
     cycles = RenewalCycles(np.concatenate([run[0] for run in runs]),
                            np.concatenate([run[1] for run in runs]))
     if collect_events:

@@ -28,6 +28,7 @@ and absorbs the survival weight.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -49,7 +50,6 @@ __all__ = [
     "InputEvent",
     "ContenderLaw",
     "ARRIVAL_BLOCK",
-    "ArrivalBuffer",
     "contender_params",
     "sample_contender_stream",
 ]
@@ -113,6 +113,21 @@ class IncrementDistribution:
     def has_finite_mean(self) -> bool:
         return math.isfinite(self.mean())
 
+    def tail(self, v) -> np.ndarray:
+        """``P(A > v)`` for each threshold in the array ``v``, in closed form.
+
+        Strict: an atom at ``v`` is left out.
+        """
+        raise NotImplementedError
+
+    def sample_above(self, rng, v) -> np.ndarray:
+        """One increment conditioned on ``A > v`` for each threshold in the array ``v``.
+
+        Where ``tail(v)`` is 0 the draw is arbitrary.  How many numbers the
+        draw takes from ``rng`` does not depend on the thresholds.
+        """
+        raise NotImplementedError
+
     def expect(self, g, lower: float = 0.0, include_lower: bool = True) -> float:
         """Integral of ``g`` against the law over ``[lower, inf)``.
 
@@ -148,6 +163,12 @@ class PointMass(IncrementDistribution):
     def support(self):
         return (self.c, self.c)
 
+    def tail(self, v):
+        return np.where(np.asarray(v) < self.c, 1.0, 0.0)
+
+    def sample_above(self, rng, v):
+        return np.full(np.shape(v), self.c)
+
     def expect(self, g, lower=0.0, include_lower=True):
         if self.c > lower or (include_lower and self.c == lower):
             return float(g(self.c))
@@ -180,6 +201,14 @@ class Uniform(IncrementDistribution):
     def support(self):
         return (self.lo, self.hi)
 
+    def tail(self, v):
+        return np.clip((self.hi - np.asarray(v)) / (self.hi - self.lo), 0.0, 1.0)
+
+    def sample_above(self, rng, v):
+        # hi - (hi - b) * u for u in [0, 1) lies in (b, hi]
+        b = np.maximum(v, self.lo)
+        return self.hi - (self.hi - b) * as_generator(rng).random(b.shape)
+
     def expect(self, g, lower=0.0, include_lower=True):
         lo = max(self.lo, lower)
         if lo >= self.hi:
@@ -211,12 +240,24 @@ class Exponential(IncrementDistribution):
     def support(self):
         return (0.0, math.inf)
 
+    def tail(self, v):
+        return np.exp(-np.maximum(v, 0.0) / self.mean_value)
+
+    def sample_above(self, rng, v):
+        # memoryless: the excess over the threshold is the law itself
+        b = np.maximum(v, 0.0)
+        return b + as_generator(rng).exponential(self.mean_value, b.shape)
+
     def expect(self, g, lower=0.0, include_lower=True):
         m = self.mean_value
         lo = max(0.0, lower)
         u_lo = lo / (1.0 + lo)
 
         def f(u):
+            if u == 1.0:
+                # a node rounded onto the end of the range (lower near
+                # 1/eps), where a is infinite: the integrand's limit there
+                return 0.0
             a = u / (1.0 - u)
             return g(a) * math.exp(-a / m) / m / (1.0 - u) ** 2
 
@@ -268,12 +309,26 @@ class Pareto(IncrementDistribution):
     def support(self):
         return (self.scale, math.inf)
 
+    def tail(self, v):
+        return (self.scale / np.maximum(v, self.scale)) ** self.alpha
+
+    def sample_above(self, rng, v):
+        # above b >= scale the law is Pareto with scale b
+        b = np.maximum(v, self.scale)
+        return b * (1.0 - as_generator(rng).random(b.shape)) ** (-1.0 / self.alpha)
+
     def expect(self, g, lower=0.0, include_lower=True):
         lo = max(self.scale, lower)
         u_lo = lo / (1.0 + lo)
         c = self.alpha * self.scale**self.alpha
 
         def f(u):
+            if u == 1.0:
+                # a node rounded onto the end of the range (lower near
+                # 1/eps), where a is infinite: the integrand's limit there
+                # for alpha > 1 and a bounded g; for alpha <= 1 the end is
+                # an integrable singularity, and the node is left out too
+                return 0.0
             a = u / (1.0 - u)
             return g(a) * c * a ** (-self.alpha - 1.0) / (1.0 - u) ** 2
 
@@ -320,6 +375,27 @@ class Mixture(IncrementDistribution):
     def support(self):
         los, his = zip(*(c.support() for c in self.components))
         return (min(los), max(his))
+
+    def _weighted_tails(self, v):
+        return [w * c.tail(v) for w, c in zip(self.weights, self.components)]
+
+    def tail(self, v):
+        return sum(self._weighted_tails(v))
+
+    def sample_above(self, rng, v):
+        # Every component draws above v, and each threshold keeps the draw
+        # of component k with probability w_k tail_k(v) / tail(v), the first
+        # k whose running sum of weighted tails passes its uniform: one
+        # uniform per threshold, then each component's draws in order.
+        rng = as_generator(rng)
+        v = np.asarray(v, dtype=float)
+        parts = self._weighted_tails(v)
+        u = rng.random(v.shape) * sum(parts)
+        draws = [c.sample_above(rng, v) for c in self.components]
+        out = draws.pop()
+        for run, draw in reversed(list(zip(itertools.accumulate(parts), draws))):
+            np.copyto(out, draw, where=u < run)
+        return out
 
     def expect(self, g, lower=0.0, include_lower=True):
         return sum(
@@ -483,11 +559,10 @@ class ContenderLaw:
         """Draw an array of ``size`` contender increments.
 
         ``size`` is required: there is no scalar draw, because a single
-        draw of the derived law costs a whole rejection block.  Callers
-        that consume increments one at a time read them from an
-        :class:`ArrivalBuffer`.  The derived law is sampled by rejection:
-        propose from the base distribution and accept with probability
-        ``a / (1 + a)``, which is exactly the size-biasing weight.
+        draw of the derived law costs a whole rejection block.  The derived
+        law is sampled by rejection: propose from the base distribution and
+        accept with probability ``a / (1 + a)``, which is exactly the
+        size-biasing weight.
         """
         rng = as_generator(rng)
         if self.explicit is not None:
@@ -504,47 +579,54 @@ class ContenderLaw:
             got += take
         return out
 
+    def next_above(self, rng, v) -> tuple[np.ndarray, np.ndarray]:
+        """Per threshold in the array ``v``: the wait for the next contender
+        arrival whose increment exceeds it, and that increment.
 
-#: Arrivals drawn per block by :class:`ArrivalBuffer`.
+        By the restriction theorem these arrivals are a Poisson stream of
+        rate ``rate * tail(v)``, with increments from the law conditioned
+        above ``v``; a threshold no increment exceeds waits forever.  An
+        explicit law draws an exponential per threshold, then the
+        increments.  A derived law runs its candidate stream above ``v``, at
+        ``base_rate * P_base(A > v)``, and accepts a candidate ``a`` with
+        probability ``a / (1 + a)``.  It does so in rounds over the
+        thresholds still waiting, each round drawing some candidates per
+        threshold (at least ``base_rate / rate``, 1 over the smallest
+        acceptance rate, and more as fewer wait) and then their uniforms;
+        the wait is the sum of the candidates' gaps up to the first one
+        accepted, drawn as one gamma variate.
+        """
+        rng = as_generator(rng)
+        v = np.asarray(v, dtype=float)
+        if self.explicit is not None:
+            rate = self.rate * self.explicit.tail(v)
+            e = rng.standard_exponential(v.shape)
+            inc = self.explicit.sample_above(rng, v)
+        else:
+            rate = self.base_rate * self.base.tail(v)
+            e, inc = np.zeros(v.shape), v.copy()
+            todo = np.flatnonzero(rate > 0.0)
+            least = math.ceil(self.base_rate / self.rate)
+            while todo.size:
+                n = todo.size
+                k = min(max(least, -(-_ROUND_LEAST // n)), max(1, _ROUND_MOST // n))
+                a = self.base.sample_above(rng, np.broadcast_to(v[todo, None], (n, k)))
+                ok = rng.random(a.shape) < a / (1.0 + a)
+                first = ok.argmax(axis=1)
+                hit = ok[np.arange(n), first]
+                e[todo] += rng.standard_gamma(np.where(hit, first + 1.0, k))
+                inc[todo[hit]] = a[hit, first[hit]]
+                todo = todo[~hit]
+        return np.divide(e, rate, out=np.full(v.shape, math.inf), where=rate > 0.0), inc
+
+
+#: Candidates one round of :meth:`ContenderLaw.next_above` draws over all
+#: its thresholds: at least the first (when few wait), at most the second.
+_ROUND_LEAST = 1024
+_ROUND_MOST = 1 << 18
+
+#: Arrivals drawn per block by :func:`sample_contender_stream`.
 ARRIVAL_BLOCK = 256
-
-
-class ArrivalBuffer:
-    """Contender arrivals as ``(gap, increment)`` pairs, drawn in blocks.
-
-    Each block draws ``ARRIVAL_BLOCK`` inter-arrival gaps with
-    ``rng.exponential(1 / law.rate, ARRIVAL_BLOCK)`` and then as many
-    increments with ``law.sample(rng, ARRIVAL_BLOCK)``; :meth:`take` hands
-    the pairs out left to right.  A block is drawn only when a read reaches
-    it.  It is the one arrival sampler: :func:`sample_contender_stream` cuts
-    its stream at a horizon, and the renewal sampler's rows read it in turn.
-    """
-
-    __slots__ = ("_rng", "law", "_gaps", "_incs", "_pos")
-
-    def __init__(self, law: ContenderLaw, rng):
-        self._rng = as_generator(rng)
-        self.law = law
-        self._gaps = self._incs = np.empty(0)
-        self._pos = ARRIVAL_BLOCK
-
-    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next ``n`` pairs as two arrays, gaps and increments."""
-        gaps, incs = [], []
-        while n > 0:
-            pos = self._pos
-            if pos == ARRIVAL_BLOCK:
-                self._gaps = self._rng.exponential(1.0 / self.law.rate, ARRIVAL_BLOCK)
-                self._incs = self.law.sample(self._rng, ARRIVAL_BLOCK)
-                pos = 0
-            k = min(n, ARRIVAL_BLOCK - pos)
-            gaps.append(self._gaps[pos : pos + k])
-            incs.append(self._incs[pos : pos + k])
-            self._pos = pos + k
-            n -= k
-        if len(gaps) == 1:
-            return gaps[0], incs[0]
-        return np.concatenate([np.empty(0), *gaps]), np.concatenate([np.empty(0), *incs])
 
 
 def contender_params(lam: float, gamma: IncrementDistribution) -> ContenderLaw:
@@ -562,25 +644,26 @@ def contender_params(lam: float, gamma: IncrementDistribution) -> ContenderLaw:
 def sample_contender_stream(law: ContenderLaw, horizon: float, rng) -> list[InputEvent]:
     """Contender stream on ``[0, horizon)``; every event carries ``contender=True``.
 
-    The stream is the horizon cut of an :class:`ArrivalBuffer`, so on the
-    same generator state its arrivals are those the renewal sampler reads:
-    the buffer is read a block at a time, its gaps summed in order
-    (``np.add.accumulate`` adds left to right, as ``t += gap`` does), and
-    the block holding the first arrival at or past ``horizon`` is the last
-    one drawn.  Events are indexed from 1.  Driving the trajectory system
-    with this stream is equivalent in law to driving it with the full
-    candidate stream, because non-contenders never leave height zero.
+    The stream is drawn in blocks: each block draws ``ARRIVAL_BLOCK``
+    inter-arrival gaps with ``rng.exponential(1 / law.rate, ARRIVAL_BLOCK)``,
+    then as many increments with ``law.sample(rng, ARRIVAL_BLOCK)``, and
+    sums the gaps in order (``np.add.accumulate`` adds left to right, as
+    ``t += gap`` does); the block holding the first arrival at or past
+    ``horizon`` is the last one drawn.  Events are indexed from 1.  Driving
+    the trajectory system with this stream is equivalent in law to driving
+    it with the full candidate stream, because non-contenders never leave
+    height zero.
     """
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    arrivals = ArrivalBuffer(law, rng)
+    rng = as_generator(rng)
     times, incs = [], []
     t = 0.0
     while t < horizon:
-        gaps, a = arrivals.take(ARRIVAL_BLOCK)
+        gaps = rng.exponential(1.0 / law.rate, ARRIVAL_BLOCK)
+        incs.append(law.sample(rng, ARRIVAL_BLOCK))
         block = np.add.accumulate(np.concatenate(([t], gaps)))[1:]
         times.append(block)
-        incs.append(a)
         t = block[-1]
     times, incs = np.concatenate(times), np.concatenate(incs)
     cut = int(np.searchsorted(times, horizon, side="left"))

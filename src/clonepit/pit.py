@@ -666,26 +666,31 @@ class FitnessRows:
     The kept trajectories of a row are all rising and sit in arrival order,
     which is also the order of increasing slope, in the columns of padded
     ``rows x columns`` arrays (a free cell has height -inf and slope 0, so
-    it never hits and is never kept).  One numpy step advances every
-    moving row by one stamp: the hit offsets, the race between the next
-    hit and the next arrival, the move, the hits within ``TIME_EPS`` of the
-    first, the crown (the steepest hitter, ties to the earlier arrival),
-    the kink, the domination prune as a reverse cumulative maximum (the
-    cells it frees are closed up only when a row runs out of columns) and
-    the join test of the arrival.  So a row's changes are those of
-    :class:`PitState` on the same arrivals, with the same winners and
-    solitary flags, and times and fitness agree with it up to rounding
-    (the extinctions a row never sees are no steps here).
+    it never hits and is never kept).  Each row also holds its next
+    arrival (time, slope, index).  One numpy step advances every moving
+    row by one stamp: the hit offsets, the race between the next hit and
+    the next arrival, the move, the hits within ``TIME_EPS`` of the first,
+    the crown (the steepest hitter, ties to the earlier arrival), the kink,
+    the domination prune as a reverse cumulative maximum (the cells it
+    frees are closed up only when a row runs out of columns) and the join
+    test of the arrival.  So a row's changes are those of :class:`PitState`
+    on the same arrivals, with the same winners and solitary flags, and
+    times and fitness agree with it up to rounding (the extinctions a row
+    never sees are no steps here).
 
     ``FitnessRows(streams)`` takes one :class:`~clonepit.inputs.InputEvent`
-    stream per row; :meth:`advance` moves all rows to a common ``until``.
-    :meth:`cycles` is the renewal mode: it runs the rows of one or more
-    arrival streams together, and a row that makes a solitary change
-    records the cycle and starts its stream's next one on its own clock.
+    stream per row, and a row's next arrival is the next one of its
+    stream; :meth:`advance` moves all rows to a common ``until``.
+    :meth:`cycles` is the renewal mode: it draws each row's next arrival
+    among those that can join, runs the rows of one or more streams
+    together, and a row that makes a solitary change records the cycle and
+    starts its stream's next one on its own clock.
     """
 
     #: per-row state, permuted together when rows leave the moving prefix
-    _ROW_STATE = ("_rows", "_clock", "_fit", "_n", "_ptr", "_H", "_V", "_ID", "_T", "_S", "_I")
+    _ROW_STATE = ("_rows", "_clock", "_fit", "_n", "_H", "_V", "_ID", "_tn", "_sn", "_in")
+    #: stream mode's too: each row's arrival columns and its place in them
+    _STREAM_STATE = ("_ptr", "_T", "_S", "_I")
 
     def __init__(self, streams):
         streams = [list(evs) for evs in streams]
@@ -718,32 +723,37 @@ class FitnessRows:
                     f"stream {r}: immigration times and indices must be strictly increasing"
                     " and indices at least 1"
                 )
-        self._setup(T, S, I, [len(streams)])
+        self._setup(len(streams), [len(streams)])
+        self._state = self._ROW_STATE + self._STREAM_STATE
+        self._T, self._S, self._I = T, S, I
+        #: per row, the column of its next arrival in _T, _S and _I
+        self._ptr = np.zeros(len(streams), dtype=np.int64)
+        self._tn, self._sn, self._in = T[:, 0].copy(), S[:, 0].copy(), I[:, 0].copy()
         self._log: list | None = []
         #: resident_changes as last built, with the log length it was built from
         self._changes = (0, [[] for _ in streams])
 
-    def _setup(self, T, S, I, groups):
-        """Empty rows on the arrival columns ``T``, ``S``, ``I``, in ``groups`` of consecutive rows.
+    def _setup(self, n_rows, groups):
+        """``n_rows`` empty rows, in ``groups`` of consecutive rows, none holding an arrival.
 
         A group is all rows in stream mode, one arrival stream's rows in
         renewal mode.  Parking keeps the order of the rows that stay, so
         each group stays one block of the moving prefix, between
         consecutive entries of ``_bounds``.
         """
-        n_rows = T.shape[0]
         self._rows = np.arange(n_rows)
         self._clock = np.zeros(n_rows)
         self._fit = np.zeros(n_rows)
         #: per row, the column the next joining arrival takes
         self._n = np.zeros(n_rows, dtype=np.int64)
-        #: per row, the column of its next arrival in _T, _S and _I
-        self._ptr = np.zeros(n_rows, dtype=np.int64)
         self._at = np.arange(n_rows)
         self._H = np.full((n_rows, 2), -math.inf)
         self._V = np.zeros((n_rows, 2))
         self._ID = np.zeros((n_rows, 2), dtype=np.int64)
-        self._T, self._S, self._I = T, S, I
+        #: per row, its next arrival: time, slope and index
+        self._tn = np.full(n_rows, math.inf)
+        self._sn = np.zeros(n_rows)
+        self._in = np.zeros(n_rows, dtype=np.int64)
         self._bounds = [0, *itertools.accumulate(groups)]
 
     # -- stream mode ---------------------------------------------------------
@@ -763,7 +773,14 @@ class FitnessRows:
         self._bounds = [0, moving]
         with np.errstate(invalid="ignore"):
             while moving:
-                stop, _ = self._step(moving, until)
+                stop, _, take = self._step(moving, until)
+                rows = take.nonzero()[0]
+                if rows.size:
+                    ptr = self._ptr[rows] + 1
+                    self._ptr[rows] = ptr
+                    self._tn[rows] = self._T[rows, ptr]
+                    self._sn[rows] = self._S[rows, ptr]
+                    self._in[rows] = self._I[rows, ptr]
                 if np.count_nonzero(stop):
                     moving = self._park(moving, stop)
 
@@ -802,66 +819,59 @@ class FitnessRows:
     # -- renewal mode --------------------------------------------------------
 
     @classmethod
-    def cycles(cls, streams, n_cycles: int, *, collect: bool = False):
-        """Run exactly ``n_cycles`` regeneration cycles on each of ``streams``, in one lockstep.
+    def cycles(cls, law, rngs, n_cycles: int, *, collect: bool = False):
+        """Run exactly ``n_cycles`` regeneration cycles of ``law`` on each generator of ``rngs``, in one lockstep.
 
-        ``streams`` is a list of :class:`~clonepit.inputs.ArrivalBuffer`, all
-        on one contender law.  Each stream runs its own ``min(n_cycles,
-        1024)`` rows, which start its cycles 0, 1, ...; a row that makes a
-        solitary change records its cycle (after an arrival carrying the
-        same stamp), and while fewer than ``n_cycles`` of its stream have
-        started it starts the stream's next one, rows of a stream finishing
-        at one step taking numbers in row order; otherwise it retires.
-        Every started cycle runs to its solitary change, so long cycles are
-        not cut short.  A new cycle starts with one resident on a clock at
-        zero and keeps the arrivals its row has read but not applied,
-        shifted to that clock (one that would fall at or before zero is
-        moved to ``TIME_EPS``).
+        ``law`` is a :class:`~clonepit.inputs.ContenderLaw`, and each
+        generator is one arrival stream.  Each stream runs its own
+        ``min(n_cycles, 1024)`` rows, which start its cycles 0, 1, ...; a
+        row that makes a solitary change records its cycle (after an arrival
+        carrying the same stamp), and while fewer than ``n_cycles`` of its
+        stream have started it starts the stream's next one, rows of a
+        stream finishing at one step taking numbers in row order; otherwise
+        it retires.  Every started cycle runs to its solitary change, so
+        long cycles are not cut short.  A new cycle starts with one resident
+        on a clock at zero.
 
-        Each row reads its stream in chunks of a fixed size, a power of two
-        between 2 and 64 set by the contender rate, and sums the gaps of its
-        chunk onto its last arrival time.  A row reads a chunk when it has
-        passed the one before; a stream's rows reading at one step read in
-        row order, and at the start every row reads one chunk.  A stream's
-        refills go to its own rows alone, so its cycles are bit for bit
-        those it gives when it runs alone, whatever runs beside it.
+        A row holds only its next joining arrival.  Between its stamps its
+        largest kept slope ``v`` stays put, and only an arrival steeper than
+        ``v`` can join; those arrivals form a Poisson stream of rate
+        ``law.rate * tail(v)`` (the restriction theorem).  So after every
+        step each moving row draws its next arrival afresh from its own
+        clock with :meth:`~clonepit.inputs.ContenderLaw.next_above`, which
+        is exact because the stream is memoryless.  The rows of a stream
+        draw from its generator alone, in row order, so its cycles are bit
+        for bit those it gives when it runs alone, whatever runs beside it.
 
         Returns ``(lengths, rewards, events)``, stream after stream and in
         cycle order within a stream, ``events`` being ``None`` or, with
-        ``collect``, per cycle the ``(time, increment)`` pairs it applied,
-        on its own clock.
+        ``collect``, per cycle the ``(time, increment)`` arrivals it
+        applied, on its own clock: only arrivals that can join are drawn.
         """
-        streams = list(streams)
-        if not streams:
+        rngs = list(rngs)
+        if not rngs:
             raise ConfigurationError("FitnessRows.cycles needs at least one arrival stream")
-        law = streams[0].law
-        if any(buf.law != law for buf in streams):
-            raise ConfigurationError("the arrival streams of one lockstep must share one law")
-        chunk = 1 << min(6, max(1, math.ceil(math.log2(0.25 * law.rate + 1.0))))
         n_rows = min(n_cycles, _RENEWAL_ROWS)
-        T = np.zeros((len(streams) * n_rows, 2 * chunk))
         self = cls.__new__(cls)
-        self._setup(T, np.zeros_like(T), np.zeros(T.shape, dtype=np.int64),
-                    [n_rows] * len(streams))
+        self._setup(len(rngs) * n_rows, [n_rows] * len(rngs))
+        self._state = self._ROW_STATE
         self._log = None
-        self._ptr[:] = 2 * chunk
         # here _rows holds the cycle each row runs, stream s numbering its
         # cycles from s * n_cycles
-        self._rows = (np.arange(len(streams))[:, None] * n_cycles + np.arange(n_rows)).ravel()
-        started = [n_rows] * len(streams)
-        lengths, rewards = np.empty(len(streams) * n_cycles), np.empty(len(streams) * n_cycles)
+        self._rows = (np.arange(len(rngs))[:, None] * n_cycles + np.arange(n_rows)).ravel()
+        started = [n_rows] * len(rngs)
+        lengths, rewards = np.empty(len(rngs) * n_cycles), np.empty(len(rngs) * n_cycles)
         applied = {c: [] for c in self._rows.tolist()} if collect else None
         moving = self._rows.size
         with np.errstate(invalid="ignore"):
             while moving:
-                self._refill(moving, streams, chunk)
-                before = self._ptr[:moving].copy() if collect else None
-                _, done = self._step(moving, math.inf)
+                self._draw(moving, law, rngs)
+                _, done, take = self._step(moving, math.inf)
                 if collect:
-                    for w in np.flatnonzero(self._ptr[:moving] > before):
-                        b, a = before[w], self._ptr[w]
-                        applied[self._rows[w]].extend(
-                            zip(self._T[w, b:a].tolist(), self._S[w, b:a].tolist()))
+                    w = take.nonzero()[0]
+                    for c, t, s in zip(self._rows[w].tolist(), self._tn[w].tolist(),
+                                       self._sn[w].tolist()):
+                        applied[c].append((t, s))
                 finished = [] if done is None else self._group_counts(done)
                 if not any(finished):
                     continue
@@ -894,30 +904,23 @@ class FitnessRows:
         events = [applied[c] for c in range(lengths.size)] if collect else None
         return lengths, rewards, events
 
-    def _refill(self, moving, streams, chunk):
-        """Give every moving row that has passed into its second chunk a fresh one behind it.
+    def _draw(self, moving, law, rngs):
+        """Give each moving row its next joining arrival, from its clock on.
 
-        The rows of each stream read from it in row order.
+        The threshold is the row's largest kept slope (0 with none kept:
+        free cells have slope 0).  Stream ``g``'s rows draw from
+        ``rngs[g]``, in row order.
         """
-        over = self._ptr[:moving] > chunk
-        need = np.flatnonzero(over)
-        if need.size:
-            parts = [buf.take(m * chunk)
-                     for buf, m in zip(streams, self._group_counts(over)) if m]
-            gaps, incs = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-            T, S = self._T[need], self._S[need]
-            T[:, :chunk], S[:, :chunk] = T[:, chunk:], S[:, chunk:]
-            T[:, chunk:] = np.add.accumulate(
-                np.concatenate((T[:, chunk - 1 : chunk], gaps.reshape(-1, chunk)), axis=1), axis=1
-            )[:, 1:]
-            S[:, chunk:] = incs.reshape(-1, chunk)
-            self._T[need], self._S[need] = T, S
-            self._ptr[need] -= chunk
+        v = _reduce_last(np.maximum, self._V[:moving])
+        b = self._bounds
+        for g, rng in enumerate(rngs):
+            lo, hi = b[g], b[g + 1]
+            if lo < hi:
+                wait, self._sn[lo:hi] = law.next_above(rng, v[lo:hi])
+                np.add(self._clock[lo:hi], wait, out=self._tn[lo:hi])
 
     def _restart(self, rows):
         """Start a new cycle on ``rows``: one resident at fitness 0, clock 0."""
-        T = self._T[rows] - self._clock[rows, None]
-        self._T[rows] = np.where(T > 0.0, T, TIME_EPS)
         self._clock[rows] = 0.0
         self._fit[rows] = 0.0
         self._n[rows] = 0
@@ -932,10 +935,11 @@ class FitnessRows:
         The rows that stay keep their order, so each group stays one block.
         """
         gone = self._group_counts(leave)
-        order = np.argsort(leave, kind="stable")
-        for name in self._ROW_STATE:
-            arr = getattr(self, name)
-            arr[:moving] = arr[:moving][order]
+        if sum(gone) < moving:
+            order = np.argsort(leave, kind="stable")
+            for name in self._state:
+                arr = getattr(self, name)
+                arr[:moving] = arr[:moving][order]
         self._bounds = [b - g for b, g in zip(self._bounds, itertools.accumulate([0, *gone]))]
         return self._bounds[-1]
 
@@ -943,19 +947,20 @@ class FitnessRows:
         """Advance each row of the moving prefix by one stamp.
 
         Returns the rows' stop flags (their next stamp lies past ``until``;
-        they now sit at ``until``) and the flags of the rows that made a
-        solitary resident change, or None when no row made a change.
+        they now sit at ``until``), the flags of the rows that made a
+        solitary resident change, or None when no row made a change, and
+        the flags of the rows whose next arrival fell on the stamp, joining
+        or not.
         """
         at = self._at[:moving]
         H, V = self._H[:moving], self._V[:moving]
-        clock, fit, n, ptr = (self._clock[:moving], self._fit[:moving],
-                              self._n[:moving], self._ptr[:moving])
+        clock, fit, n = self._clock[:moving], self._fit[:moving], self._n[:moving]
 
         off = np.subtract(1.0, H)
         np.divide(off, V, out=off)
         off_min = _reduce_last(np.minimum, off)
         t_hit = clock + off_min
-        t_imm = self._T[at, ptr]
+        t_imm = self._tn[:moving]
         t_next = np.minimum(t_hit, t_imm)
         # past until, or nothing left to happen
         stop = t_next > min(until, _FLOAT_MAX)
@@ -1001,19 +1006,17 @@ class FitnessRows:
         if np.count_nonzero(take):
             # an arrival joins when it is steeper than every kept trajectory
             # of its row (free cells have slope 0)
-            s = self._S[at, ptr]
-            joins = take & (s > _reduce_last(np.maximum, V))
-            ptr += take
-            rows = joins.nonzero()[0]
+            s = self._sn[:moving]
+            rows = (take & (s > _reduce_last(np.maximum, V))).nonzero()[0]
             if rows.size:
                 if n.max() == H.shape[1]:
                     self._make_room(moving)
                 col = n[rows]
                 self._H[rows, col] = 0.0
                 self._V[rows, col] = s[rows]
-                self._ID[rows, col] = self._I[rows, ptr[rows] - 1]
+                self._ID[rows, col] = self._in[rows]
                 n[rows] = col + 1
-        return stop, done
+        return stop, done, take
 
     def _group_counts(self, flags) -> list[int]:
         """Per group, the number of its moving rows set in ``flags``."""

@@ -534,8 +534,9 @@ class TestCommandTable:
 
 # One small seeded scenario per command that writes CSV or JSONL (two for
 # pit-run), with the sha256 of every such artifact.  summary.json is left
-# out: it carries the wall time and the build tag.  Every sampled stream
-# follows the block draw order of inputs.ArrivalBuffer.
+# out: it carries the wall time and the build tag.  Every horizon-cut
+# stream follows the block draw order of inputs.sample_contender_stream,
+# and every renewal row draws its arrivals with ContenderLaw.next_above.
 FROZEN_ARTIFACTS = {
     "pit-replay": (REPLAY_CFG, {
         "events.csv": "41172337b0de5ec8dfafababa7f28b3bf26ae33f4b168a09e4cca1993a379d7d",
@@ -554,23 +555,23 @@ FROZEN_ARTIFACTS = {
     "speed": (
         "command = speed\nlambda = 1\ngamma = pointmass(1)\nhorizon = 50\n"
         "replicates = 2\nseed = 11\n", {
-            "cycles_r000.csv": "188c9d528568c4280d49b6fe5e924f9deaba33bb6690c65a36af01a30ca60de0",
-            "cycles_r001.csv": "0719ceb1d8f48f457367320083615fb590eb552682832b72653fa58db6a6d431",
+            "cycles_r000.csv": "ee34dcab222a97433380cb9d82d33d27cff7ff700d3ee50e7573e9ddc9b88a88",
+            "cycles_r001.csv": "51770c036cdfdff889e25a46470a9952580bc0d36df92f0ccdd935e50a8f144c",
         }),
-    # renewal rows that read chunks of 4 and of 16 arrivals
-    "speed-chunk-4": (
+    # renewal rows at higher contender rates, where most arrivals cannot join
+    "speed-lambda-20": (
         "command = speed\nlambda = 20\ngamma = exponential(1)\nhorizon = 300\n"
         "replicates = 3\nseed = 12\n", {
-            "cycles_r000.csv": "e14d4540b2e8b1d970ce99fc7efb17cd0d20b2a0a321325f63a4677b1f8ed967",
-            "cycles_r001.csv": "bc24aaa9c991bd769fe82e3128f9f8fa0c9afd84666baf19526a080736a01d62",
-            "cycles_r002.csv": "8f23311287657ce4251cb5fe964670df71d98214a2ea9a332bc466a98c0535e3",
+            "cycles_r000.csv": "46d926eef1555d94045dd0f52e9f6a5f019f07332923926b2af28ab2ec928510",
+            "cycles_r001.csv": "c24be07cfc55ea0526c58c23ee90fddd9455fa256728609b6cf8de2875489f47",
+            "cycles_r002.csv": "a07a79b830d84e4d510f1b19a3d83b4a1d5d2c09f74ad84534c9aa3dcf6ef236",
         }),
-    "speed-chunk-16": (
+    "speed-lambda-50": (
         "command = speed\nlambda = 50\ngamma = uniform(1,2)\nhorizon = 200\n"
         "replicates = 3\nseed = 13\n", {
-            "cycles_r000.csv": "9b00870aa0d24eacf442ae2e0a7b26d3cfd780cd7d35688ce8e6e2132a6170c3",
-            "cycles_r001.csv": "e578cffcdd5bc9e593d85f1fd5216d378d0610bfd9a922af088b6b1f1e074fb0",
-            "cycles_r002.csv": "ad58c83f52c945ff71f057ab051cc0f9b228ef3f81e13e8a9d86db7b2872326f",
+            "cycles_r000.csv": "6545fd8fc556dcda7e6bc8f09897d9775d8ae46c0424fd547b46a3bea9f3c35c",
+            "cycles_r001.csv": "eefd6a8c90563e06aff3401dc35631e5fd49f8e02b4a672f6e3e2e404368f150",
+            "cycles_r002.csv": "3475909179e2c166026143eb6f65fdec56afccd1c4eed686795c79f2dc99a48a",
         }),
     "moran-run": (
         "command = moran-run\nn = 200\ncounts = 150, 50\nfitness = 0, 1\n"
@@ -599,7 +600,7 @@ FROZEN_ARTIFACTS = {
     "fclt": (
         "command = fclt\nlambda = 1\ngamma = pointmass(1)\nscale = 100\n"
         "replicates = 3\nseed = 7\ngrid_step = 0.25\n", {
-            "fclt.csv": "757392f60f7e2d107bb2f5dcdfbec2338937d1594836463ea1bf1d983fe2acfb",
+            "fclt.csv": "f383bdd8e7129e96b6fb08e24572d028ccbff96fb82dc1861dc083a8ebc45c51",
         }),
     # the dense regime of criteria 10/12: hundreds of active trajectories
     "pit-run-dense": (

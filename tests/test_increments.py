@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 from scipy.special import exp1
-from scipy.stats import kstest
+from scipy.stats import ks_2samp, kstest
 
 from clonepit import (
     ContenderLaw,
@@ -20,7 +20,7 @@ from clonepit import (
     sample_contender_stream,
     survival_prob,
 )
-from clonepit.inputs import ARRIVAL_BLOCK, ArrivalBuffer
+from clonepit.inputs import ARRIVAL_BLOCK
 
 
 def test_survival_prob_values():
@@ -207,27 +207,90 @@ class TestContenderLaw:
         assert 0.0 <= law.tail(hi) <= law.tail(lo) <= 1.0
 
 
-class TestArrivalBuffer:
-    def test_draws_lazily(self):
-        rng = np.random.default_rng(3)
-        before = rng.bit_generator.state
-        ArrivalBuffer(contender_params(1.0, Uniform(1.0, 2.0)), rng)
-        assert rng.bit_generator.state == before
+# the laws whose closed-form tails and conditional draws are checked: every
+# kind, an atom among them, and a mixture with an atom
+THINNED_LAWS = (
+    PointMass(1.0),
+    Uniform(1.0, 2.0),
+    Exponential(1.0),
+    Pareto(2.0, 1.5),
+    Pareto(1.0, 0.5),
+    Mixture((0.5, 0.5), (PointMass(1.0), Exponential(2.0))),
+    Mixture((0.3, 0.7), (Exponential(1.0), Uniform(1.0, 2.0))),
+)
+THRESHOLDS = (0.0, 0.4, 1.0, 1.3, 2.0, 2.5, 6.0)
 
-    def test_block_drawn_laws(self):
-        # a continuous mixture, so that a KS test applies; it runs rng.choice
-        # and the rejection step in every block
-        law = contender_params(1.0, Mixture((0.5, 0.5), (Exponential(1.0), Uniform(1.0, 2.0))))
-        buf = ArrivalBuffer(law, np.random.default_rng(21))
-        # reads of every size, across block edges, give one stream
-        parts = [buf.take(k) for k in (1, 300, 0, 511, 256, 56)]
-        gaps, incs = (np.concatenate(col) for col in zip(*parts))
-        assert gaps.size == incs.size == 4 * ARRIVAL_BLOCK + 100
-        twin = ArrivalBuffer(law, np.random.default_rng(21)).take(gaps.size)
-        assert np.array_equal(twin[0], gaps) and np.array_equal(twin[1], incs)
-        cdf = np.vectorize(lambda a: 1.0 - law.tail(a))
-        assert kstest(incs, cdf).pvalue > 1e-3
-        assert kstest(gaps, "expon", args=(0.0, 1.0 / law.rate)).pvalue > 1e-3
+
+class TestThinnedDraws:
+    """Closed-form tails and draws above per-row thresholds (the renewal rows' sampler)."""
+
+    @pytest.mark.parametrize("dist", THINNED_LAWS, ids=str)
+    def test_closed_form_tail_matches_quadrature(self, dist):
+        # strict at atoms: pointmass(1) has no mass above 1
+        tails = dist.tail(np.array(THRESHOLDS))
+        assert tails.shape == (len(THRESHOLDS),)
+        for v, t in zip(THRESHOLDS, tails.tolist()):
+            assert t == pytest.approx(ContenderLaw.direct(1.0, dist).tail(v), rel=1e-9, abs=1e-15)
+        assert PointMass(1.0).tail(np.array([1.0])).tolist() == [0.0]
+
+    @pytest.mark.parametrize("dist", THINNED_LAWS, ids=str)
+    def test_conditional_draws_match_filtered_sample(self, dist):
+        rng = np.random.default_rng(41)
+        pool = dist.sample(rng, 200_000)
+        for v in (0.0, 1.3, 2.5):
+            if not dist.tail(np.array([v]))[0] > 0.0:
+                continue
+            # mixed thresholds in one call; keep those at v
+            vs = np.tile([v, 0.5 * v, 2.0 * v + 1.0], 3000)
+            draws = dist.sample_above(rng, vs)
+            above = dist.tail(vs) > 0.0
+            assert draws.shape == vs.shape and np.all(draws[above] > vs[above])
+            mine = draws[vs == v]
+            assert ks_2samp(mine, pool[pool > v]).pvalue > 1e-3
+
+    @pytest.mark.parametrize("law", [
+        ContenderLaw.direct(3.0, Uniform(1.0, 2.0)),
+        ContenderLaw.direct(2.0, Mixture((0.5, 0.5), (PointMass(1.0), Exponential(1.0)))),
+        contender_params(20.0, Exponential(1.0)),
+        contender_params(1.0, Mixture((0.5, 0.5), (PointMass(1.0), Exponential(1.0)))),
+        contender_params(5.0, Pareto(2.0, 1.5)),
+        contender_params(1000.0, Uniform(1.0, 2.0)),
+    ], ids=["direct-uniform", "direct-mixture", "exponential", "mixture", "pareto", "uniform"])
+    def test_next_above_is_the_stream_restricted_above(self, law):
+        # the next arrival above v: an Exp(rate * tail(v)) wait, and an
+        # increment drawn as the contender law filtered above v
+        rng = np.random.default_rng(43)
+        pool = law.sample(rng, 100_000)
+        for v in (0.0, 1.3, 2.5):
+            tail = law.tail(v)
+            vs = np.tile([v, 3.0], 3000)
+            waits, incs = law.next_above(rng, vs)
+            at = vs == v
+            if not tail > 0.0:
+                assert np.all(waits[at] == math.inf)
+                continue
+            assert np.all(incs[at] > v)
+            assert ks_2samp(incs[at], pool[pool > v]).pvalue > 1e-3
+            assert kstest(waits[at], "expon", args=(0.0, 1.0 / (law.rate * tail))).pvalue > 1e-3
+
+    def test_no_increment_above_waits_forever(self):
+        for law in (ContenderLaw.direct(1.0, PointMass(1.0)), contender_params(1.0, PointMass(1.0)),
+                    contender_params(1.0, Uniform(1.0, 2.0))):
+            waits, _ = law.next_above(np.random.default_rng(1), np.array([2.0, 5.0]))
+            assert waits.tolist() == [math.inf, math.inf]
+
+    # a = 1e14 and up raised a bare ZeroDivisionError from nodes that round
+    # onto u = 1 (with alpha 0.5 from a = 1e12); the quadrature still warns
+    # that the integrand is badly behaved that far out
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("a", [1e12, 1e14, 1e15, 3e15, 4e15, 9e15, 1e16])
+    def test_far_tails_stay_in_the_unit_interval(self, a):
+        for alpha in (1.5, 0.5):
+            t = ContenderLaw.direct(1.0, Pareto(2.0, alpha)).tail(a)
+            assert 0.0 <= t <= 1.0
+        assert ContenderLaw.direct(1.0, Pareto(2.0, 1.5)).tail(a) <= 2.0 * (2.0 / a) ** 1.5
+        assert 0.0 <= contender_params(1.0, Pareto(2.0, 1.5)).tail(a) <= 1.0
+        assert ContenderLaw.direct(1.0, Exponential(1.0)).tail(a) == 0.0
 
 
 class TestStreams:
@@ -256,6 +319,19 @@ class TestStreams:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="horizon"):
             sample_contender_stream(contender_params(1.0, PointMass(1.0)), horizon, rng)
+
+    def test_block_drawn_laws(self):
+        # a continuous mixture, so that a KS test applies; it runs rng.choice
+        # and the rejection step in every block
+        law = contender_params(1.0, Mixture((0.5, 0.5), (Exponential(1.0), Uniform(1.0, 2.0))))
+        events = sample_contender_stream(law, 3000.0, np.random.default_rng(21))
+        assert len(events) > 4 * ARRIVAL_BLOCK
+        times = np.array([e.time for e in events])
+        incs = [e.increment for e in events]
+        cdf = np.vectorize(lambda a: 1.0 - law.tail(a))
+        assert kstest(incs, cdf).pvalue > 1e-3
+        gaps = np.diff(times, prepend=0.0)
+        assert kstest(gaps, "expon", args=(0.0, 1.0 / law.rate)).pvalue > 1e-3
 
     def test_sample_increment_pointmass(self):
         rng = np.random.default_rng(6)

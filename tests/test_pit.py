@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from clonepit import (
+    ContenderLaw,
     FitnessRows,
     InputEvent,
     PiecewisePath,
     PitState,
+    PointMass,
     StartEntry,
     StepPath,
     contender_params,
@@ -20,7 +22,6 @@ from clonepit import (
     write_event_csv,
     write_trajectories_jsonl,
 )
-from clonepit.inputs import ArrivalBuffer
 from clonepit.pit import ConfigurationError, InvariantViolation, PitEvent, _fmt
 from clonepit.rng import replicate_rng
 
@@ -849,7 +850,6 @@ class TestFitnessSkeleton:
 
 @pytest.mark.parametrize("lam, gamma, n_cycles", [
     (1.0, "pointmass(1)", 500),
-    # rows read chunks of 4 here, each stream's rows in row order
     (20.0, "exponential(1)", 300),
     # more cycles than rows: finished rows start their stream's next cycles
     (1.0, "mixture(0.5:pointmass(1),0.5:exponential(1))", 1500),
@@ -859,26 +859,38 @@ def test_renewal_streams_match_solo_runs(lam, gamma, n_cycles, n_streams):
     # streams in one lockstep give, each, the cycles and arrivals of its solo run
     law = contender_params(lam, parse_distribution(gamma))
 
-    def buffers(seeds):
-        return [ArrivalBuffer(law, replicate_rng(77, s)) for s in seeds]
+    def rngs(seeds):
+        return [replicate_rng(77, s) for s in seeds]
 
     seeds = range(n_streams)
-    lengths, rewards, events = FitnessRows.cycles(buffers(seeds), n_cycles, collect=True)
+    lengths, rewards, events = FitnessRows.cycles(law, rngs(seeds), n_cycles, collect=True)
     assert lengths.size == rewards.size == len(events) == n_streams * n_cycles
     for s in seeds:
-        solo = FitnessRows.cycles(buffers([s]), n_cycles, collect=True)
+        solo = FitnessRows.cycles(law, rngs([s]), n_cycles, collect=True)
         mine = slice(s * n_cycles, (s + 1) * n_cycles)
         np.testing.assert_array_equal(lengths[mine], solo[0], strict=True)
         np.testing.assert_array_equal(rewards[mine], solo[1], strict=True)
         assert events[mine] == solo[2]
 
 
-def test_renewal_streams_share_one_law():
-    one, two = (contender_params(lam, parse_distribution("pointmass(1)")) for lam in (1.0, 2.0))
-    with pytest.raises(ConfigurationError, match="one law"):
-        FitnessRows.cycles([ArrivalBuffer(one, 1), ArrivalBuffer(two, 2)], 10)
+def test_renewal_lockstep_needs_a_stream():
+    law = contender_params(1.0, parse_distribution("pointmass(1)"))
     with pytest.raises(ConfigurationError, match="at least one"):
-        FitnessRows.cycles([], 10)
+        FitnessRows.cycles(law, [], 10)
+
+
+def test_renewal_rows_draw_in_row_order():
+    # At pointmass(c) a cycle is one join and then its hit, and the explicit
+    # law's first draw is one exponential per row in row order (then no
+    # uniforms: the increment is c), so a twin generator gives every cycle
+    # length to the bit.  Five rows, so each cycle has a row of its own.
+    rate, c = 0.7, 1.5
+    law = ContenderLaw.direct(rate, PointMass(c))
+    lengths, rewards, events = FitnessRows.cycles(law, [replicate_rng(8, 0)], 5, collect=True)
+    waits = replicate_rng(8, 0).standard_exponential(5) / rate
+    np.testing.assert_array_equal(lengths, (0.0 + waits) + (1.0 - 0.0) / c, strict=True)
+    assert rewards.tolist() == [c] * 5
+    assert events == [[(w, c)] for w in waits.tolist()]
 
 
 _LAWS = (
