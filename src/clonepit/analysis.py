@@ -296,20 +296,19 @@ def heuristic_speed(law: ContenderLaw, *, refined: bool = False) -> float:
     the contender law, and it is infinite when that law has no finite
     mean: such a law is refused.
     """
-    dist = law.base if law.explicit is None else law.explicit
+    dist, rate = law.law, law.rate
     if not dist.has_finite_mean():
         raise ConfigurationError(
             f"the heuristic speed needs an increment law with a finite mean, got "
             f"{dist.describe()}")
-    rate = law.rate
 
     def pi(a):
-        p = math.exp(-(rate / a) * law.tail(a))
+        p = math.exp(-(rate / a) * float(dist.tail(a)))
         if refined:
-            p *= math.exp(-rate * max(0.0, law.expect(lambda b: 1.0 / b, lower=a)))
+            p *= math.exp(-rate * max(0.0, dist.expect(lambda b: 1.0 / b, lower=a)))
         return p
 
-    return rate * law.expect(lambda a: a * pi(a))
+    return rate * dist.expect(lambda a: a * pi(a))
 
 
 # -- fixation classification ---------------------------------------------------

@@ -453,7 +453,7 @@ def _moran_schedule(scn: Scenario, first: int, rng):
     """
     if scn.lam > 0:
         stream = sample_contender_stream(
-            ContenderLaw.direct(scn.lam, scn.gamma_dist()), scn.horizon, rng)
+            ContenderLaw(scn.lam, scn.gamma_dist()), scn.horizon, rng)
         return [InputEvent(i, ev.time, ev.increment, True) for i, ev in enumerate(stream, first)]
     return _replay_events(scn, first)
 
@@ -568,12 +568,11 @@ def _cmd_heuristics(scn: Scenario, shash: str, out: str) -> dict:
     dist = scn.gamma_dist()
     finite_mean = _finite_mean(dist)
     law = contender_params(scn.lam, dist)
-    # all three are infinite with the increment mean (heuristic_speed
-    # refuses such a law), and the quadratures behind them would divide by
-    # zero at the end of their range
+    # all three are infinite with the increment mean, which JSON cannot
+    # hold (and heuristic_speed refuses such a law)
     return {
         "contender_rate": law.rate,
-        "mean_increment": law.mean_increment() if finite_mean else None,
+        "mean_increment": law.law.mean() if finite_mean else None,
         "v_gl": heuristic_speed(law) if finite_mean else None,
         "v_rgl": heuristic_speed(law, refined=True) if finite_mean else None,
         "finite_mean": finite_mean,

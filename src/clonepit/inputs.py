@@ -11,15 +11,14 @@ independently of everything else.  Surviving candidates ("contenders") are
 the only ones whose trajectories ever leave height zero, so the system is
 equally well driven by the thinned stream alone: contenders arrive at rate
 
-    rate* = lam * E[A / (1 + A)]
+    rate* = lam * s,    s = E[A / (1 + A)],
 
-with increments from the size-biased law
+with increments from the size-biased law :class:`SizeBiased` ``(gamma)``,
 
-    gamma*(da) = (lam / rate*) * (a / (1 + a)) * gamma(da).
+    gamma*(da) = (a / (1 + a)) * gamma(da) / s.
 
-:class:`ContenderLaw` packages ``(rate*, gamma*)`` and knows how to sample
-and integrate against ``gamma*`` whether it was derived from ``(lam, gamma)``
-or specified directly.
+:class:`ContenderLaw` is the pair ``(rate*, gamma*)``: :func:`contender_params`
+builds it from ``(lam, gamma)``, and an already-thinned scenario gives its own.
 
 Integrals against unbounded supports use the substitution ``u = a / (1 + a)``
 mapping (0, inf) to (0, 1), which keeps the quadrature on a finite interval
@@ -31,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +45,7 @@ __all__ = [
     "Exponential",
     "Pareto",
     "Mixture",
+    "SizeBiased",
     "parse_distribution",
     "InputEvent",
     "ContenderLaw",
@@ -490,6 +490,51 @@ def _survival_weight(gamma: IncrementDistribution) -> float:
 
 
 @dataclass(frozen=True)
+class SizeBiased(IncrementDistribution):
+    """The contender law of candidates from ``base``: ``base(da) * (a / (1 + a)) / weight``.
+
+    ``weight = E_base[A / (1 + A)]``; the mean is finite when the base's is.
+    There is no ``sample`` or ``sample_above``: :class:`ContenderLaw` thins
+    the base's candidates.  The benchmark's tracer counts the outermost
+    ``sample`` of any increment law as base proposals, so a ``sample`` here
+    would make its traced acceptance ratio read 1.
+    """
+
+    base: IncrementDistribution
+    weight: float = field(init=False, repr=False, compare=False)
+    kind = "sizebiased"
+
+    def __post_init__(self):
+        if not isinstance(self.base, IncrementDistribution):
+            raise ValueError(f"size-biasing needs an increment distribution, got {self.base!r}")
+        object.__setattr__(self, "weight", _survival_weight(self.base))
+
+    def mean(self):
+        return self.expect(lambda a: a) if self.has_finite_mean() else math.inf
+
+    def support(self):
+        return self.base.support()
+
+    def has_finite_mean(self):
+        return self.base.has_finite_mean()
+
+    def tail(self, v):
+        # E_base[A/(1+A); A > v] = P_base(A > v) - E_base[1/(1+A); A > v]: the
+        # quadrature holds only a correction about 1/v smaller, so the far
+        # tail keeps its value (clipped: it can overshoot by an ulp or two)
+        near = np.vectorize(lambda x: self.base.expect(lambda a: 1.0 / (1.0 + a), x, False),
+                            otypes=[float])
+        v = np.asarray(v, dtype=float)
+        return np.clip((self.base.tail(v) - near(v)) / self.weight, 0.0, 1.0)
+
+    def expect(self, g, lower=0.0, include_lower=True):
+        return self.base.expect(lambda a: g(a) * a / (1.0 + a), lower, include_lower) / self.weight
+
+    def describe(self):
+        return f"sizebiased({self.base.describe()})"
+
+
+@dataclass(frozen=True)
 class InputEvent:
     """One candidate mutation: arrival time, increment, contender flag."""
 
@@ -517,62 +562,35 @@ class InputEvent:
 class ContenderLaw:
     """Arrival rate and increment law of the thinned (contender) stream.
 
-    Built from the full description ``(lam, gamma)`` via
-    :func:`contender_params`, or specified directly through :meth:`direct`
-    when a scenario is given in already-thinned form.
+    :func:`contender_params` builds it from candidates ``(lam, gamma)``; a
+    scenario in already-thinned form gives its rate and law directly.
     """
 
     rate: float
-    base_rate: float | None = None
-    base: IncrementDistribution | None = None
-    explicit: IncrementDistribution | None = None
+    law: IncrementDistribution
 
     def __post_init__(self):
         if not 0.0 < self.rate < math.inf:
             raise ValueError(f"arrival rate must be positive and finite, got {self.rate}")
-
-    @staticmethod
-    def direct(rate: float, dist: IncrementDistribution) -> "ContenderLaw":
-        return ContenderLaw(rate=rate, explicit=dist)
-
-    def expect(self, g, lower: float = 0.0, include_lower: bool = True) -> float:
-        """Integral of ``g`` against the contender increment law."""
-        if self.explicit is not None:
-            return self.explicit.expect(g, lower, include_lower)
-        scale = self.base_rate / self.rate
-        return scale * self.base.expect(
-            lambda a: g(a) * a / (1.0 + a), lower, include_lower
-        )
-
-    def tail(self, a: float) -> float:
-        """Mass of ``(a, inf)`` under the contender increment law (strict:
-        it leaves out an atom at ``a``).
-
-        Clamped to [0, 1]: the quadrature can overshoot by an ulp or two.
-        """
-        return min(1.0, max(0.0, self.expect(lambda _: 1.0, lower=a, include_lower=False)))
-
-    def mean_increment(self) -> float:
-        return self.expect(lambda a: a)
+        if not isinstance(self.law, IncrementDistribution):
+            raise ValueError(f"contender law must be an increment distribution, got {self.law!r}")
 
     def sample(self, rng, size: int) -> np.ndarray:
-        """Draw an array of ``size`` contender increments.
+        """Draw an array of ``size`` contender increments (no scalar draw).
 
-        ``size`` is required: there is no scalar draw, because a single
-        draw of the derived law costs a whole rejection block.  The derived
-        law is sampled by rejection: propose from the base distribution and
-        accept with probability ``a / (1 + a)``, which is exactly the
-        size-biasing weight.
+        A size-biased law is drawn by rejection, a block at a time: propose
+        from the base and accept with probability ``a / (1 + a)``.
         """
         rng = as_generator(rng)
-        if self.explicit is not None:
-            return self.explicit.sample(rng, size)
+        if not isinstance(self.law, SizeBiased):
+            return self.law.sample(rng, size)
+        base = self.law.base
         need = int(size)
         out = np.empty(need)
         got = 0
         while got < need:
             block = max(64, int(1.6 * (need - got)) + 8)
-            a = np.asarray(self.base.sample(rng, block))
+            a = np.asarray(base.sample(rng, block))
             keep = a[rng.random(block) < a / (1.0 + a)]
             take = min(need - got, keep.size)
             out[got : got + take] = keep[:take]
@@ -584,33 +602,34 @@ class ContenderLaw:
         arrival whose increment exceeds it, and that increment.
 
         By the restriction theorem these arrivals are a Poisson stream of
-        rate ``rate * tail(v)``, with increments from the law conditioned
-        above ``v``; a threshold no increment exceeds waits forever.  An
-        explicit law draws an exponential per threshold, then the
-        increments.  A derived law runs its candidate stream above ``v``, at
-        ``base_rate * P_base(A > v)``, and accepts a candidate ``a`` with
-        probability ``a / (1 + a)``.  It does so in rounds over the
-        thresholds still waiting, each round drawing some candidates per
-        threshold (at least ``base_rate / rate``, 1 over the smallest
-        acceptance rate, and more as fewer wait) and then their uniforms;
-        the wait is the sum of the candidates' gaps up to the first one
-        accepted, drawn as one gamma variate.
+        rate ``rate * law.tail(v)``, with increments from the law
+        conditioned above ``v``; a threshold no increment exceeds waits
+        forever.  Most laws draw an exponential per threshold, then the
+        increments.  A size-biased law runs its base's candidates above
+        ``v``, at ``(rate / weight) * P_base(A > v)``, and accepts ``a``
+        with probability ``a / (1 + a)``, in rounds over the thresholds
+        still waiting: each round draws some candidates per threshold (at
+        least ``1 / weight``, and more as fewer wait), then their uniforms;
+        the wait is the sum of the gaps up to the first candidate accepted,
+        drawn as one gamma variate.
         """
         rng = as_generator(rng)
         v = np.asarray(v, dtype=float)
-        if self.explicit is not None:
-            rate = self.rate * self.explicit.tail(v)
+        law = self.law
+        if not isinstance(law, SizeBiased):
+            rate = self.rate * law.tail(v)
             e = rng.standard_exponential(v.shape)
-            inc = self.explicit.sample_above(rng, v)
+            inc = law.sample_above(rng, v)
         else:
-            rate = self.base_rate * self.base.tail(v)
+            base, candidates = law.base, self.rate / law.weight
+            rate = candidates * base.tail(v)
             e, inc = np.zeros(v.shape), v.copy()
             todo = np.flatnonzero(rate > 0.0)
-            least = math.ceil(self.base_rate / self.rate)
+            least = math.ceil(candidates / self.rate)
             while todo.size:
                 n = todo.size
                 k = min(max(least, -(-_ROUND_LEAST // n)), max(1, _ROUND_MOST // n))
-                a = self.base.sample_above(rng, np.broadcast_to(v[todo, None], (n, k)))
+                a = base.sample_above(rng, np.broadcast_to(v[todo, None], (n, k)))
                 ok = rng.random(a.shape) < a / (1.0 + a)
                 first = ok.argmax(axis=1)
                 hit = ok[np.arange(n), first]
@@ -630,15 +649,12 @@ ARRIVAL_BLOCK = 256
 
 
 def contender_params(lam: float, gamma: IncrementDistribution) -> ContenderLaw:
-    """Thinned-stream parameters for candidate rate ``lam`` and law ``gamma``.
-
-    Returns the contender arrival rate ``lam * E[A/(1+A)]`` together with
-    integration and sampling access to the size-biased increment law.
-    """
+    """The contender stream of candidate rate ``lam`` and law ``gamma``:
+    ``ContenderLaw(lam * E[A/(1+A)], SizeBiased(gamma))``."""
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    rate = lam * _survival_weight(gamma)
-    return ContenderLaw(rate=rate, base_rate=lam, base=gamma)
+    law = SizeBiased(gamma)
+    return ContenderLaw(lam * law.weight, law)
 
 
 def sample_contender_stream(law: ContenderLaw, horizon: float, rng) -> list[InputEvent]:

@@ -63,7 +63,7 @@ import numpy as np
 from .branching import _jump_chain
 from .inputs import InputEvent
 from .pit import ConfigurationError, _fmt, _write_csv
-from .rng import UniformBuffer, as_generator
+from .rng import as_generator, uniform_draws
 
 __all__ = [
     "MoranState",
@@ -283,8 +283,7 @@ def moran_run(
     m = state.fitness
     aggr = state._aggr
     sched = state.schedule
-    buf = UniformBuffer(rng)
-    nextu = buf.next
+    nextu = uniform_draws(rng)
     log = math.log
 
     pending: list[tuple[float, int]] = []

@@ -10,9 +10,11 @@ re-run individually) and still produce identical output.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-__all__ = ["as_generator", "replicate_rng", "UNIFORM_BLOCK", "UniformBuffer"]
+__all__ = ["as_generator", "replicate_rng", "UNIFORM_BLOCK"]
 
 
 def as_generator(seed_or_rng) -> np.random.Generator:
@@ -29,33 +31,16 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-#: variates per block drawn by :class:`UniformBuffer`
+#: variates per block drawn by :func:`uniform_draws`
 UNIFORM_BLOCK = 8192
 
 
-class UniformBuffer:
-    """Uniform(0,1) variates drawn in blocks, consumed one at a time.
+def uniform_draws(rng: np.random.Generator):
+    """A callable giving the next Uniform(0,1) variate of ``rng`` as a Python float.
 
-    Tight event loops pay a noticeable per-call cost for scalar Generator
-    draws; drawing blocks of :data:`UNIFORM_BLOCK` amortises it while
-    consuming the stream in a fixed documented order (block by block, left
-    to right), so runs remain reproducible for a given generator state.
-    The first block is drawn on the first :meth:`next`, so a buffer that is
-    never read takes nothing from the stream, and values are handed out as
-    Python floats.
+    Tight event loops pay a noticeable per-call cost for scalar draws, so
+    the variates come in blocks of :data:`UNIFORM_BLOCK`, read in stream
+    order; the first block is drawn on the first call.
     """
-
-    __slots__ = ("_rng", "_buf", "_pos")
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buf: list[float] = []
-        self._pos = UNIFORM_BLOCK
-
-    def next(self) -> float:
-        pos = self._pos
-        if pos == UNIFORM_BLOCK:
-            self._buf = self._rng.random(UNIFORM_BLOCK).tolist()
-            pos = 0
-        self._pos = pos + 1
-        return self._buf[pos]
+    blocks = iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
+    return itertools.chain.from_iterable(blocks).__next__

@@ -267,7 +267,7 @@ def test_08_coupling_distance_shrinks_with_n():
 def test_09_heuristics_ordering():
     details, ok = [], True
     for k, rate in enumerate((0.5, 1.0, 2.0)):
-        law = ContenderLaw.direct(rate, Exponential(1.0 / rate))
+        law = ContenderLaw(rate, Exponential(1.0 / rate))
         v_gl = heuristic_speed(law)
         v_rgl = heuristic_speed(law, refined=True)
         est = speed_estimate(sample_renewal_cycles(law, 30_000, replicate_rng(99, k)))

@@ -150,7 +150,7 @@ class TestRenewalSampling:
             (contender_params(1.0, HALF_POINTMASS_EXP), 800),
             (contender_params(1000.0, Uniform(1.0, 2.0)), 2),
             (contender_params(1.0, Pareto(1.0, 2.5)), 400),
-            (ContenderLaw.direct(64.0, Exponential(1.0 / 64.0)), 20),
+            (ContenderLaw(64.0, Exponential(1.0 / 64.0)), 20),
         ]
         for law, n_cycles in cases:
             rng = replicate_rng(314, 0)
@@ -316,19 +316,20 @@ class TestHeuristics:
             2.0: (0.5598865523143484, 0.4708958596907183),
         }
         for rate, (plain, refined) in cases.items():
-            law = ContenderLaw.direct(rate, Exponential(1.0 / rate))
+            law = ContenderLaw(rate, Exponential(1.0 / rate))
             assert heuristic_speed(law) == pytest.approx(plain, abs=1e-9)
             assert heuristic_speed(law, refined=True) == pytest.approx(refined, abs=1e-9)
             assert heuristic_speed(law, refined=True) < heuristic_speed(law)
 
     def test_pareto_frozen_values(self):
         # finite-mean Pareto laws, whose quadratures run to the end of the
-        # u = a / (1 + a) range
+        # u = a / (1 + a) range; the size-biased tail is the closed-form
+        # Pareto tail less a quadrature correction
         cases = {
-            (1.0, 1.5): (4.948957552321619, 4.813262248229147),
-            (1.0, 2.5): (2.343765839381849, 2.1984567761547904),
-            (3.0, 1.5): (13.6092278658714, 12.828667146705309),
-            (3.0, 2.5): (5.928346740689814, 5.135963063629823),
+            (1.0, 1.5): (4.948957552321583, 4.813262248229064),
+            (1.0, 2.5): (2.3437658393816143, 2.1984567761545875),
+            (3.0, 1.5): (13.609227865871187, 12.82866714670516),
+            (3.0, 2.5): (5.928346740688394, 5.135963063628837),
         }
         for (lam, alpha), (plain, refined) in cases.items():
             law = contender_params(lam, Pareto(2.0, alpha))
@@ -341,10 +342,11 @@ class TestHeuristics:
         # the speed is infinite; this used to end in a ZeroDivisionError
         # from the quadrature
         law = contender_params(lam, Pareto(2.0, 0.5))
-        with pytest.raises(ConfigurationError, match=r"finite mean, got pareto\(2.0,0.5\)"):
+        named = r"finite mean, got sizebiased\(pareto\(2.0,0.5\)\)"
+        with pytest.raises(ConfigurationError, match=named):
             heuristic_speed(law, refined=refined)
         with pytest.raises(ConfigurationError, match="finite mean"):
-            heuristic_speed(ContenderLaw.direct(lam, Pareto(2.0, 0.5)), refined=refined)
+            heuristic_speed(ContenderLaw(lam, Pareto(2.0, 0.5)), refined=refined)
 
 
 class TestFixationClassification:

@@ -14,6 +14,7 @@ from clonepit import (
     Mixture,
     Pareto,
     PointMass,
+    SizeBiased,
     Uniform,
     contender_params,
     parse_distribution,
@@ -45,15 +46,27 @@ class TestDistributions:
         assert Pareto(1.0, 1.5).has_finite_mean()
 
     def test_tails(self):
-        # a law given directly has the tail of its increment distribution
-        def tail(dist, a):
-            return ContenderLaw.direct(1.0, dist).tail(a)
+        # each law's tail against its value, and against the law's own
+        # quadrature of the mass above a (strict: an atom at a is left out)
+        def check(dist, a, want):
+            got = float(dist.tail(a))
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
+            ref = dist.expect(lambda _: 1.0, lower=a, include_lower=False)
+            assert got == pytest.approx(ref, rel=1e-9, abs=1e-15)
 
-        assert tail(Exponential(1.0), 1.0) == pytest.approx(math.exp(-1.0))
-        assert tail(Pareto(1.0, 0.5), 2.0) == pytest.approx(2.0 ** -0.5)
-        assert tail(Uniform(1.0, 2.0), 1.5) == pytest.approx(0.5)
-        assert tail(PointMass(1.0), 0.5) == 1.0
-        assert tail(PointMass(1.0), 1.0) == 0.0
+        check(Exponential(1.0), 1.0, math.exp(-1.0))
+        check(Pareto(1.0, 0.5), 2.0, 2.0 ** -0.5)
+        check(Uniform(1.0, 2.0), 1.5, 0.5)
+        check(PointMass(1.0), 0.5, 1.0)
+        check(PointMass(1.0), 1.0, 0.0)
+        # size-biased: E[A/(1+A); A > a] / E[A/(1+A)], with the integral of
+        # e^-b / (1 + b) over (a, inf) equal to e * E1(1 + a)
+        check(SizeBiased(Uniform(1.0, 2.0)), 1.5,
+              (0.5 - math.log(3.0 / 2.5)) / (1.0 - math.log(1.5)))
+        mix = SizeBiased(MIXTURE)
+        weight = 0.5 * 0.5 + 0.5 * (1.0 - math.e * exp1(1.0))
+        check(mix, 0.5, (0.25 + 0.5 * (math.exp(-0.5) - math.e * exp1(1.5))) / weight)
+        check(mix, 1.0, 0.5 * (math.exp(-1.0) - math.e * exp1(2.0)) / weight)
 
     def test_expect_polynomial(self):
         # E[A^2] for Uniform(1,2) is 7/3
@@ -94,6 +107,10 @@ class TestDistributions:
         assert d.mean() == pytest.approx(1.0)
 
 
+# 1/2 pointmass(1) + 1/2 exponential(1): an atom beside a continuous part
+MIXTURE = Mixture((0.5, 0.5), (PointMass(1.0), Exponential(1.0)))
+
+
 class TestParseDistribution:
     @pytest.mark.parametrize(
         "d",
@@ -123,6 +140,7 @@ _ONE_OF_EACH = (
     Exponential(1.0),
     Pareto(1.0, 2.0),
     Mixture((0.5, 0.5), (PointMass(1.0), Exponential(2.0))),
+    SizeBiased(Uniform(1.0, 2.0)),
 )
 
 
@@ -158,37 +176,69 @@ class TestContenderLaw:
         # E[A^2/(1+A)] / E[A/(1+A)] = (1/2 + log(3/2)) / (1 - log(3/2))
         law = contender_params(1.0, Uniform(1.0, 2.0))
         want = (0.5 + math.log(1.5)) / (1.0 - math.log(1.5))
-        assert law.mean_increment() == pytest.approx(want, abs=1e-9)
-        assert law.mean_increment() == pytest.approx(1.5229806029162316)
+        assert law.law.mean() == pytest.approx(want, abs=1e-9)
+        assert law.law.mean() == pytest.approx(1.5229806029162316)
 
     def test_direct_construction(self):
-        law = ContenderLaw.direct(0.7, Exponential(1.0))
+        law = ContenderLaw(0.7, Exponential(1.0))
         assert law.rate == 0.7
-        assert law.mean_increment() == pytest.approx(1.0)
+        assert law.law.mean() == pytest.approx(1.0)
         with pytest.raises(ValueError):
-            ContenderLaw.direct(0.0, Exponential(1.0))
+            ContenderLaw(0.0, Exponential(1.0))
+
+    def test_law_must_be_an_increment_law(self):
+        for law in (None, 1.5, "pointmass(1)"):
+            with pytest.raises(ValueError, match="increment distribution"):
+                ContenderLaw(1.0, law)
+        with pytest.raises(ValueError, match="increment distribution"):
+            SizeBiased(None)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0, 1000.0])
+    @pytest.mark.parametrize("gamma", [PointMass(1.0), Uniform(1.0, 2.0), Exponential(1.0),
+                                       Pareto(2.0, 1.5), MIXTURE], ids=str)
+    def test_rate_is_lam_times_the_weight(self, gamma, lam):
+        law = contender_params(lam, gamma)
+        assert law.rate == lam * SizeBiased(gamma).weight
+        assert law.law == SizeBiased(gamma)
+
+    def test_mixture_weight_is_the_weighted_sum(self):
+        # s = sum of w_k s_k: 1/2 * 1/2 + 1/2 * (1 - e E1(1))
+        s = SizeBiased(MIXTURE).weight
+        assert s == pytest.approx(0.5 * SizeBiased(PointMass(1.0)).weight
+                                  + 0.5 * SizeBiased(Exponential(1.0)).weight, rel=1e-15)
+        assert s == pytest.approx(0.45183, abs=5e-6)
+        assert contender_params(1.0, MIXTURE).rate == s
+
+    def test_size_biased_mean_is_finite_with_the_base(self):
+        assert SizeBiased(Pareto(2.0, 0.5)).mean() == math.inf
+        assert not SizeBiased(Pareto(2.0, 0.5)).has_finite_mean()
+        # E[A^2/(1+A)] / E[A/(1+A)] at pointmass(c) is c
+        assert SizeBiased(PointMass(3.0)).mean() == pytest.approx(3.0, rel=1e-15)
+        assert SizeBiased(Uniform(1.0, 2.0)).support() == (1.0, 2.0)
+        assert str(SizeBiased(MIXTURE)) == (
+            "sizebiased(mixture(0.5:pointmass(1.0),0.5:exponential(1.0)))")
 
     def test_rate_must_be_finite(self):
         # an infinite rate draws gaps of 0.0, so no horizon cut would end
         with pytest.raises(ValueError, match="finite"):
             contender_params(math.inf, PointMass(1.0))
         with pytest.raises(ValueError, match="finite"):
-            ContenderLaw.direct(math.inf, PointMass(1.0))
+            ContenderLaw(math.inf, PointMass(1.0))
 
     def test_tail_excludes_atom_inverse_tail_includes_it(self):
         # the refined heuristic's integral of 1/b over [a, inf) takes an atom at a
-        law = ContenderLaw.direct(1.0, PointMass(2.0))
-        assert law.tail(1.0) == 1.0
-        assert law.tail(2.0) == 0.0
-        assert law.expect(lambda b: 1.0 / b, lower=2.0) == pytest.approx(0.5)
-        assert law.expect(lambda b: 1.0 / b, lower=2.5) == 0.0
+        for dist in (PointMass(2.0), SizeBiased(PointMass(2.0))):
+            assert dist.tail(1.0) == 1.0
+            assert dist.tail(2.0) == 0.0
+            assert dist.expect(lambda b: 1.0 / b, lower=2.0) == pytest.approx(0.5)
+            assert dist.expect(lambda b: 1.0 / b, lower=2.5) == 0.0
 
     def test_sample_is_size_biased(self):
         # under Uniform(1,2) candidates, contenders should skew larger
         law = contender_params(1.0, Uniform(1.0, 2.0))
         draws = law.sample(np.random.default_rng(11), 4000)
         assert draws.shape == (4000,)
-        assert draws.mean() == pytest.approx(law.mean_increment(), abs=0.02)
+        assert draws.mean() == pytest.approx(law.law.mean(), abs=0.02)
         assert draws.mean() > 1.5
 
     def test_sample_needs_size(self):
@@ -204,7 +254,7 @@ class TestContenderLaw:
     def test_tail_monotone(self, a, b):
         law = contender_params(1.0, Exponential(1.0))
         lo, hi = min(a, b), max(a, b)
-        assert 0.0 <= law.tail(hi) <= law.tail(lo) <= 1.0
+        assert 0.0 <= law.law.tail(hi) <= law.law.tail(lo) <= 1.0
 
 
 # the laws whose closed-form tails and conditional draws are checked: every
@@ -219,18 +269,21 @@ THINNED_LAWS = (
     Mixture((0.3, 0.7), (Exponential(1.0), Uniform(1.0, 2.0))),
 )
 THRESHOLDS = (0.0, 0.4, 1.0, 1.3, 2.0, 2.5, 6.0)
+# size-biased laws have a tail but no draws of their own
+SIZE_BIASED_LAWS = (SizeBiased(Uniform(1.0, 2.0)), SizeBiased(MIXTURE))
 
 
 class TestThinnedDraws:
     """Closed-form tails and draws above per-row thresholds (the renewal rows' sampler)."""
 
-    @pytest.mark.parametrize("dist", THINNED_LAWS, ids=str)
+    @pytest.mark.parametrize("dist", THINNED_LAWS + SIZE_BIASED_LAWS, ids=str)
     def test_closed_form_tail_matches_quadrature(self, dist):
         # strict at atoms: pointmass(1) has no mass above 1
         tails = dist.tail(np.array(THRESHOLDS))
         assert tails.shape == (len(THRESHOLDS),)
         for v, t in zip(THRESHOLDS, tails.tolist()):
-            assert t == pytest.approx(ContenderLaw.direct(1.0, dist).tail(v), rel=1e-9, abs=1e-15)
+            ref = dist.expect(lambda _: 1.0, lower=v, include_lower=False)
+            assert t == pytest.approx(ref, rel=1e-9, abs=1e-15)
         assert PointMass(1.0).tail(np.array([1.0])).tolist() == [0.0]
 
     @pytest.mark.parametrize("dist", THINNED_LAWS, ids=str)
@@ -249,8 +302,8 @@ class TestThinnedDraws:
             assert ks_2samp(mine, pool[pool > v]).pvalue > 1e-3
 
     @pytest.mark.parametrize("law", [
-        ContenderLaw.direct(3.0, Uniform(1.0, 2.0)),
-        ContenderLaw.direct(2.0, Mixture((0.5, 0.5), (PointMass(1.0), Exponential(1.0)))),
+        ContenderLaw(3.0, Uniform(1.0, 2.0)),
+        ContenderLaw(2.0, Mixture((0.5, 0.5), (PointMass(1.0), Exponential(1.0)))),
         contender_params(20.0, Exponential(1.0)),
         contender_params(1.0, Mixture((0.5, 0.5), (PointMass(1.0), Exponential(1.0)))),
         contender_params(5.0, Pareto(2.0, 1.5)),
@@ -262,7 +315,7 @@ class TestThinnedDraws:
         rng = np.random.default_rng(43)
         pool = law.sample(rng, 100_000)
         for v in (0.0, 1.3, 2.5):
-            tail = law.tail(v)
+            tail = float(law.law.tail(v))
             vs = np.tile([v, 3.0], 3000)
             waits, incs = law.next_above(rng, vs)
             at = vs == v
@@ -274,7 +327,7 @@ class TestThinnedDraws:
             assert kstest(waits[at], "expon", args=(0.0, 1.0 / (law.rate * tail))).pvalue > 1e-3
 
     def test_no_increment_above_waits_forever(self):
-        for law in (ContenderLaw.direct(1.0, PointMass(1.0)), contender_params(1.0, PointMass(1.0)),
+        for law in (ContenderLaw(1.0, PointMass(1.0)), contender_params(1.0, PointMass(1.0)),
                     contender_params(1.0, Uniform(1.0, 2.0))):
             waits, _ = law.next_above(np.random.default_rng(1), np.array([2.0, 5.0]))
             assert waits.tolist() == [math.inf, math.inf]
@@ -286,11 +339,21 @@ class TestThinnedDraws:
     @pytest.mark.parametrize("a", [1e12, 1e14, 1e15, 3e15, 4e15, 9e15, 1e16])
     def test_far_tails_stay_in_the_unit_interval(self, a):
         for alpha in (1.5, 0.5):
-            t = ContenderLaw.direct(1.0, Pareto(2.0, alpha)).tail(a)
-            assert 0.0 <= t <= 1.0
-        assert ContenderLaw.direct(1.0, Pareto(2.0, 1.5)).tail(a) <= 2.0 * (2.0 / a) ** 1.5
-        assert 0.0 <= contender_params(1.0, Pareto(2.0, 1.5)).tail(a) <= 1.0
-        assert ContenderLaw.direct(1.0, Exponential(1.0)).tail(a) == 0.0
+            for dist in (Pareto(2.0, alpha), SizeBiased(Pareto(2.0, alpha))):
+                assert 0.0 <= dist.tail(a) <= 1.0
+        assert SizeBiased(Pareto(2.0, 1.5)).tail(a) <= 2.0 * (2.0 / a) ** 1.5
+        assert 0.0 <= contender_params(1.0, Pareto(2.0, 1.5)).law.tail(a) <= 1.0
+        assert Exponential(1.0).tail(a) == 0.0
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("a", [1e12, 1e14, 1e15, 4e15, 9e15])
+    def test_far_size_biased_tail_is_exact(self, a):
+        # E[A/(1+A); A > a] lies between a/(1+a) and 1 times P(A > a); a
+        # quadrature of the whole tail loses the value out here (0.0 at 9e15)
+        base = Pareto(2.0, 1.5)
+        dist = SizeBiased(base)
+        tail, p = float(dist.tail(a)), float(base.tail(a))
+        assert p * (a / (1.0 + a)) / dist.weight <= tail <= p / dist.weight
 
 
 class TestStreams:
@@ -328,7 +391,9 @@ class TestStreams:
         assert len(events) > 4 * ARRIVAL_BLOCK
         times = np.array([e.time for e in events])
         incs = [e.increment for e in events]
-        cdf = np.vectorize(lambda a: 1.0 - law.tail(a))
+        def cdf(a):
+            return 1.0 - law.law.tail(a)
+
         assert kstest(incs, cdf).pvalue > 1e-3
         gaps = np.diff(times, prepend=0.0)
         assert kstest(gaps, "expon", args=(0.0, 1.0 / law.rate)).pvalue > 1e-3

@@ -24,13 +24,13 @@ from clonepit import (
 )
 from clonepit import moran
 from clonepit.pit import ConfigurationError, _fmt
-from clonepit.rng import UNIFORM_BLOCK, UniformBuffer, replicate_rng
+from clonepit.rng import UNIFORM_BLOCK, replicate_rng, uniform_draws
 
 
 def _free_schedule(lam, gamma, horizon, rng, first):
     """A free mutation rate as ``moran-run`` draws it: the stream of rate
     ``lam`` and increments from ``gamma`` on ``[0, horizon)``, ids from ``first``."""
-    stream = sample_contender_stream(ContenderLaw.direct(lam, gamma), horizon, rng)
+    stream = sample_contender_stream(ContenderLaw(lam, gamma), horizon, rng)
     return [InputEvent(i, ev.time, ev.increment, True) for i, ev in enumerate(stream, first)]
 
 
@@ -460,14 +460,14 @@ class TestFreeMutation:
 
 def test_uniform_buffer_draws_lazily():
     rng = np.random.default_rng(5)
-    buf = UniformBuffer(rng)
-    # nothing is drawn before the first next()
+    nextu = uniform_draws(rng)
+    # nothing is drawn before the first call
     assert rng.random() == np.random.default_rng(5).random()
     ref = np.random.default_rng(5)
     ref.random()
     # two blocks, read across the edge: one stream in order, as Python floats
     expected = ref.random(2 * UNIFORM_BLOCK)
-    got = [buf.next() for _ in range(2 * UNIFORM_BLOCK)]
+    got = [nextu() for _ in range(2 * UNIFORM_BLOCK)]
     assert all(type(u) is float for u in got)
     assert got == expected.tolist()
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from scipy import stats
 
 from clonepit import (
     ContenderLaw,
@@ -885,12 +886,54 @@ def test_renewal_rows_draw_in_row_order():
     # uniforms: the increment is c), so a twin generator gives every cycle
     # length to the bit.  Five rows, so each cycle has a row of its own.
     rate, c = 0.7, 1.5
-    law = ContenderLaw.direct(rate, PointMass(c))
+    law = ContenderLaw(rate, PointMass(c))
     lengths, rewards, events = FitnessRows.cycles(law, [replicate_rng(8, 0)], 5, collect=True)
     waits = replicate_rng(8, 0).standard_exponential(5) / rate
     np.testing.assert_array_equal(lengths, (0.0 + waits) + (1.0 - 0.0) / c, strict=True)
     assert rewards.tolist() == [c] * 5
     assert events == [[(w, c)] for w in waits.tolist()]
+
+
+def _pooled_chisquare(counts, probs):
+    """Chi-square p-value of ``counts`` against ``probs``, adjacent bins pooled
+    until each expected count is at least 5 (a short last run joins the bin
+    before it)."""
+    n = counts.sum()
+    obs, exp, o, e = [], [], 0, 0.0
+    for ck, pk in zip(counts.tolist(), probs.tolist()):
+        o, e = o + ck, e + n * pk
+        if e >= 5.0:
+            obs.append(o)
+            exp.append(e)
+            o, e = 0, 0.0
+    obs[-1] += o
+    exp[-1] += e
+    return stats.chisquare(obs, exp).pvalue
+
+
+# (lambda, c, t): the third puts t 1e-6 past 3/c, where N(t) >= 3 has
+# probability P(Gamma(3) <= 1e-6) and N(t) = 2 needs two hits by then
+@pytest.mark.parametrize("lam,c,t,seed", [
+    (1.0, 1.0, 10.0, 1), (2.0, 2.0, 7.3, 2), (0.5, 1.0, 25.0, 3), (1.0, 1.0, 3.0 + 1e-6, 4),
+])
+def test_pointmass_fitness_law_at_finite_time(lam, c, t, seed):
+    # At pointmass(c) a lone resident waits Exp(r) for an arrival, which
+    # always joins, climbs for 1/c and then takes residency alone with
+    # reward c: no arrival joins during the climb, since an equal slope is
+    # not steeper.  So F(t) = c N(t) for the renewal count N with gaps
+    # Exp(r) + 1/c, and P(N(t) >= k) = P(Gamma(k, rate r) <= t - k/c).
+    law = contender_params(lam, PointMass(c))
+    rng = np.random.default_rng(seed)
+    rows = FitnessRows([sample_contender_stream(law, t, rng) for _ in range(4000)])
+    rows.advance(until=t)
+    n = rows.fitness / c
+    assert np.array_equal(n, np.rint(n))
+    k = np.arange(1, int(t * c) + 2)
+    at_least = np.concatenate(([1.0], stats.gamma.cdf(t - k / c, k, scale=1.0 / law.rate)))
+    probs = -np.diff(at_least, append=0.0)
+    counts = np.bincount(n.astype(int), minlength=probs.size)
+    assert counts.size == probs.size
+    assert _pooled_chisquare(counts, probs) > 1e-3
 
 
 _LAWS = (
