@@ -355,8 +355,9 @@ class Mixture(IncrementDistribution):
             raise ValueError(f"mixture weights must be positive, got {self.weights}")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError(f"mixture weights must sum to 1, got sum={sum(self.weights)}")
-        if any(not isinstance(c, IncrementDistribution) for c in self.components):
-            raise ValueError("mixture components must be increment distributions")
+        if any(not isinstance(c, IncrementDistribution) or isinstance(c, SizeBiased)
+               for c in self.components):
+            raise ValueError("mixture components must be increment laws, not size-biased ones")
 
     def sample(self, rng, size):
         rng = as_generator(rng)
@@ -495,7 +496,8 @@ class SizeBiased(IncrementDistribution):
 
     ``weight = E_base[A / (1 + A)]``; the mean is finite when the base's is.
     There is no ``sample`` or ``sample_above``: :class:`ContenderLaw` thins
-    the base's candidates.  The benchmark's tracer counts the outermost
+    the base's candidates, so a size-biased law is refused as a base or as
+    a mixture component.  The benchmark's tracer counts the outermost
     ``sample`` of any increment law as base proposals, so a ``sample`` here
     would make its traced acceptance ratio read 1.
     """
@@ -505,8 +507,9 @@ class SizeBiased(IncrementDistribution):
     kind = "sizebiased"
 
     def __post_init__(self):
-        if not isinstance(self.base, IncrementDistribution):
-            raise ValueError(f"size-biasing needs an increment distribution, got {self.base!r}")
+        if not isinstance(self.base, IncrementDistribution) or isinstance(self.base, SizeBiased):
+            raise ValueError("size-biasing needs an increment distribution with its own "
+                             f"draws, not a size-biased one; got {self.base!r}")
         object.__setattr__(self, "weight", _survival_weight(self.base))
 
     def mean(self):
@@ -584,13 +587,12 @@ class ContenderLaw:
         rng = as_generator(rng)
         if not isinstance(self.law, SizeBiased):
             return self.law.sample(rng, size)
-        base = self.law.base
         need = int(size)
         out = np.empty(need)
         got = 0
         while got < need:
             block = max(64, int(1.6 * (need - got)) + 8)
-            a = np.asarray(base.sample(rng, block))
+            a = np.asarray(self.law.base.sample(rng, block))
             keep = a[rng.random(block) < a / (1.0 + a)]
             take = min(need - got, keep.size)
             out[got : got + take] = keep[:take]

@@ -193,6 +193,19 @@ class TestContenderLaw:
         with pytest.raises(ValueError, match="increment distribution"):
             SizeBiased(None)
 
+    def test_size_biased_law_is_only_a_top(self):
+        # it has no draws, so a law that would draw it is refused when built
+        biased = SizeBiased(Uniform(1.0, 2.0))
+        with pytest.raises(ValueError, match="size-biased"):
+            SizeBiased(biased)
+        with pytest.raises(ValueError, match="size-biased"):
+            contender_params(1.0, biased)
+        with pytest.raises(ValueError, match="size-biased"):
+            Mixture((0.5, 0.5), (biased, PointMass(1.0)))
+        with pytest.raises(ValueError, match="size-biased"):
+            SizeBiased(Mixture((0.5, 0.5), (PointMass(1.0), biased)))
+        assert ContenderLaw(1.0, biased).sample(np.random.default_rng(2), 3).shape == (3,)
+
     @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0, 1000.0])
     @pytest.mark.parametrize("gamma", [PointMass(1.0), Uniform(1.0, 2.0), Exponential(1.0),
                                        Pareto(2.0, 1.5), MIXTURE], ids=str)
@@ -338,11 +351,18 @@ class TestThinnedDraws:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("a", [1e12, 1e14, 1e15, 3e15, 4e15, 9e15, 1e16])
     def test_far_tails_stay_in_the_unit_interval(self, a):
+        # the quadratures of the mass above a, beside the closed-form tails
+        def mass_above(dist):
+            return dist.expect(lambda _: 1.0, lower=a, include_lower=False)
+
         for alpha in (1.5, 0.5):
+            assert 0.0 <= mass_above(Pareto(2.0, alpha)) <= 1.0
             for dist in (Pareto(2.0, alpha), SizeBiased(Pareto(2.0, alpha))):
                 assert 0.0 <= dist.tail(a) <= 1.0
+        assert mass_above(Pareto(2.0, 1.5)) <= 2.0 * (2.0 / a) ** 1.5
         assert SizeBiased(Pareto(2.0, 1.5)).tail(a) <= 2.0 * (2.0 / a) ** 1.5
         assert 0.0 <= contender_params(1.0, Pareto(2.0, 1.5)).law.tail(a) <= 1.0
+        assert mass_above(Exponential(1.0)) == 0.0
         assert Exponential(1.0).tail(a) == 0.0
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
