@@ -17,6 +17,7 @@ with increments from the size-biased law :class:`SizeBiased` ``(gamma)``,
 
     gamma*(da) = (a / (1 + a)) * gamma(da) / s.
 
+On a point mass ``a / (1 + a)`` is one constant, so ``gamma* = gamma``.
 :class:`ContenderLaw` is the pair ``(rate*, gamma*)``: :func:`contender_params`
 builds it from ``(lam, gamma)``, and an already-thinned scenario gives its own.
 
@@ -497,9 +498,10 @@ class SizeBiased(IncrementDistribution):
     ``weight = E_base[A / (1 + A)]``; the mean is finite when the base's is.
     There is no ``sample`` or ``sample_above``: :class:`ContenderLaw` thins
     the base's candidates, so a size-biased law is refused as a base or as
-    a mixture component.  The benchmark's tracer counts the outermost
-    ``sample`` of any increment law as base proposals, so a ``sample`` here
-    would make its traced acceptance ratio read 1.
+    a mixture component.  On a point mass it equals its base, which
+    :func:`contender_params` keeps instead.  The benchmark's tracer counts
+    the outermost ``sample`` of any increment law as base proposals, so a
+    ``sample`` here would make its traced acceptance ratio read 1.
     """
 
     base: IncrementDistribution
@@ -652,11 +654,13 @@ ARRIVAL_BLOCK = 256
 
 def contender_params(lam: float, gamma: IncrementDistribution) -> ContenderLaw:
     """The contender stream of candidate rate ``lam`` and law ``gamma``:
-    ``ContenderLaw(lam * E[A/(1+A)], SizeBiased(gamma))``."""
+    ``ContenderLaw(lam * E[A/(1+A)], SizeBiased(gamma))``.  Size-biasing a
+    point mass is the identity, so a point mass is kept as is: no thinning.
+    """
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     law = SizeBiased(gamma)
-    return ContenderLaw(lam * law.weight, law)
+    return ContenderLaw(lam * law.weight, gamma if isinstance(gamma, PointMass) else law)
 
 
 def sample_contender_stream(law: ContenderLaw, horizon: float, rng) -> list[InputEvent]:

@@ -555,8 +555,8 @@ FROZEN_ARTIFACTS = {
     "speed": (
         "command = speed\nlambda = 1\ngamma = pointmass(1)\nhorizon = 50\n"
         "replicates = 2\nseed = 11\n", {
-            "cycles_r000.csv": "ee34dcab222a97433380cb9d82d33d27cff7ff700d3ee50e7573e9ddc9b88a88",
-            "cycles_r001.csv": "51770c036cdfdff889e25a46470a9952580bc0d36df92f0ccdd935e50a8f144c",
+            "cycles_r000.csv": "3034868281497b18856b8d51383982eccc178b84761645d8732e4482b445a69b",
+            "cycles_r001.csv": "19eec3765b46c2671304ca8b4b8d1c4c0a82bc4fd394f4a59116992f9fa9da72",
         }),
     # renewal rows at higher contender rates, where most arrivals cannot join
     "speed-lambda-20": (
@@ -600,7 +600,7 @@ FROZEN_ARTIFACTS = {
     "fclt": (
         "command = fclt\nlambda = 1\ngamma = pointmass(1)\nscale = 100\n"
         "replicates = 3\nseed = 7\ngrid_step = 0.25\n", {
-            "fclt.csv": "f383bdd8e7129e96b6fb08e24572d028ccbff96fb82dc1861dc083a8ebc45c51",
+            "fclt.csv": "590ba778f3da025d64046239c4ed45ef167a742df300127ad4a8b1c475d01662",
         }),
     # the dense regime of criteria 10/12: hundreds of active trajectories
     "pit-run-dense": (

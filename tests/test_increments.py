@@ -212,7 +212,15 @@ class TestContenderLaw:
     def test_rate_is_lam_times_the_weight(self, gamma, lam):
         law = contender_params(lam, gamma)
         assert law.rate == lam * SizeBiased(gamma).weight
-        assert law.law == SizeBiased(gamma)
+        # size-biasing a point mass is the identity, so it is kept as is
+        assert law.law == (gamma if isinstance(gamma, PointMass) else SizeBiased(gamma))
+
+    @pytest.mark.parametrize("lam, c", [(0.5, 1.0), (1.0, 1.0), (2.0, 2.0), (3.0, 0.3),
+                                        (1000.0, 7.5)])
+    def test_point_mass_contenders_keep_the_point_mass(self, lam, c):
+        law = contender_params(lam, PointMass(c))
+        # equality is bitwise on the rate: it keeps the weight SizeBiased gives
+        assert law == ContenderLaw(lam * SizeBiased(PointMass(c)).weight, PointMass(c))
 
     def test_mixture_weight_is_the_weighted_sum(self):
         # s = sum of w_k s_k: 1/2 * 1/2 + 1/2 * (1 - e E1(1))
@@ -396,6 +404,23 @@ class TestStreams:
         rate = len(events) / horizon
         se = math.sqrt(law.rate / horizon)
         assert abs(rate - law.rate) < 4 * se
+
+    def test_point_mass_stream_draws_only_its_gaps(self):
+        # no acceptance uniforms: a twin generator that draws only the gap
+        # blocks gives the same times and ends in the same state
+        law = contender_params(1.0, PointMass(2.0))
+        horizon = 2.5 * ARRIVAL_BLOCK / law.rate
+        rng, twin = np.random.default_rng(23), np.random.default_rng(23)
+        events = sample_contender_stream(law, horizon, rng)
+        gaps, t = [], 0.0
+        while t < horizon:
+            gaps.append(twin.exponential(1.0 / law.rate, ARRIVAL_BLOCK))
+            times = np.add.accumulate(np.concatenate(gaps))
+            t = times[-1]
+        assert len(gaps) > 1 and len(events) > ARRIVAL_BLOCK
+        assert [e.time for e in events] == times[times < horizon].tolist()
+        assert [e.increment for e in events] == [2.0] * len(events)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0])
     def test_horizon_must_be_positive_and_finite(self, horizon):

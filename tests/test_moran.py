@@ -231,17 +231,25 @@ def _two_type_generator(n, s):
     return gen
 
 
-def _three_type_generator(n, fitness):
-    """States ``(x0, x1, x2)`` summing to ``n`` and the generator of the
-    three-type count chain: ``j`` replaces an individual of ``l`` at
-    ``x_j * x_l * (1 + (m_j - m_l)^+) * log(N) / N``."""
-    states = [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
+def _compositions(n, k):
+    """Count vectors of ``k`` types summing to ``n``, first count slowest."""
+    if k == 1:
+        return [(n,)]
+    return [(a,) + rest for a in range(n + 1) for rest in _compositions(n - a, k - 1)]
+
+
+def _k_type_generator(n, fitness):
+    """States (the count vectors summing to ``n``) and the generator of the
+    ``k``-type count chain, ``k = len(fitness)``: ``j`` replaces an
+    individual of ``l`` at ``x_j * x_l * (1 + (m_j - m_l)^+) * log(N) / N``."""
+    k = len(fitness)
+    states = _compositions(n, k)
     where = {s: i for i, s in enumerate(states)}
     c = math.log(n) / n
     gen = np.zeros((len(states), len(states)))
     for s, i in where.items():
-        for j in range(3):
-            for l in range(3):
+        for j in range(k):
+            for l in range(k):
                 if j != l and s[j] and s[l]:
                     rate = s[j] * s[l] * (1.0 + max(fitness[j] - fitness[l], 0.0)) * c
                     to = list(s)
@@ -250,6 +258,30 @@ def _three_type_generator(n, fitness):
                     gen[i, where[tuple(to)]] += rate
                     gen[i, i] -= rate
     return states, where, gen
+
+
+def _counts_at(where, start, fitness, t, reps, seed):
+    """Counts over the states indexed by ``where`` of ``reps`` seeded runs
+    from ``start`` to ``t``."""
+    seen = np.zeros(len(where))
+    for r in range(reps):
+        st = moran_init(sum(start), start, fitness)
+        res = moran_run(st, t, replicate_rng(seed, r), trace=False)
+        live = res.state.live_types()
+        seen[where[tuple(live.get(tid, 0) for tid in range(len(fitness)))]] += 1
+    return seen
+
+
+def _chi2_pvalue(seen, exact):
+    """Chi-square p over the states with an expected count of at least 5,
+    the rest pooled."""
+    from scipy.stats import chi2
+
+    big = exact >= 5.0
+    obs = np.append(seen[big], seen[~big].sum())
+    exp_ = np.append(exact[big], exact[~big].sum())
+    stat = float(((obs - exp_) ** 2 / exp_).sum())
+    return chi2.sf(stat, obs.size - 1)
 
 
 class TestThreeTypeLoop:
@@ -261,24 +293,32 @@ class TestThreeTypeLoop:
         # also hands over to the two-type walker.  Chi-square over the
         # states with an expected count of at least 5, the rest pooled,
         # p > 1e-3 (the seeds are fixed).
-        from scipy.stats import chi2
-
         n, start, t, reps = 20, (10, 6, 4), 0.6, 4000
-        states, where, gen = _three_type_generator(n, fitness)
+        states, where, gen = _k_type_generator(n, fitness)
         exact = reps * expm(gen * t)[where[start]]
-        seen = np.zeros(len(states))
-        for r in range(reps):
-            st = moran_init(n, start, fitness)
-            res = moran_run(st, t, replicate_rng(seed, r), trace=False)
-            live = res.state.live_types()
-            seen[where[tuple(live.get(tid, 0) for tid in range(3))]] += 1
+        seen = _counts_at(where, start, fitness, t, reps, seed)
         handed_over = sum(seen[i] for i, s in enumerate(states) if 0 in s)
         assert 0.2 * reps < handed_over < 0.5 * reps
-        big = exact >= 5.0
-        obs = np.append(seen[big], seen[~big].sum())
-        exp_ = np.append(exact[big], exact[~big].sum())
-        stat = float(((obs - exp_) ** 2 / exp_).sum())
-        assert chi2.sf(stat, obs.size - 1) > 1e-3, (stat, obs.size)
+        assert _chi2_pvalue(seen, exact) > 1e-3
+
+
+class TestFourTypeLoop:
+    def test_counts_match_master_equation(self):
+        # N = 12 from (3, 3, 3, 3) at t = 0.5 over the 455 states of the
+        # four-type chain: a type dies before t in about 83% of the runs,
+        # and at most two are left in about 40%, where the loop has handed
+        # over to the two-type walker.  Same chi-square as above (the seed
+        # is fixed).
+        n, start, fitness, t, reps = 12, (3, 3, 3, 3), (0.0, 0.5, 1.0, 2.0), 0.5, 10_000
+        states, where, gen = _k_type_generator(n, fitness)
+        assert len(states) == 455
+        exact = reps * expm(gen * t)[where[start]]
+        seen = _counts_at(where, start, fitness, t, reps, 2424)
+        died = sum(seen[i] for i, s in enumerate(states) if 0 in s)
+        walked = sum(seen[i] for i, s in enumerate(states) if np.count_nonzero(s) <= 2)
+        assert 0.75 * reps < died < 0.9 * reps
+        assert 0.3 * reps < walked < 0.5 * reps
+        assert _chi2_pvalue(seen, exact) > 1e-3
 
 
 class TestTwoTypeWalk:
